@@ -13,6 +13,12 @@ The solver repeats three moves until optimality:
 Every iterate stays primal feasible, pinned variables are exactly zero, and
 the objective never increases, so the loop terminates on nondegenerate data
 long before the ``10 * P`` default iteration cap.
+
+The loop keeps one Cholesky factor of ``G_FF`` per solve. It factorizes at
+the uniform start, downdates the factor when step 2 pins a variable (an
+``O(|F|^2)`` column deletion instead of an ``O(|F|^3)`` refactorization),
+and factorizes afresh only after a release in step 3, or on every iteration
+when ridge regularization is on, because its jitter depends on ``|F|``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoBlockingIndex, RankDeficientLibrary
-from .kkt import SubproblemSolution, solve_subproblem
+from .kkt import SubproblemSolution, downdate, factorize, solve_subproblem
 from .model import ShiftedProblem, SolverConfig, objective_value
 
 
@@ -193,15 +199,14 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
     trace = [objective_value(shifted, state.iterate)]
     cap = config.iteration_cap(p)
     last = None
+    factor = None  # factor of the block on state.free; None after a release
 
     for iteration in range(1, cap + 1):
         try:
+            if factor is None or config.ridge_regularization:
+                factor = factorize(shifted.gram, state.free, ridge=config.ridge_regularization)
             sub = solve_subproblem(
-                shifted.gram,
-                shifted.linear,
-                shifted.budget,
-                state.free,
-                ridge=config.ridge_regularization,
+                shifted.gram, shifted.linear, shifted.budget, state.free, factor=factor
             )
         except RankDeficientLibrary as exc:
             if n_bands is not None and state.free.size > n_bands:
@@ -236,10 +241,13 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
                     objective_trace=tuple(trace),
                 )
             state = released
+            factor = None
         else:
             step, blocking = max_feasible_step(state, sub, rng=rng)
             direction = np.zeros(p)
             direction[state.free] = sub.free_values - state.iterate[state.free]
+            if not config.ridge_regularization:
+                factor = downdate(factor, np.searchsorted(state.free, blocking))
             state = transfer_to_active(state, step, direction, blocking)
             trace.append(objective_value(shifted, state.iterate))
 

@@ -33,6 +33,18 @@ def _env(name, fallback=None):
     return os.environ.get(_ENV_PREFIX + name, fallback)
 
 
+def _env_number(name, convert, fallback):
+    text = _env(name)
+    if text is None:
+        return fallback
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(
+            f"{_ENV_PREFIX}{name}={text!r} is not a valid {convert.__name__}"
+        ) from None
+
+
 def _env_flag(name):
     value = _env(name)
     return value is not None and value.strip().lower() in ("1", "true", "yes", "on")
@@ -55,18 +67,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="destination CSV for the P x M abundance matrix")
     parser.add_argument("--diagnostics", default=_env("DIAGNOSTICS"),
                         help="optional JSONL file with per-pixel solve diagnostics")
-    parser.add_argument("--tol", type=float, default=float(_env("TOL", "1e-10")),
+    parser.add_argument("--tol", type=float, default=_env_number("TOL", float, 1e-10),
                         help="primal feasibility tolerance (default 1e-10)")
-    parser.add_argument("--dual-tol", type=float, default=float(_env("DUAL_TOL", "1e-10")),
+    parser.add_argument("--dual-tol", type=float,
+                        default=_env_number("DUAL_TOL", float, 1e-10),
                         help="dual feasibility tolerance (default 1e-10)")
     parser.add_argument("--max-iter", type=int,
-                        default=int(_env("MAX_ITER", "0")) or None,
+                        default=_env_number("MAX_ITER", int, 0) or None,
                         help="outer iteration cap (default 10 times the library size)")
     parser.add_argument("--tie-break", default=_env("TIE_BREAK", "smallest"),
                         help="blocking-index tie policy: 'smallest' or 'random:SEED'")
     parser.add_argument("--header", action="store_true", default=_env_flag("HEADER"),
                         help="skip one header row on inputs and write one on the output")
-    parser.add_argument("--jobs", type=int, default=int(_env("JOBS", "1")),
+    parser.add_argument("--jobs", type=int, default=_env_number("JOBS", int, 1),
                         help="worker threads for the batch (default 1)")
     return parser
 
@@ -128,7 +141,12 @@ def _diagnostics_record(index, solution, job, gram, config):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a malformed UNMIX_* variable
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     missing = [name for name in ("library", "input", "output") if getattr(args, name) is None]
     if missing:
         print(f"error: missing required option(s): {', '.join('--' + m for m in missing)}",

@@ -11,6 +11,14 @@ Cholesky factorization of ``G_FF`` and eliminates the border through the
 scalar Schur complement ``-1^T G_FF^{-1} 1``, which is strictly negative
 whenever ``G_FF`` is positive definite, so the system has exactly one
 solution.
+
+The active-set loop keeps one factor per solve. When a variable is pinned,
+:func:`downdate` deletes its column from the factor by Givens
+re-triangularization of the trailing block (Gill, Golub, Murray & Saunders,
+*Methods for modifying matrix factorizations*, Math. Comp. 1974), at
+``O(|F|^2)`` instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The
+factor is rebuilt only at the start, after a release, or when ridge
+regularization is on. Both routes apply the same rank test.
 """
 
 from __future__ import annotations
@@ -18,9 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg import qr_delete
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import EmptyFreeSet, RankDeficientLibrary
+
+# Recent scipy wraps qr_delete to broadcast over stacked matrices, which
+# doubles its cost on one small matrix; the factor is always a single one.
+_qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 
 
 @dataclass(frozen=True)
@@ -33,9 +46,16 @@ class SubproblemSolution:
 
 @dataclass(frozen=True)
 class SpdFactorization:
-    """Lower-triangular Cholesky factor of a restricted Gram block."""
+    """Lower-triangular Cholesky factor of a restricted Gram block.
+
+    ``diagonal`` is the diagonal of the factorized block and ``order`` the
+    size P of the full Gram matrix; together they set the rank test's pivot
+    floor ``P * eps * max(diagonal)``, which a downdate applies again.
+    """
 
     lower: np.ndarray
+    diagonal: np.ndarray
+    order: int
 
     @property
     def size(self) -> int:
@@ -43,7 +63,10 @@ class SpdFactorization:
 
     def solve(self, rhs):
         """Solve ``G_FF z = rhs`` using the stored factor."""
-        return cho_solve((self.lower, True), rhs, check_finite=False)
+        solved, info = dpotrs(self.lower, rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"LAPACK dpotrs rejected argument {-info}")
+        return solved
 
 
 def _checked_indices(free, n):
@@ -89,25 +112,80 @@ def factorize(gram, free, ridge=False) -> SpdFactorization:
     block = gram[np.ix_(free, free)]
     if ridge:
         block = block + (1e-10 * np.trace(block) / free.size) * np.eye(free.size)
-    pivot_floor = n * np.finfo(float).eps * max(block.diagonal().max(), 0.0)
-    try:
-        lower = cholesky(block, lower=True, check_finite=False)
-    except LinAlgError as exc:
+    diagonal = block.diagonal().copy()
+    lower, info = dpotrf(block, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"LAPACK dpotrf rejected argument {-info}")
+    if info > 0:
         raise RankDeficientLibrary(
             f"restricted Gram block of size {free.size} is not positive definite "
-            f"({exc}); the free columns of the library are linearly dependent"
-        ) from None
+            f"(leading minor of order {info} is not positive); the free columns "
+            f"of the library are linearly dependent"
+        )
+    return _rank_checked(lower, diagonal, n)
+
+
+def downdate(factor: SpdFactorization, position) -> SpdFactorization:
+    """Delete one free column from a factorization without refactorizing.
+
+    Parameters
+    ----------
+    factor : SpdFactorization
+        Factor of the Gram block restricted to a free set F.
+    position : int
+        Position within F (not the variable index) of the column to delete.
+
+    Returns
+    -------
+    SpdFactorization
+        Factor of the block restricted to F without that column, with a
+        positive diagonal. Columns before ``position`` keep their factor
+        rows; the trailing block is re-triangularized by Givens rotations.
+
+    Raises
+    ------
+    RankDeficientLibrary
+        If a pivot of the new factor falls at or below the pivot floor of the
+        reduced block, exactly as :func:`factorize` would report.
+    EmptyFreeSet
+        If the factor has a single column.
+    """
+    lower = factor.lower
+    size = factor.size
+    k = int(position)
+    if size == 1:
+        raise EmptyFreeSet("downdate would leave an empty free set")
+    if not 0 <= k < size:
+        raise IndexError(f"position must lie in [0, {size}), got {k}")
+    reduced = np.empty((size - 1, size - 1), order="F")
+    reduced[:k, :k] = lower[:k, :k]
+    reduced[:k, k:] = 0.0
+    reduced[k:, :k] = lower[k + 1:, :k]
+    if k < size - 1:
+        # The transposed trailing block minus its first column is upper
+        # Hessenberg; its QR factor is the new trailing Cholesky factor.
+        _, upper = _qr_delete(np.eye(size - k), lower[k:, k:].T, 0, which="col",
+                              check_finite=False)
+        trailing = upper[:-1].T
+        reduced[k:, k:] = trailing * np.copysign(1.0, trailing.diagonal())
+    diagonal = np.concatenate((factor.diagonal[:k], factor.diagonal[k + 1:]))
+    return _rank_checked(reduced, diagonal, factor.order)
+
+
+def _rank_checked(lower, diagonal, order) -> SpdFactorization:
+    pivot_floor = order * np.finfo(float).eps * max(diagonal.max(), 0.0)
     pivots = lower.diagonal() ** 2
     if pivots.min() <= pivot_floor:
         raise RankDeficientLibrary(
-            f"restricted Gram block of size {free.size} has pivot {pivots.min():.3e} "
+            f"restricted Gram block of size {lower.shape[0]} has pivot {pivots.min():.3e} "
             f"at or below the rank threshold {pivot_floor:.3e}; the free columns "
             f"of the library are numerically linearly dependent"
         )
-    return SpdFactorization(lower=lower)
+    return SpdFactorization(lower=lower, diagonal=diagonal, order=order)
 
 
-def solve_subproblem(gram, linear, budget, free, ridge=False) -> SubproblemSolution:
+def solve_subproblem(gram, linear, budget, free, ridge=False, *,
+                     factor=None) -> SubproblemSolution:
     """Solve the equality-constrained subproblem on the free set.
 
     Parameters
@@ -123,6 +201,11 @@ def solve_subproblem(gram, linear, budget, free, ridge=False) -> SubproblemSolut
         at zero and do not enter the system.
     ridge : bool, optional
         Forwarded to :func:`factorize`.
+    factor : SpdFactorization, optional
+        A factor of the block restricted to ``free``, in the order of
+        ``free``, such as the one the active-set loop keeps and downdates.
+        When given, no factorization is made and ``gram`` and ``ridge`` are
+        not read.
 
     Returns
     -------
@@ -138,8 +221,9 @@ def solve_subproblem(gram, linear, budget, free, ridge=False) -> SubproblemSolut
     denominator ``sum(v)`` is positive for any positive definite block, which
     is what makes the bordered system uniquely solvable.
     """
+    if factor is None:
+        factor = factorize(gram, free, ridge=ridge)
     linear = np.asarray(linear, dtype=float)
-    factor = factorize(gram, free, ridge=ridge)
     free = np.asarray(free, dtype=np.intp).ravel()
     rhs = np.empty((factor.size, 2))
     rhs[:, 0] = linear[free]

@@ -347,3 +347,67 @@ def test_objective_value_is_reported_at_the_solution():
     assert solution.objective == pytest.approx(
         objective_value(shifted, solution.shifted_abundances), rel=1e-12, abs=1e-15
     )
+
+
+# ------------------------------------------------- kept factor vs fresh solves
+
+def _reference_solve(shifted, config):
+    # The loop of demos/04_solver_anatomy.py: the public step helpers with a
+    # fresh factorization in every solve_subproblem call.
+    state = initialize_state(shifted)
+    for iteration in range(1, config.iteration_cap(shifted.size) + 1):
+        sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, state.free,
+                               ridge=config.ridge_regularization)
+        if sub.free_values.min() >= -config.primal_tol:
+            iterate = np.zeros(shifted.size)
+            iterate[state.free] = np.maximum(sub.free_values, 0.0)
+            state = ActiveSetState(free=state.free, active=state.active, iterate=iterate)
+            mu = lagrange_multipliers(shifted, sub, state.free, state.active)
+            released = release_from_active(state, mu, config.dual_tol)
+            if released is None:
+                return iteration, state.free, iterate
+            state = released
+        else:
+            step, blocking = max_feasible_step(state, sub)
+            direction = np.zeros(shifted.size)
+            direction[state.free] = sub.free_values - state.iterate[state.free]
+            state = transfer_to_active(state, step, direction, blocking)
+    raise AssertionError("reference loop hit the iteration cap")
+
+
+def _assert_same_pivots(shifted, config=None):
+    config = config or SolverConfig()
+    solution = active_set_solve(shifted, config)
+    iterations, free, iterate = _reference_solve(shifted, config)
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.outer_iterations == iterations
+    np.testing.assert_array_equal(solution.final_free, free)
+    np.testing.assert_allclose(solution.shifted_abundances, iterate, rtol=0, atol=1e-10)
+    return solution
+
+
+def test_kept_factor_pivots_like_fresh_solves_on_small_instances():
+    rng = np.random.default_rng(32)
+    for _ in range(60):
+        _assert_same_pivots(shift_problem(random_problem(rng)))
+
+
+def test_kept_factor_pivots_like_fresh_solves_on_224_band_libraries():
+    rng = np.random.default_rng(33)
+    pivots_out = 0
+    for _ in range(12):
+        problem = random_problem(rng, n_endmembers=int(rng.integers(50, 151)), n_bands=224)
+        shifted = shift_problem(problem)
+        solution = _assert_same_pivots(shifted)
+        pivots_out += shifted.size - solution.final_free.size
+    assert pivots_out > 0  # the downdate path was taken
+
+
+def test_ridge_regularized_solve_end_to_end():
+    rng = np.random.default_rng(34)
+    shifted = shift_problem(random_problem(rng, n_endmembers=40, n_bands=224))
+    solution = _assert_same_pivots(shifted, SolverConfig(ridge_regularization=True))
+    plain = active_set_solve(shifted)
+    assert solution.final_free.size < shifted.size
+    np.testing.assert_allclose(solution.shifted_abundances, plain.shifted_abundances,
+                               rtol=0, atol=1e-6)

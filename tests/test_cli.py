@@ -159,6 +159,24 @@ def test_environment_variables_supply_defaults(workspace, monkeypatch):
     assert workspace["out"].exists()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("UNMIX_TOL", "abc"),
+    ("UNMIX_DUAL_TOL", "1e-10x"),
+    ("UNMIX_MAX_ITER", "2.5"),
+    ("UNMIX_JOBS", "many"),
+])
+def test_malformed_environment_number_is_an_input_error(workspace, monkeypatch, capsys,
+                                                        name, value):
+    monkeypatch.setenv(name, value)
+    code = main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+                 "--output", str(workspace["out"])])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and name in lines[0]
+    assert not workspace["out"].exists()
+
+
 def test_flag_wins_over_environment(workspace, monkeypatch):
     other = workspace["dir"] / "other.csv"
     monkeypatch.setenv("UNMIX_OUTPUT", str(workspace["dir"] / "env_out.csv"))

@@ -4,10 +4,20 @@ import pytest
 from unmix import (
     EmptyFreeSet,
     RankDeficientLibrary,
+    SpdFactorization,
     factorize,
     solve_subproblem,
 )
+from unmix.kkt import downdate
 from instances import random_spd_system
+
+
+def _assert_factors_block(factor, gram, free):
+    block = gram[np.ix_(free, free)]
+    scale = max(1.0, np.abs(block).max())
+    assert (factor.lower.diagonal() > 0.0).all()
+    np.testing.assert_array_equal(factor.lower, np.tril(factor.lower))
+    assert np.abs(factor.lower @ factor.lower.T - block).max() <= 1e-12 * scale
 
 
 def test_identity_restriction_factors_to_identity():
@@ -119,3 +129,64 @@ def test_schur_denominator_is_positive_on_every_solve():
 def test_free_indices_out_of_range_are_rejected():
     with pytest.raises(IndexError):
         factorize(np.eye(2), [0, 2])
+
+
+def test_downdate_at_every_position_factors_the_reduced_block():
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        gram, _, _ = random_spd_system(rng, size=rng.integers(2, 13))
+        k = gram.shape[0]
+        free = np.sort(rng.choice(k, size=rng.integers(2, k + 1), replace=False))
+        factor = factorize(gram, free)
+        for position in range(free.size):
+            reduced = downdate(factor, position)
+            _assert_factors_block(reduced, gram, np.delete(free, position))
+
+
+def test_chain_of_downdates_down_to_one_column():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        gram, _, _ = random_spd_system(rng, size=12)
+        free = np.arange(12)
+        factor = factorize(gram, free)
+        while free.size > 1:
+            position = int(rng.integers(free.size))
+            factor = downdate(factor, position)
+            free = np.delete(free, position)
+            _assert_factors_block(factor, gram, free)
+        with pytest.raises(EmptyFreeSet):
+            downdate(factor, 0)
+
+
+def test_downdated_factor_gives_the_fresh_subproblem_solution():
+    rng = np.random.default_rng(18)
+    for _ in range(30):
+        gram, linear, budget = random_spd_system(rng, size=10)
+        free = np.arange(10)
+        factor = downdate(factorize(gram, free), 4)
+        free = np.delete(free, 4)
+        kept = solve_subproblem(gram, linear, budget, free, factor=factor)
+        fresh = solve_subproblem(gram, linear, budget, free)
+        np.testing.assert_allclose(kept.free_values, fresh.free_values, rtol=0, atol=1e-10)
+        assert kept.multiplier == pytest.approx(fresh.multiplier, abs=1e-10)
+
+
+def test_near_dependent_pair_is_rank_deficient_on_both_paths():
+    # Library columns a0 = (1, 0, 0) and a2 = (1, 0, 1e-9) are near-dependent;
+    # a1 sits between them. The factor is built by hand because factorize
+    # rejects the block, so deleting a1 exercises the downdate's own rank test.
+    lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1e-9]])
+    gram = lower @ lower.T
+    factor = SpdFactorization(lower=lower, diagonal=gram.diagonal().copy(), order=3)
+    with pytest.raises(RankDeficientLibrary):
+        downdate(factor, 1)
+    with pytest.raises(RankDeficientLibrary):
+        factorize(gram, [0, 2])
+    with pytest.raises(RankDeficientLibrary):
+        factorize(gram, [0, 1, 2])
+
+
+def test_downdate_position_out_of_range_is_rejected():
+    factor = factorize(np.eye(3), [0, 1, 2])
+    with pytest.raises(IndexError):
+        downdate(factor, 3)
