@@ -1,7 +1,7 @@
 """Batch unmixing of many pixels, via the API and via the ``unmix`` CLI.
 
 Simulates a tiny 12x12-pixel scene from four endmembers, unmixes every
-pixel with one shared Gram matrix, then round-trips the same scene through
+pixel with the library's one Gram matrix, then round-trips the same scene through
 the command-line tool with CSV files and a JSONL diagnostics stream.
 """
 
@@ -28,7 +28,7 @@ fractions = rng.dirichlet(np.full(n_endmembers, 2.0), size=n_pixels)
 pixels = endmembers @ fractions.T + 0.01 * rng.standard_normal((n_bands, n_pixels))
 
 job = BatchJob(library, pixels)
-solutions = unmix_batch(job, jobs=4)
+solutions = unmix_batch(job)
 print("batch summary:", batch_summary(solutions))
 
 abundances = np.column_stack([s.abundances for s in solutions])
@@ -48,7 +48,6 @@ with tempfile.TemporaryDirectory() as tmp:
         "--input", str(tmp / "pixels.csv"),
         "--output", str(tmp / "abundances.csv"),
         "--diagnostics", str(tmp / "diagnostics.jsonl"),
-        "--jobs", "4",
     ]
     result = subprocess.run(command, capture_output=True, text=True)
     print("\nCLI:", " ".join(command[2:]))

@@ -1,21 +1,15 @@
-"""Batch unmixing: one library and Gram matrix shared across many spectra."""
+"""One per-pixel solve path (shift, solve, unshift) for the API and the CLI."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .active_set import Solution, SolveStatus, active_set_solve
 from .errors import DimensionMismatch, UnmixError
-from .model import (
-    SolverConfig,
-    SpectralLibrary,
-    UnmixingProblem,
-    validate_lower_bounds,
-    validate_problem,
-)
+from .model import SolverConfig, SpectralLibrary, UnmixingProblem, validate_lower_bounds
+from .model import precompute_gram  # noqa: F401  (re-exported)
 from .shift import shift_problem, unshift_solution
 
 
@@ -56,12 +50,12 @@ class BatchJob:
             object.__setattr__(self, "config", SolverConfig())
 
 
-def precompute_gram(library: SpectralLibrary) -> np.ndarray:
-    """Symmetrized ``A^T A``, computed once and shared across a batch."""
-    if not isinstance(library, SpectralLibrary):
-        library = SpectralLibrary(library)
-    gram = library.entries.T @ library.entries
-    return 0.5 * (gram + gram.T)
+def _solve(problem: UnmixingProblem, config: SolverConfig):
+    """Shift, solve and unshift one problem; returns ``(shifted, solution)``."""
+    shifted = shift_problem(problem, primal_tol=config.primal_tol)
+    solution = active_set_solve(shifted, config)
+    abundances = unshift_solution(solution.shifted_abundances, problem.lower_bounds)
+    return shifted, replace(solution, abundances=abundances)
 
 
 def unmix(problem: UnmixingProblem, config: SolverConfig | None = None) -> Solution:
@@ -70,14 +64,7 @@ def unmix(problem: UnmixingProblem, config: SolverConfig | None = None) -> Solut
     Validates, shifts out the lower bounds, runs the active-set solver, and
     shifts the abundances back so they satisfy the original constraints.
     """
-    config = config or SolverConfig()
-    validate_problem(problem, config.primal_tol)
-    shifted = shift_problem(problem, primal_tol=config.primal_tol)
-    solution = active_set_solve(shifted, config)
-    return replace(
-        solution,
-        abundances=unshift_solution(solution.shifted_abundances, problem.lower_bounds),
-    )
+    return _solve(problem, config or SolverConfig())[1]
 
 
 def _failed_pixel(n_endmembers, error) -> Solution:
@@ -95,38 +82,32 @@ def _failed_pixel(n_endmembers, error) -> Solution:
     )
 
 
-def unmix_batch(job: BatchJob, jobs: int = 1) -> list[Solution]:
-    """Unmix every pixel column of a batch job.
+def _solve_pixels(job: BatchJob):
+    """Yield ``(shifted, solution)`` per pixel column, in input order.
 
-    The Gram matrix is computed once and shared read-only. Pixels are
-    independent: a numerical failure is recorded in that pixel's slot
-    (``status == FAILED`` with the message set) without aborting the rest,
-    and results always follow the input column order. ``jobs`` > 1 solves
-    pixels on a thread pool; the output is identical to a sequential run.
+    ``shifted`` is None for a failed pixel. Each one holds its own copy of
+    the Gram matrix, so a consumer should not keep it past its pixel.
     """
     config = job.config
     lib = job.library
     validate_lower_bounds(job.lower_bounds, lib.n_endmembers, config.primal_tol)
-    gram = precompute_gram(lib)
-
-    def solve_pixel(column: int) -> Solution:
+    for column in range(job.pixels.shape[1]):
         try:
-            problem = UnmixingProblem(lib, job.pixels[:, column], job.lower_bounds)
-            validate_problem(problem, config.primal_tol)
-            shifted = shift_problem(problem, gram=gram, primal_tol=config.primal_tol)
-            solution = active_set_solve(shifted, config)
-            return replace(
-                solution,
-                abundances=unshift_solution(solution.shifted_abundances, job.lower_bounds),
-            )
+            result = _solve(UnmixingProblem(lib, job.pixels[:, column], job.lower_bounds), config)
         except UnmixError as exc:
-            return _failed_pixel(lib.n_endmembers, exc)
+            result = None, _failed_pixel(lib.n_endmembers, exc)
+        yield result
 
-    columns = range(job.pixels.shape[1])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve_pixel, columns))
-    return [solve_pixel(column) for column in columns]
+
+def unmix_batch(job: BatchJob) -> list[Solution]:
+    """Unmix every pixel column of a batch job.
+
+    Pixels share the library's Gram matrix and are solved in input order.
+    A numerical failure is recorded in that pixel's slot (``status ==
+    FAILED`` with the message set) without aborting the rest; invalid
+    bounds raise before any pixel is solved.
+    """
+    return [solution for _, solution in _solve_pixels(job)]
 
 
 def batch_summary(solutions: list[Solution]) -> dict:

@@ -20,10 +20,9 @@ import sys
 import numpy as np
 
 from .active_set import SolveStatus
-from .batch import BatchJob, batch_summary, precompute_gram, unmix_batch
+from .batch import BatchJob, _solve_pixels, batch_summary
 from .errors import UnmixError
-from .model import SolverConfig, UnmixingProblem
-from .shift import shift_problem
+from .model import SolverConfig
 from .verify import verify_kkt
 
 _ENV_PREFIX = "UNMIX_"
@@ -79,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="blocking-index tie policy: 'smallest' or 'random:SEED'")
     parser.add_argument("--header", action="store_true", default=_env_flag("HEADER"),
                         help="skip one header row on inputs and write one on the output")
-    parser.add_argument("--jobs", type=int, default=_env_number("JOBS", int, 1),
-                        help="worker threads for the batch (default 1)")
     return parser
 
 
@@ -106,16 +103,11 @@ def _write_abundances(path, abundances, header):
     np.savetxt(path, abundances, delimiter=",", fmt="%.17g", **kwargs)
 
 
-def _diagnostics_record(index, solution, job, gram, config):
+def _diagnostics_record(index, shifted, solution):
     record = {"pixel": index, "status": solution.status.value}
     if solution.status is SolveStatus.FAILED:
         record["error"] = solution.message
         return record
-    shifted = shift_problem(
-        UnmixingProblem(job.library, job.pixels[:, index], job.lower_bounds),
-        gram=gram,
-        primal_tol=config.primal_tol,
-    )
     report = verify_kkt(
         shifted,
         solution.shifted_abundances,
@@ -168,7 +160,11 @@ def main(argv=None) -> int:
         if args.lower_bounds is not None:
             bounds = _load_matrix(args.lower_bounds, args.header).ravel()
         job = BatchJob(library=library, pixels=pixels, lower_bounds=bounds, config=config)
-        solutions = unmix_batch(job, jobs=max(1, args.jobs))
+        solutions, records = [], []
+        for index, (shifted, solution) in enumerate(_solve_pixels(job)):
+            solutions.append(solution)
+            if args.diagnostics is not None:
+                records.append(_diagnostics_record(index, shifted, solution))
     except (UnmixError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -177,10 +173,8 @@ def main(argv=None) -> int:
     try:
         _write_abundances(args.output, abundances, args.header)
         if args.diagnostics is not None:
-            gram = precompute_gram(job.library)
             with open(args.diagnostics, "w", encoding="utf-8") as stream:
-                for index, solution in enumerate(solutions):
-                    record = _diagnostics_record(index, solution, job, gram, config)
+                for record in records:
                     stream.write(json.dumps(record) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

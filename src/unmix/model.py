@@ -10,6 +10,7 @@ term, budget) is held by :class:`ShiftedProblem`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ class SpectralLibrary:
     """Dense endmember library: one spectrum of length ``n_bands`` per column.
 
     All entries must be finite and both dimensions nonzero. The stored array
-    is read-only so instances can be shared across concurrent solves.
+    is read-only, and the Gram matrix is computed on first use and kept with
+    the library, so every solve that shares an instance shares its Gram.
     """
 
     entries: np.ndarray
@@ -52,6 +54,19 @@ class SpectralLibrary:
     @property
     def n_endmembers(self) -> int:
         return self.entries.shape[1]
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only symmetrized ``A^T A``, computed on first use."""
+        return precompute_gram(self)
+
+
+def precompute_gram(library: SpectralLibrary) -> np.ndarray:
+    """Read-only symmetrized ``A^T A`` of a library (or of a raw N x P array)."""
+    if not isinstance(library, SpectralLibrary):
+        library = SpectralLibrary(library)
+    gram = library.entries.T @ library.entries
+    return _frozen_array(0.5 * (gram + gram.T), 2, "gram")
 
 
 @dataclass(frozen=True)

@@ -8,29 +8,25 @@ from .errors import DimensionMismatch
 from .model import ShiftedProblem, UnmixingProblem, validate_problem
 
 
-def shift_problem(problem: UnmixingProblem, gram=None, primal_tol=1e-10) -> ShiftedProblem:
-    """Build the nonnegativity-form quadratic for a lower-bounded problem.
+def shift_problem(problem: UnmixingProblem, primal_tol=1e-10) -> ShiftedProblem:
+    """Validate a lower-bounded problem and build its nonnegativity form.
 
     The target becomes ``y - A @ lower_bounds`` and the budget
     ``1 - sum(lower_bounds)``; with zero bounds this is the plain fully
-    constrained least-squares setup. Pass a precomputed ``gram`` (from
-    :func:`unmix.batch.precompute_gram`) to share ``A^T A`` across many
-    measurements with the same library.
+    constrained least-squares setup. The Gram matrix is the library's own
+    :attr:`~unmix.model.SpectralLibrary.gram`, computed once per library.
     """
     validate_problem(problem, primal_tol)
-    entries = problem.library.entries
-    shifted_target = problem.measurement - entries @ problem.lower_bounds
-    if gram is None:
-        gram = entries.T @ entries
-        gram = 0.5 * (gram + gram.T)
+    library = problem.library
+    shifted_target = problem.measurement - library.entries @ problem.lower_bounds
     # A -1e-17 budget from float summation must not fail construction.
     budget = max(0.0, 1.0 - float(problem.lower_bounds.sum()))
     return ShiftedProblem(
-        gram=gram,
-        linear=entries.T @ shifted_target,
+        gram=library.gram,
+        linear=library.entries.T @ shifted_target,
         budget=budget,
         shifted_target=shifted_target,
-        library=problem.library,
+        library=library,
     )
 
 

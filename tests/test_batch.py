@@ -97,20 +97,6 @@ def test_batch_matches_sequential_solves():
         assert np.abs(batched.abundances - single.abundances).max() <= 1e-12
 
 
-def test_threaded_batch_equals_sequential_batch():
-    rng = np.random.default_rng(56)
-    problem = random_problem(rng, n_endmembers=4, n_bands=12)
-    pixels = rng.standard_normal((12, 16)) * 0.1 + (
-        problem.library.entries @ rng.dirichlet(np.ones(4), size=16).T
-    )
-    job = BatchJob(problem.library, pixels, problem.lower_bounds)
-    sequential = unmix_batch(job, jobs=1)
-    threaded = unmix_batch(job, jobs=4)
-    for left, right in zip(sequential, threaded):
-        np.testing.assert_array_equal(left.abundances, right.abundances)
-        assert left.outer_iterations == right.outer_iterations
-
-
 def test_failed_pixel_is_recorded_without_aborting():
     rng = np.random.default_rng(57)
     problem = random_problem(rng, n_endmembers=3, n_bands=8)

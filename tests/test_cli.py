@@ -163,7 +163,6 @@ def test_environment_variables_supply_defaults(workspace, monkeypatch):
     ("UNMIX_TOL", "abc"),
     ("UNMIX_DUAL_TOL", "1e-10x"),
     ("UNMIX_MAX_ITER", "2.5"),
-    ("UNMIX_JOBS", "many"),
 ])
 def test_malformed_environment_number_is_an_input_error(workspace, monkeypatch, capsys,
                                                         name, value):
@@ -185,16 +184,6 @@ def test_flag_wins_over_environment(workspace, monkeypatch):
     assert code == 0
     assert other.exists()
     assert not (workspace["dir"] / "env_out.csv").exists()
-
-
-def test_jobs_flag_does_not_change_output(workspace):
-    out_seq = workspace["dir"] / "seq.csv"
-    out_par = workspace["dir"] / "par.csv"
-    main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
-          "--output", str(out_seq)])
-    main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
-          "--output", str(out_par), "--jobs", "4"])
-    assert out_seq.read_bytes() == out_par.read_bytes()
 
 
 def test_random_tie_break_flag_parses(workspace):

@@ -1,0 +1,121 @@
+"""One solve pipeline: each pixel is validated and shifted once, the Gram
+matrix is computed once per library, and the CLI certifies each diagnostics
+record against the very problem its solve used."""
+
+import functools
+import json
+import sys
+
+import numpy as np
+
+from unmix import (
+    BatchJob,
+    SpectralLibrary,
+    UnmixingProblem,
+    precompute_gram,
+    shift_problem,
+    unmix,
+    unmix_batch,
+    validate_problem,
+    verify_kkt,
+)
+from unmix.cli import main
+
+
+def _count_calls(monkeypatch, function):
+    """Wrap ``function`` under every name an ``unmix`` module binds it to."""
+    calls = []
+
+    @functools.wraps(function)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "unmix" or name.startswith("unmix.")):
+            continue
+        for attribute, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, attribute, counted)
+    return calls
+
+
+def _scene(rng, n_bands=12, n_endmembers=5, n_pixels=6):
+    library = np.abs(rng.standard_normal((n_bands, n_endmembers)))
+    fractions = rng.dirichlet(np.ones(n_endmembers), size=n_pixels).T
+    pixels = library @ fractions + 0.02 * rng.standard_normal((n_bands, n_pixels))
+    bounds = rng.dirichlet(np.ones(n_endmembers)) * 0.3
+    return library, pixels, bounds
+
+
+def _write_csv(path, array):
+    np.savetxt(path, np.atleast_2d(array), delimiter=",", fmt="%.17g")
+    return str(path)
+
+
+def test_batch_validates_each_pixel_once(monkeypatch):
+    library, pixels, bounds = _scene(np.random.default_rng(71), n_pixels=9)
+    calls = _count_calls(monkeypatch, validate_problem)
+    unmix_batch(BatchJob(library, pixels, bounds))
+    assert len(calls) == pixels.shape[1]
+
+
+def test_unmix_calls_sharing_a_library_compute_the_gram_once(monkeypatch):
+    library, pixels, bounds = _scene(np.random.default_rng(72))
+    shared = SpectralLibrary(library)
+    calls = _count_calls(monkeypatch, precompute_gram)
+    for column in range(2):
+        unmix(UnmixingProblem(shared, pixels[:, column], bounds))
+    assert len(calls) == 1
+
+
+def test_cli_with_diagnostics_shifts_each_pixel_once(monkeypatch, tmp_path):
+    library, pixels, bounds = _scene(np.random.default_rng(73))
+    calls = _count_calls(monkeypatch, shift_problem)
+    code = main(["--library", _write_csv(tmp_path / "lib.csv", library),
+                 "--input", _write_csv(tmp_path / "pix.csv", pixels),
+                 "--lower-bounds", _write_csv(tmp_path / "lb.csv", bounds),
+                 "--output", str(tmp_path / "out.csv"),
+                 "--diagnostics", str(tmp_path / "diag.jsonl")])
+    assert code == 0
+    assert len(calls) == pixels.shape[1]
+
+
+def test_diagnostics_match_an_independent_kkt_check(tmp_path):
+    library, pixels, bounds = _scene(np.random.default_rng(74), n_pixels=7)
+    nan_column = 3
+    pixels[:, nan_column] = np.nan
+    diag = tmp_path / "diag.jsonl"
+    code = main(["--library", _write_csv(tmp_path / "lib.csv", library),
+                 "--input", _write_csv(tmp_path / "pix.csv", pixels),
+                 "--lower-bounds", _write_csv(tmp_path / "lb.csv", bounds),
+                 "--output", str(tmp_path / "out.csv"),
+                 "--diagnostics", str(diag)])
+    assert code == 3
+    records = [json.loads(line) for line in diag.read_text().splitlines()]
+    assert [record["pixel"] for record in records] == list(range(pixels.shape[1]))
+
+    failed = records[nan_column]
+    assert failed["status"] == "failed"
+    assert failed["error"].startswith("NonFiniteInput")
+    assert "kkt" not in failed
+
+    for column, record in enumerate(records):
+        if column == nan_column:
+            continue
+        assert record["status"] == "optimal"
+        solution = unmix(UnmixingProblem(library, pixels[:, column], bounds))
+        # A second problem has its own library, so its Gram is computed anew.
+        report = verify_kkt(shift_problem(UnmixingProblem(library, pixels[:, column], bounds)),
+                            solution.shifted_abundances, solution.eq_multiplier,
+                            solution.ineq_multipliers)
+        assert record["kkt"] == {
+            "stationarity": report.stationarity_residual,
+            "primal_eq": report.primal_eq_residual,
+            "primal_ineq": report.primal_ineq_violation,
+            "dual": report.dual_violation,
+            "complementarity": report.complementarity_residual,
+            "satisfied": report.satisfied,
+        }
+        assert record["iterations"] == solution.outer_iterations
+        assert record["objective"] == solution.objective
