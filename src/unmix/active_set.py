@@ -19,6 +19,12 @@ the uniform start, downdates the factor when step 2 pins a variable (an
 ``O(|F|^2)`` column deletion instead of an ``O(|F|^3)`` refactorization),
 and factorizes afresh only after a release in step 3, or on every iteration
 when ridge regularization is on, because its jitter depends on ``|F|``.
+
+:func:`active_set_solve` runs the loop for one problem. Batches of problems
+that share a Gram matrix go through :func:`_solve_lockstep`, which takes
+every problem through the same steps together, one round at a time, and
+returns for each exactly what :func:`active_set_solve` returns or raises.
+Both build their results with the same helpers.
 """
 
 from __future__ import annotations
@@ -28,9 +34,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoBlockingIndex, RankDeficientLibrary
+from .errors import NoBlockingIndex, RankDeficientLibrary, UnmixError
 from .kkt import SubproblemSolution, downdate, factorize, solve_subproblem
 from .model import ShiftedProblem, SolverConfig, objective_value
+
+
+_NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
 
 
 class SolveStatus(enum.Enum):
@@ -99,7 +108,7 @@ def max_feasible_step(state: ActiveSetState, candidate: SubproblemSolution, rng=
     """Largest step towards the candidate that keeps the iterate nonnegative.
 
     Returns ``(step, blocking)`` where ``step`` is the minimum of
-    ``-x_i / d_i`` over free coordinates moving towards zero and ``blocking``
+    ``x_i / -d_i`` over free coordinates moving towards zero and ``blocking``
     is the coordinate attaining it. Ties go to the smallest index, or to a
     uniform draw from ``rng`` when one is supplied.
     """
@@ -107,15 +116,13 @@ def max_feasible_step(state: ActiveSetState, candidate: SubproblemSolution, rng=
     direction = candidate.free_values - x_free
     moving_down = direction < 0.0
     if not moving_down.any():
-        raise NoBlockingIndex(
-            "candidate has a negative entry but no free coordinate decreases"
-        )
-    ratios = -x_free[moving_down] / direction[moving_down]
+        raise NoBlockingIndex(_NO_BLOCKING)
+    ratios = np.divide(x_free, -direction, out=np.full(direction.size, np.inf),
+                       where=moving_down)
     step = ratios.min()
-    tied = np.flatnonzero(ratios == step)
-    choice = tied[0] if rng is None else rng.choice(tied)
-    blocking = state.free[np.flatnonzero(moving_down)[choice]]
-    return float(step), int(blocking)
+    tied = moving_down & (ratios == step)
+    choice = tied.argmax() if rng is None else rng.choice(np.flatnonzero(tied))
+    return float(step), int(state.free[choice])
 
 
 def transfer_to_active(state: ActiveSetState, step, direction, blocking) -> ActiveSetState:
@@ -124,9 +131,10 @@ def transfer_to_active(state: ActiveSetState, step, direction, blocking) -> Acti
     iterate[blocking] = 0.0
     # Coordinates tied with the blocking one can land at -1e-17 level.
     np.maximum(iterate, 0.0, out=iterate)
+    position = np.searchsorted(state.active, blocking)
     return ActiveSetState(
         free=state.free[state.free != blocking],
-        active=np.sort(np.append(state.active, blocking)),
+        active=np.concatenate((state.active[:position], [blocking], state.active[position:])),
         iterate=iterate,
     )
 
@@ -136,7 +144,7 @@ def lagrange_multipliers(shifted, candidate, free, active) -> np.ndarray:
     active = np.asarray(active, dtype=np.intp)
     if active.size == 0:
         return np.empty(0)
-    cross = shifted.gram[np.ix_(active, np.asarray(free, dtype=np.intp))]
+    cross = shifted.gram.take(active, axis=0).take(free, axis=1)
     return cross @ candidate.free_values - shifted.linear[active] + candidate.multiplier
 
 
@@ -173,6 +181,56 @@ def _pinned_solution(shifted: ShiftedProblem) -> Solution:
     )
 
 
+def _optimal_solution(iterate, sub, mu_active, active, free, iteration, trace) -> Solution:
+    mu = np.zeros(iterate.size)
+    mu[active] = mu_active
+    return Solution(
+        abundances=iterate.copy(),
+        shifted_abundances=iterate,
+        eq_multiplier=sub.multiplier,
+        ineq_multipliers=mu,
+        objective=trace[-1],
+        outer_iterations=iteration,
+        final_free=free.copy(),
+        status=SolveStatus.OPTIMAL,
+        objective_trace=tuple(trace),
+    )
+
+
+def _capped_solution(iterate, last, free, cap, trace) -> Solution:
+    # ``last`` holds (candidate, mu_active, active) of the last feasible
+    # candidate priced, or None when no candidate was feasible.
+    mu = np.zeros(iterate.size)
+    lam = 0.0
+    if last is not None:
+        sub, mu_active, active = last
+        mu[active] = mu_active
+        lam = sub.multiplier
+    return Solution(
+        abundances=iterate.copy(),
+        shifted_abundances=iterate.copy(),
+        eq_multiplier=lam,
+        ineq_multipliers=mu,
+        objective=trace[-1],
+        outer_iterations=cap,
+        final_free=free.copy(),
+        status=SolveStatus.MAX_ITERATIONS,
+        objective_trace=tuple(trace),
+        message=f"iteration cap {cap} reached without dual feasibility",
+    )
+
+
+def _band_deficit(exc: UnmixError, shifted: ShiftedProblem, n_free: int) -> UnmixError:
+    """``exc``, or a rank failure restated with the band count that explains it."""
+    target = shifted.shifted_target
+    if not isinstance(exc, RankDeficientLibrary) or target is None or n_free <= target.size:
+        return exc
+    return RankDeficientLibrary(
+        f"{exc} ({n_free} free variables exceed the {target.size} spectral "
+        "bands, so the block cannot be full rank)"
+    )
+
+
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
     """Minimize the shifted quadratic over the scaled simplex.
 
@@ -194,7 +252,6 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
         return _pinned_solution(shifted)
 
     rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
-    n_bands = shifted.shifted_target.size if shifted.shifted_target is not None else None
     state = initialize_state(shifted)
     trace = [objective_value(shifted, state.iterate)]
     cap = config.iteration_cap(p)
@@ -209,12 +266,7 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
                 shifted.gram, shifted.linear, shifted.budget, state.free, factor=factor
             )
         except RankDeficientLibrary as exc:
-            if n_bands is not None and state.free.size > n_bands:
-                raise RankDeficientLibrary(
-                    f"{exc} ({state.free.size} free variables exceed the "
-                    f"{n_bands} spectral bands, so the block cannot be full rank)"
-                ) from None
-            raise
+            raise _band_deficit(exc, shifted, state.free.size) from None
 
         if sub.free_values.min() >= -config.primal_tol:
             # Feasible candidate: accept it (zeroing boundary roundoff) and
@@ -227,19 +279,8 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
             last = (sub, mu_active, state.active)
             released = release_from_active(state, mu_active, config.dual_tol)
             if released is None:
-                mu = np.zeros(p)
-                mu[state.active] = mu_active
-                return Solution(
-                    abundances=iterate.copy(),
-                    shifted_abundances=iterate,
-                    eq_multiplier=sub.multiplier,
-                    ineq_multipliers=mu,
-                    objective=trace[-1],
-                    outer_iterations=iteration,
-                    final_free=state.free.copy(),
-                    status=SolveStatus.OPTIMAL,
-                    objective_trace=tuple(trace),
-                )
+                return _optimal_solution(iterate, sub, mu_active, state.active, state.free,
+                                         iteration, trace)
             state = released
             factor = None
         else:
@@ -251,21 +292,146 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
             state = transfer_to_active(state, step, direction, blocking)
             trace.append(objective_value(shifted, state.iterate))
 
-    mu = np.zeros(p)
-    lam = 0.0
-    if last is not None:
-        sub, mu_active, active = last
-        mu[active] = mu_active
-        lam = sub.multiplier
-    return Solution(
-        abundances=state.iterate.copy(),
-        shifted_abundances=state.iterate.copy(),
-        eq_multiplier=lam,
-        ineq_multipliers=mu,
-        objective=trace[-1],
-        outer_iterations=cap,
-        final_free=state.free.copy(),
-        status=SolveStatus.MAX_ITERATIONS,
-        objective_trace=tuple(trace),
-        message=f"iteration cap {cap} reached without dual feasibility",
-    )
+    return _capped_solution(state.iterate, last, state.free, cap, trace)
+
+
+def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> list:
+    """Solve problems that share one Gram matrix together, one round at a time.
+
+    Every pixel takes the steps of :func:`active_set_solve` in the same
+    order and with the same arithmetic, so each result equals that
+    function's, field for field; the ``i``-th entry is the
+    :class:`Solution` for ``problems[i]``, or the :class:`UnmixError` that
+    :func:`active_set_solve` would raise on it. Work on a pixel's own
+    Cholesky factor (factorize, downdate, subproblem solve), the objective
+    trace and the pricing stay per pixel. The feasibility test, the ratio
+    test, the tie-break, the iterate update and the free-set bookkeeping are
+    numpy calls over all live pixels, and the full-Gram start factor is
+    computed once for all of them.
+    """
+    results = [None] * len(problems)
+    rows = []  # problem index of each live pixel, in order
+    for index, shifted in enumerate(problems):
+        if shifted.budget == 0.0:
+            results[index] = _pinned_solution(shifted)
+        else:
+            rows.append(index)
+    if not rows:
+        return results
+
+    gram = problems[rows[0]].gram
+    p = gram.shape[0]
+    ridge = config.ridge_regularization
+    rngs = None
+    if config.tie_break == "random":
+        rngs = {index: np.random.default_rng(config.tie_seed) for index in rows}
+    iterate = np.repeat(np.array([problems[i].budget for i in rows])[:, None] / p, p, axis=1)
+    traces = {i: [objective_value(problems[i], iterate[j])] for j, i in enumerate(rows)}
+    last = dict.fromkeys(rows)
+    free_mask = np.ones_like(iterate, dtype=bool)
+    try:
+        start = factorize(gram, np.arange(p), ridge=ridge)
+    except RankDeficientLibrary as exc:
+        for i in rows:
+            results[i] = _band_deficit(exc, problems[i], p)
+        return results
+    factors = [start] * len(rows)  # None after a release, or after a pin under ridge
+    cap = config.iteration_cap(p)
+
+    for iteration in range(1, cap + 1):
+        # Per pixel: the subproblem on its own factor.
+        _, free_columns = np.nonzero(free_mask)
+        ends = np.cumsum(np.count_nonzero(free_mask, axis=1)).tolist()
+        frees, subs = [], []
+        candidates = np.zeros_like(iterate)
+        alive = np.ones(len(rows), dtype=bool)
+        begin = 0
+        for j, i in enumerate(rows):
+            free = free_columns[begin:ends[j]]
+            begin = ends[j]
+            frees.append(free)
+            shifted = problems[i]
+            try:
+                if factors[j] is None:
+                    factors[j] = factorize(gram, free, ridge=ridge)
+                sub = solve_subproblem(gram, shifted.linear, shifted.budget, free,
+                                       factor=factors[j])
+            except UnmixError as exc:
+                results[i] = _band_deficit(exc, shifted, free.size)
+                alive[j] = False
+                subs.append(None)
+                continue
+            subs.append(sub)
+            candidates[j, free] = sub.free_values
+
+        # Inactive coordinates hold 0 in ``candidates``, which leaves both
+        # tests below as they are on the free coordinates alone.
+        feasible = alive & (candidates.min(axis=1) >= -config.primal_tol)
+        iterate[feasible] = np.maximum(candidates[feasible], 0.0)
+        for j in np.flatnonzero(feasible).tolist():
+            i, sub, free = rows[j], subs[j], frees[j]
+            shifted = problems[i]
+            traces[i].append(objective_value(shifted, iterate[j]))
+            active = np.flatnonzero(~free_mask[j])
+            mu_active = lagrange_multipliers(shifted, sub, free, active)
+            last[i] = (sub, mu_active, active)
+            state = ActiveSetState(free=free, active=active, iterate=iterate[j])
+            released = release_from_active(state, mu_active, config.dual_tol)
+            if released is None:
+                results[i] = _optimal_solution(iterate[j].copy(), sub, mu_active, active, free,
+                                               iteration, traces[i])
+                alive[j] = False
+            else:
+                free_mask[j, released.free] = True
+                factors[j] = None
+
+        blocked = np.flatnonzero(alive & ~feasible)
+        if blocked.size:
+            direction = candidates[blocked] - iterate[blocked]
+            moving_down = direction < 0.0
+            ratios = np.divide(iterate[blocked], -direction,
+                               out=np.full(direction.shape, np.inf), where=moving_down)
+            step = ratios.min(axis=1)
+            tied = moving_down & (ratios == step[:, None])
+            blocking = tied.argmax(axis=1)
+            # Position of the blocking coordinate within its pixel's free set.
+            positions = np.cumsum(free_mask[blocked], axis=1)[np.arange(blocked.size), blocking]
+            positions -= 1
+            pinned = np.ones(blocked.size, dtype=bool)
+            for k, j in enumerate(blocked.tolist()):
+                i = rows[j]
+                try:
+                    if not moving_down[k].any():
+                        raise NoBlockingIndex(_NO_BLOCKING)
+                    if rngs is not None:
+                        blocking[k] = rngs[i].choice(np.flatnonzero(tied[k]))
+                        positions[k] = np.count_nonzero(free_mask[j, :blocking[k]])
+                    factors[j] = None if ridge else downdate(factors[j], positions[k])
+                except UnmixError as exc:
+                    results[i] = exc
+                    alive[j] = False
+                    pinned[k] = False
+            moved = blocked[pinned]
+            blocking = blocking[pinned]
+            advanced = iterate[moved] + step[pinned, None] * direction[pinned]
+            advanced[np.arange(moved.size), blocking] = 0.0
+            # Coordinates tied with the blocking one can land at -1e-17 level.
+            np.maximum(advanced, 0.0, out=advanced)
+            iterate[moved] = advanced
+            free_mask[moved, blocking] = False
+            for j in moved.tolist():
+                i = rows[j]
+                traces[i].append(objective_value(problems[i], iterate[j]))
+
+        if not alive.all():
+            rows = [i for j, i in enumerate(rows) if alive[j]]
+            if not rows:
+                return results
+            factors = [f for j, f in enumerate(factors) if alive[j]]
+            iterate = iterate[alive]
+            free_mask = free_mask[alive]
+
+    for j, i in enumerate(rows):
+        free = np.flatnonzero(free_mask[j])
+        results[i] = _capped_solution(iterate[j], last[i], free, cap, traces[i])
+    return results

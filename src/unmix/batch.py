@@ -1,4 +1,5 @@
-"""One per-pixel solve path (shift, solve, unshift) for the API and the CLI."""
+"""Shift, solve and unshift: one pixel at a time for :func:`unmix`, and in
+lockstep slices of pixels for :func:`unmix_batch` and the CLI."""
 
 from __future__ import annotations
 
@@ -6,11 +7,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .active_set import Solution, SolveStatus, active_set_solve
+from .active_set import Solution, SolveStatus, _solve_lockstep, active_set_solve
 from .errors import DimensionMismatch, UnmixError
 from .model import SolverConfig, SpectralLibrary, UnmixingProblem, validate_lower_bounds
 from .model import precompute_gram  # noqa: F401  (re-exported)
 from .shift import shift_problem, unshift_solution
+
+# Each pixel solved in lockstep keeps a P x P Cholesky factor of 8 P^2
+# bytes; a slice holds as many pixels as fit in this many bytes of factors.
+_SLICE_FACTOR_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -50,12 +55,9 @@ class BatchJob:
             object.__setattr__(self, "config", SolverConfig())
 
 
-def _solve(problem: UnmixingProblem, config: SolverConfig):
-    """Shift, solve and unshift one problem; returns ``(shifted, solution)``."""
-    shifted = shift_problem(problem, primal_tol=config.primal_tol)
-    solution = active_set_solve(shifted, config)
-    abundances = unshift_solution(solution.shifted_abundances, problem.lower_bounds)
-    return shifted, replace(solution, abundances=abundances)
+def _unshifted(solution: Solution, lower_bounds) -> Solution:
+    abundances = unshift_solution(solution.shifted_abundances, lower_bounds)
+    return replace(solution, abundances=abundances)
 
 
 def unmix(problem: UnmixingProblem, config: SolverConfig | None = None) -> Solution:
@@ -64,7 +66,9 @@ def unmix(problem: UnmixingProblem, config: SolverConfig | None = None) -> Solut
     Validates, shifts out the lower bounds, runs the active-set solver, and
     shifts the abundances back so they satisfy the original constraints.
     """
-    return _solve(problem, config or SolverConfig())[1]
+    config = config or SolverConfig()
+    shifted = shift_problem(problem, primal_tol=config.primal_tol)
+    return _unshifted(active_set_solve(shifted, config), problem.lower_bounds)
 
 
 def _failed_pixel(n_endmembers, error) -> Solution:
@@ -85,27 +89,42 @@ def _failed_pixel(n_endmembers, error) -> Solution:
 def _solve_pixels(job: BatchJob):
     """Yield ``(shifted, solution)`` per pixel column, in input order.
 
-    ``shifted`` is None for a failed pixel. Each one holds its own copy of
-    the Gram matrix, so a consumer should not keep it past its pixel.
+    ``shifted`` is None for a failed pixel. Pixels are shifted and solved in
+    lockstep one slice at a time, so only one slice's shifted problems and
+    Cholesky factors are alive at once.
     """
     config = job.config
     lib = job.library
     validate_lower_bounds(job.lower_bounds, lib.n_endmembers, config.primal_tol)
-    for column in range(job.pixels.shape[1]):
-        try:
-            result = _solve(UnmixingProblem(lib, job.pixels[:, column], job.lower_bounds), config)
-        except UnmixError as exc:
-            result = None, _failed_pixel(lib.n_endmembers, exc)
-        yield result
+    width = max(1, _SLICE_FACTOR_BYTES // (8 * lib.n_endmembers**2))
+    n_pixels = job.pixels.shape[1]
+    for begin in range(0, n_pixels, width):
+        shifted = []
+        for column in range(begin, min(begin + width, n_pixels)):
+            problem = UnmixingProblem(lib, job.pixels[:, column], job.lower_bounds)
+            try:
+                shifted.append(shift_problem(problem, primal_tol=config.primal_tol))
+            except UnmixError as exc:
+                shifted.append(exc)
+        solved = iter(_solve_lockstep(
+            [item for item in shifted if not isinstance(item, UnmixError)], config))
+        for item in shifted:
+            result = item if isinstance(item, UnmixError) else next(solved)
+            if isinstance(result, UnmixError):
+                yield None, _failed_pixel(lib.n_endmembers, result)
+            else:
+                yield item, _unshifted(result, job.lower_bounds)
 
 
 def unmix_batch(job: BatchJob) -> list[Solution]:
     """Unmix every pixel column of a batch job.
 
-    Pixels share the library's Gram matrix and are solved in input order.
-    A numerical failure is recorded in that pixel's slot (``status ==
-    FAILED`` with the message set) without aborting the rest; invalid
-    bounds raise before any pixel is solved.
+    Pixels share the library's Gram matrix and are solved in lockstep, a
+    slice at a time; each answer equals :func:`unmix` of its column, field
+    for field, and the list keeps the input order. A numerical failure is
+    recorded in that pixel's slot (``status == FAILED`` with the message
+    set) without aborting the rest; invalid bounds raise before any pixel
+    is solved.
     """
     return [solution for _, solution in _solve_pixels(job)]
 

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env_number("DUAL_TOL", float, 1e-10),
                         help="dual feasibility tolerance (default 1e-10)")
     parser.add_argument("--max-iter", type=int,
-                        default=_env_number("MAX_ITER", int, 0) or None,
+                        default=_env_number("MAX_ITER", int, None),
                         help="outer iteration cap (default 10 times the library size)")
     parser.add_argument("--tie-break", default=_env("TIE_BREAK", "smallest"),
                         help="blocking-index tie policy: 'smallest' or 'random:SEED'")

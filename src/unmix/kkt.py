@@ -34,6 +34,7 @@ from .errors import EmptyFreeSet, RankDeficientLibrary
 # Recent scipy wraps qr_delete to broadcast over stacked matrices, which
 # doubles its cost on one small matrix; the factor is always a single one.
 _qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def factorize(gram, free, ridge=False) -> SpdFactorization:
     gram = np.asarray(gram, dtype=float)
     n = gram.shape[0]
     free = _checked_indices(free, n)
-    block = gram[np.ix_(free, free)]
+    block = gram.take(free, axis=0).take(free, axis=1)
     if ridge:
         block = block + (1e-10 * np.trace(block) / free.size) * np.eye(free.size)
     diagonal = block.diagonal().copy()
@@ -150,30 +151,23 @@ def downdate(factor: SpdFactorization, position) -> SpdFactorization:
     EmptyFreeSet
         If the factor has a single column.
     """
-    lower = factor.lower
     size = factor.size
     k = int(position)
     if size == 1:
         raise EmptyFreeSet("downdate would leave an empty free set")
     if not 0 <= k < size:
         raise IndexError(f"position must lie in [0, {size}), got {k}")
-    reduced = np.empty((size - 1, size - 1), order="F")
-    reduced[:k, :k] = lower[:k, :k]
-    reduced[:k, k:] = 0.0
-    reduced[k:, :k] = lower[k + 1:, :k]
-    if k < size - 1:
-        # The transposed trailing block minus its first column is upper
-        # Hessenberg; its QR factor is the new trailing Cholesky factor.
-        _, upper = _qr_delete(np.eye(size - k), lower[k:, k:].T, 0, which="col",
-                              check_finite=False)
-        trailing = upper[:-1].T
-        reduced[k:, k:] = trailing * np.copysign(1.0, trailing.diagonal())
+    # The upper factor L^T minus its column k is upper Hessenberg from row k
+    # on; its QR factor, less the zero last row, is the new upper factor.
+    _, upper = _qr_delete(np.eye(size), factor.lower.T, k, which="col", check_finite=False)
+    upper = upper[:-1]
+    lower = (upper * np.copysign(1.0, upper.diagonal())[:, None]).T
     diagonal = np.concatenate((factor.diagonal[:k], factor.diagonal[k + 1:]))
-    return _rank_checked(reduced, diagonal, factor.order)
+    return _rank_checked(lower, diagonal, factor.order)
 
 
 def _rank_checked(lower, diagonal, order) -> SpdFactorization:
-    pivot_floor = order * np.finfo(float).eps * max(diagonal.max(), 0.0)
+    pivot_floor = order * _EPS * max(diagonal.max(), 0.0)
     pivots = lower.diagonal() ** 2
     if pivots.min() <= pivot_floor:
         raise RankDeficientLibrary(

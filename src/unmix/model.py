@@ -66,6 +66,8 @@ def precompute_gram(library: SpectralLibrary) -> np.ndarray:
     if not isinstance(library, SpectralLibrary):
         library = SpectralLibrary(library)
     gram = library.entries.T @ library.entries
+    if not np.isfinite(gram).all():  # finite entries can still overflow
+        raise NonFiniteInput("gram contains NaN or infinite values")
     return _frozen_array(0.5 * (gram + gram.T), 2, "gram")
 
 
@@ -127,14 +129,30 @@ def validate_problem(problem: UnmixingProblem, primal_tol=1e-10) -> None:
     validate_lower_bounds(problem.lower_bounds, lib.n_endmembers, primal_tol)
 
 
+def _checked_gram(values) -> np.ndarray:
+    """A read-only symmetrized copy of a finite, square, symmetric matrix."""
+    gram = _frozen_array(values, 2, "gram")
+    p = gram.shape[0]
+    if gram.shape != (p, p) or p < 1:
+        raise DimensionMismatch(f"gram must be square and nonempty, got shape {gram.shape}")
+    if not np.isfinite(gram).all():
+        raise NonFiniteInput("gram contains NaN or infinite values")
+    scale = max(1.0, float(np.abs(gram).max()))
+    if np.abs(gram - gram.T).max() > _GRAM_SYMMETRY_RTOL * scale:
+        raise ValueError("gram matrix is asymmetric beyond the 1e-12 relative tolerance")
+    return _frozen_array(0.5 * (gram + gram.T), 2, "gram")
+
+
 @dataclass(frozen=True)
 class ShiftedProblem:
     """Quadratic form of the nonnegativity-constrained problem.
 
     Holds the Gram matrix ``A^T A``, the linear term ``A^T target``, and the
-    remaining simplex ``budget`` (one minus the sum of the lower bounds). The
-    Gram matrix is symmetrized on construction; positive semidefiniteness is
-    not checked eagerly and surfaces as a factorization error instead.
+    remaining simplex ``budget`` (one minus the sum of the lower bounds). A
+    Gram matrix given by hand is checked and symmetrized into a copy; the
+    library's own :attr:`SpectralLibrary.gram`, already checked, symmetric
+    and read-only, is kept as it is. Positive semidefiniteness is not checked
+    eagerly and surfaces as a factorization error instead.
 
     ``shifted_target`` and ``library`` are optional: they are filled in by
     :func:`unmix.shift.shift_problem` and let the test oracle evaluate
@@ -150,17 +168,13 @@ class ShiftedProblem:
     library: SpectralLibrary | None = None
 
     def __post_init__(self):
-        gram = _frozen_array(self.gram, 2, "gram")
+        if self.library is not None and not isinstance(self.library, SpectralLibrary):
+            object.__setattr__(self, "library", SpectralLibrary(self.library))
+        gram = self.gram
+        if self.library is None or gram is not vars(self.library).get("gram"):
+            gram = _checked_gram(gram)
+            object.__setattr__(self, "gram", gram)
         p = gram.shape[0]
-        if gram.shape != (p, p) or p < 1:
-            raise DimensionMismatch(f"gram must be square and nonempty, got shape {gram.shape}")
-        if not np.isfinite(gram).all():
-            raise NonFiniteInput("gram contains NaN or infinite values")
-        scale = max(1.0, float(np.abs(gram).max()))
-        if np.abs(gram - gram.T).max() > _GRAM_SYMMETRY_RTOL * scale:
-            raise ValueError("gram matrix is asymmetric beyond the 1e-12 relative tolerance")
-        gram = _frozen_array(0.5 * (gram + gram.T), 2, "gram")
-        object.__setattr__(self, "gram", gram)
 
         linear = _frozen_array(self.linear, 1, "linear")
         if linear.size != p:
@@ -196,9 +210,6 @@ class ShiftedProblem:
                         f"norm of shifted_target ({expected})"
                     )
         object.__setattr__(self, "const_term", const)
-
-        if self.library is not None and not isinstance(self.library, SpectralLibrary):
-            object.__setattr__(self, "library", SpectralLibrary(self.library))
 
     @property
     def size(self) -> int:

@@ -176,6 +176,22 @@ def test_malformed_environment_number_is_an_input_error(workspace, monkeypatch, 
     assert not workspace["out"].exists()
 
 
+@pytest.mark.parametrize("environment, flags", [
+    ({"UNMIX_MAX_ITER": "0"}, []),
+    ({}, ["--max-iter", "0"]),
+])
+def test_zero_iteration_cap_is_an_input_error(workspace, monkeypatch, capsys,
+                                              environment, flags):
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    code = main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+                 "--output", str(workspace["out"]), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: max_outer_iterations must be at least 1"]
+    assert not workspace["out"].exists()
+
+
 def test_flag_wins_over_environment(workspace, monkeypatch):
     other = workspace["dir"] / "other.csv"
     monkeypatch.setenv("UNMIX_OUTPUT", str(workspace["dir"] / "env_out.csv"))

@@ -3,6 +3,8 @@ import pytest
 
 from unmix import (
     DimensionMismatch,
+    NonFiniteInput,
+    ShiftedProblem,
     UnmixingProblem,
     objective_value,
     shift_problem,
@@ -100,3 +102,25 @@ def test_precomputed_gram_is_used_verbatim():
     shifted = shift_problem(problem)
     assert np.array_equal(shifted.gram, problem.library.gram)
     assert not problem.library.gram.flags.writeable
+
+
+def test_shifted_problem_shares_the_library_gram():
+    problem = random_problem(np.random.default_rng(6))
+    assert shift_problem(problem).gram is problem.library.gram
+    # A Gram matrix given by hand is still checked and copied.
+    gram = np.array(problem.library.gram)
+    shifted = ShiftedProblem(gram=gram, linear=np.zeros(gram.shape[0]), budget=1.0,
+                             library=problem.library)
+    assert shifted.gram is not gram and np.array_equal(shifted.gram, gram)
+    gram[0, -1] += 1.0
+    with pytest.raises(ValueError, match="asymmetric"):
+        ShiftedProblem(gram=gram, linear=np.zeros(gram.shape[0]), budget=1.0,
+                       library=problem.library)
+
+
+def test_library_whose_gram_overflows_is_rejected():
+    # Finite entries whose products overflow: the shared Gram is checked once.
+    problem = UnmixingProblem(np.full((3, 2), 1e200), np.ones(3))
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
+        shift_problem(problem)
