@@ -66,9 +66,18 @@ def precompute_gram(library: SpectralLibrary) -> np.ndarray:
     if not isinstance(library, SpectralLibrary):
         library = SpectralLibrary(library)
     gram = library.entries.T @ library.entries
-    if not np.isfinite(gram).all():  # finite entries can still overflow
+    return _symmetrized(gram)
+
+
+def _symmetrized(gram) -> np.ndarray:
+    """Read-only ``0.5 * (G + G^T)``, which must be finite.
+
+    Finite entries can still overflow, in ``A^T A`` or in the sum here.
+    """
+    gram = _frozen_array(0.5 * (gram + gram.T), 2, "gram")
+    if not np.isfinite(gram).all():
         raise NonFiniteInput("gram contains NaN or infinite values")
-    return _frozen_array(0.5 * (gram + gram.T), 2, "gram")
+    return gram
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,7 @@ def _checked_gram(values) -> np.ndarray:
     scale = max(1.0, float(np.abs(gram).max()))
     if np.abs(gram - gram.T).max() > _GRAM_SYMMETRY_RTOL * scale:
         raise ValueError("gram matrix is asymmetric beyond the 1e-12 relative tolerance")
-    return _frozen_array(0.5 * (gram + gram.T), 2, "gram")
+    return _symmetrized(gram)
 
 
 @dataclass(frozen=True)

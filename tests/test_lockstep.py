@@ -4,10 +4,15 @@
 runs the per-pixel loop of ``active_set_solve``; both take the same steps
 with the same arithmetic, so every field of every ``Solution`` must match
 byte for byte, and a failed pixel must carry the message of the error the
-per-pixel path raises.
+per-pixel path raises. A slice of fewer than ``_MIN_LOCKSTEP_PIXELS`` pixels
+is solved pixel by pixel, so tests on small batches lower that floor to 1.
 """
 
+import importlib
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +29,13 @@ from unmix import (
     unmix,
     unmix_batch,
 )
+
+
+batch_module = importlib.import_module("unmix.batch")
+
+
+def _lockstep_on_every_slice():
+    return mock.patch.object(batch_module, "_MIN_LOCKSTEP_PIXELS", 1)
 
 
 def _bytes(value):
@@ -106,7 +118,8 @@ def batches(draw):
 @given(batches())
 def test_lockstep_batch_equals_per_pixel_solves(batch):
     library, pixels, bounds, config, full_rank = batch
-    solutions = unmix_batch(BatchJob(library, pixels, bounds, config))
+    with _lockstep_on_every_slice():
+        solutions = unmix_batch(BatchJob(library, pixels, bounds, config))
     _assert_matches_unmix(solutions, library, pixels, bounds, config)
     if not full_rank or config.ridge_regularization:
         return
@@ -129,7 +142,8 @@ def test_lockstep_breaks_exact_ties_like_the_per_pixel_path():
     paths = set()
     for tie_seed in range(4):
         config = SolverConfig(tie_break="random", tie_seed=tie_seed)
-        solutions = unmix_batch(BatchJob(library, pixels, config=config))
+        with _lockstep_on_every_slice():
+            solutions = unmix_batch(BatchJob(library, pixels, config=config))
         _assert_matches_unmix(solutions, library, pixels, None, config)
         paths.add(solutions[0].outer_iterations)
     assert paths == {2, 3}
@@ -146,3 +160,47 @@ def test_lockstep_equals_per_pixel_solves_on_a_224_band_library():
     solutions = unmix_batch(BatchJob(library, pixels, bounds))
     assert sum(s.status is SolveStatus.OPTIMAL for s in solutions) == 159
     _assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
+
+
+def test_tied_coordinate_that_lands_below_zero_is_clipped():
+    # Coordinates 1 and 3 of ``tied`` reach zero on the same step up to
+    # roundoff: 1 blocks, and 3 lands at -1.4e-17 before the clip. With a cap
+    # of 2 that iterate is the answer, so it must read exactly 0 on both paths.
+    library = SpectralLibrary(np.eye(6))
+    tied = np.array([0.3, -0.4, 0.2, -0.4, -0.1, -0.9])
+    config = SolverConfig(max_outer_iterations=2)
+    single = unmix(UnmixingProblem(library, tied), config)
+    assert single.status is SolveStatus.MAX_ITERATIONS
+    assert list(single.final_free) == [0, 2, 3, 4]
+    assert single.shifted_abundances[3] == 0.0
+    assert single.shifted_abundances.min() >= 0.0
+    pixels = np.column_stack([tied, -tied[::-1], tied])
+    with _lockstep_on_every_slice():
+        solutions = unmix_batch(BatchJob(library, pixels, config=config))
+    _assert_matches_unmix(solutions, library, pixels, None, config)
+
+
+@pytest.mark.parametrize("n_endmembers, n_pixels, lockstep_calls", [
+    (10, 7, 0),     # one slice of 7 pixels: below the floor
+    (10, 8, 1),     # one slice of 8 pixels
+    (10, 700, 2),   # 655 + 45 pixels
+    (100, 13, 0),   # slices of 6, 6 and 1 pixels
+])
+def test_only_slices_of_enough_pixels_are_solved_in_lockstep(
+        monkeypatch, n_endmembers, n_pixels, lockstep_calls):
+    calls = []
+    lockstep = batch_module._solve_lockstep
+
+    def counted(problems, config):
+        calls.append(len(problems))
+        return lockstep(problems, config)
+
+    monkeypatch.setattr(batch_module, "_solve_lockstep", counted)
+    rng = np.random.default_rng(n_pixels)
+    library = SpectralLibrary(rng.random((n_endmembers + 4, n_endmembers)))
+    pixels = library.entries @ rng.dirichlet(np.ones(n_endmembers), size=n_pixels).T
+    solutions = unmix_batch(BatchJob(library, pixels))
+    assert len(calls) == lockstep_calls
+    assert all(size >= batch_module._MIN_LOCKSTEP_PIXELS for size in calls)
+    assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
+    _assert_matches_unmix(solutions[:8], library, pixels[:, :8], None, SolverConfig())

@@ -8,6 +8,7 @@ from unmix import (
     UnmixingProblem,
     objective_value,
     shift_problem,
+    unmix,
     unshift_solution,
 )
 from instances import random_problem
@@ -118,9 +119,22 @@ def test_shifted_problem_shares_the_library_gram():
                        library=problem.library)
 
 
-def test_library_whose_gram_overflows_is_rejected():
-    # Finite entries whose products overflow: the shared Gram is checked once.
-    problem = UnmixingProblem(np.full((3, 2), 1e200), np.ones(3))
+@pytest.mark.parametrize("entry", [1e200, 0.8e154])
+def test_library_whose_gram_overflows_is_rejected(entry):
+    # Finite entries whose Gram overflows: at 1e200 in the product A^T A; at
+    # 0.8e154 the product (1.28e308) is finite and the symmetrizing sum is not.
+    # The shared Gram is checked once, after it is symmetrized.
+    problem = UnmixingProblem(np.full((2, 2), entry), np.ones(2))
     with np.errstate(over="ignore"), \
             pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
         shift_problem(problem)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
+        unmix(problem)
+
+
+def test_hand_built_gram_that_overflows_when_symmetrized_is_rejected():
+    gram = np.full((2, 2), 1.5e308)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
+        ShiftedProblem(gram, np.zeros(2), 1.0)
