@@ -2,8 +2,9 @@
 
 Shows the three moves the solver alternates between - the equality-
 constrained solve, the blocking step that pins a variable at zero, and the
-multiplier check that releases one - plus the monotone objective trace and
-a cross-check against the exhaustive oracle.
+multiplier check that releases one - from the uniform start, then the start
+the solver itself picks, its monotone objective trace and a cross-check
+against the exhaustive oracle.
 """
 
 from dataclasses import replace
@@ -43,6 +44,12 @@ for step_number in range(1, 30):
     sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, state.free)
     print(f"\nsolve {step_number}: candidate on free set {state.free}")
     print("  candidate:", np.round(sub.free_values, 4), " lambda = %.4f" % sub.multiplier)
+    if step_number == 1:
+        negative = np.count_nonzero(sub.free_values < -1e-10)
+        verdict = ("more than a third: the solver starts over at the best vertex"
+                   if 3 * negative > shifted.size else "the solver keeps this start")
+        verdict += " (this walk-through stays on the uniform start)"
+        print(f"  {negative} of {shifted.size} entries negative; {verdict}")
     if sub.free_values.min() >= -1e-10:
         iterate = np.zeros(shifted.size)
         iterate[state.free] = np.maximum(sub.free_values, 0.0)
@@ -65,7 +72,12 @@ for step_number in range(1, 30):
     print("  objective now %.6f" % objective_value(shifted, state.iterate))
 
 solution = active_set_solve(shifted)
-print("\nfull solver result:", np.round(solution.shifted_abundances, 4))
+s = shifted.budget
+vertex = int(np.argmin(0.5 * s * s * np.diag(shifted.gram) - s * shifted.linear))
+uniform = objective_value(shifted, np.full(shifted.size, s / shifted.size))
+start = "uniform" if solution.objective_trace[0] == uniform else f"vertex {s:g} * e_{vertex}"
+print(f"\nthe solver started at the {start} and took {solution.outer_iterations} iteration(s)")
+print("full solver result:", np.round(solution.shifted_abundances, 4))
 print("objective trace:", np.round(solution.objective_trace, 6))
 
 oracle = brute_force_solve(shifted)

@@ -14,6 +14,15 @@ Every iterate stays primal feasible, pinned variables are exactly zero, and
 the objective never increases, so the loop terminates on nondegenerate data
 long before the ``10 * P`` default iteration cap.
 
+The loop has two starting points. The uniform start frees every variable at
+``s / P``, and its first solve doubles as a probe: when more than a third of
+that candidate's entries are negative, the optimum is likely sparse, and the
+solve starts over at the best vertex ``s e_i``, the primal order of Lawson &
+Hanson (1974) and FNNLS (Bro & De Jong 1997) applied on the simplex. The
+vertex is priced without a solve and grows its free set one release at a
+time. A library with more endmembers than bands always starts at the vertex,
+because the uniform start's block cannot be full rank there.
+
 The loop keeps one Cholesky factor of ``G_FF`` per solve. It factorizes at
 the uniform start, downdates the factor when step 2 pins a variable (an
 ``O(|F|^2)`` column deletion instead of an ``O(|F|^3)`` refactorization),
@@ -24,7 +33,7 @@ when ridge regularization is on, because its jitter depends on ``|F|``.
 that share a Gram matrix go through :func:`_solve_lockstep`, which takes
 every problem through the same steps together, one round at a time, and
 returns for each exactly what :func:`active_set_solve` returns or raises.
-Both build their results with the same helpers.
+Both choose the start and build their results with the same helpers.
 """
 
 from __future__ import annotations
@@ -40,6 +49,13 @@ from .model import ShiftedProblem, SolverConfig, objective_value
 
 
 _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
+# A uniform start whose first candidate has more than this share of its P
+# entries below -primal_tol starts over at the best vertex. Timed per pixel
+# against the uniform path on 224-band scenes with 1..P-sparse abundances,
+# the vertex ran at 1.54x / 0.96x / 0.82x of its time for shares 0.25-0.30 /
+# 0.30-0.35 / 0.35-0.40 at P=30, 1.35x / 0.96x / 0.73x at P=100, and 1.01x
+# at 0.3 and 0.75x at 0.4 at P=10: the two break even near a third.
+_VERTEX_START_SHARE = 1 / 3
 
 
 class SolveStatus(enum.Enum):
@@ -68,8 +84,12 @@ class Solution:
     ``shifted_abundances`` lives in the nonnegativity-form variables;
     ``abundances`` additionally has the lower bounds added back (the two are
     equal until :func:`unmix.batch.unmix` performs the unshift).
-    ``objective_trace`` records the objective at the initial iterate and
-    after every iterate update, in order.
+    ``objective_trace`` records the objective at the start the solve used
+    and after every iterate update, in order, so it holds
+    ``outer_iterations + 1`` entries. A solve that starts over at the best
+    vertex does not count the uniform start's probe solve, and pricing the
+    vertex is not an iteration: a vertex that is already optimal returns
+    after 0 iterations.
     """
 
     abundances: np.ndarray
@@ -85,18 +105,8 @@ class Solution:
 
 
 def initialize_state(shifted: ShiftedProblem) -> ActiveSetState:
-    """Starting partition: everything free at a uniform strictly feasible point.
-
-    A zero budget leaves the origin as the only feasible point, so all
-    variables start (and stay) pinned.
-    """
+    """Uniform start: everything free at ``budget / P`` each."""
     p = shifted.size
-    if shifted.budget == 0.0:
-        return ActiveSetState(
-            free=np.empty(0, dtype=np.intp),
-            active=np.arange(p, dtype=np.intp),
-            iterate=np.zeros(p),
-        )
     return ActiveSetState(
         free=np.arange(p, dtype=np.intp),
         active=np.empty(0, dtype=np.intp),
@@ -231,13 +241,56 @@ def _band_deficit(exc: UnmixError, shifted: ShiftedProblem, n_free: int) -> Unmi
     )
 
 
+def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
+    """The best vertex as the start of a solve, or None to keep the uniform start.
+
+    Without ``probe`` the vertex is taken when the library has more
+    endmembers than bands, where the uniform start's block is singular.
+    ``probe`` is the uniform start's first candidate, and the vertex is taken
+    when more than ``_VERTEX_START_SHARE`` of the P entries fall below
+    ``-primal_tol``.
+
+    The vertex is ``s e_i``, with ``i`` the argmin of
+    ``0.5 s^2 G_ii - s g_i`` (ties to the smallest index), and is priced
+    without a solve: ``lam = g_i - s G_ii``. Returns the :class:`Solution`
+    when it is optimal, else ``(state, trace, last)``: the state with the
+    most negative multiplier released, the trace at the vertex, and the
+    pricing for :func:`_capped_solution`.
+    """
+    p = shifted.size
+    if probe is None:
+        target = shifted.shifted_target
+        if target is None or p <= target.size:
+            return None
+    elif np.count_nonzero(probe.free_values < -config.primal_tol) <= _VERTEX_START_SHARE * p:
+        return None
+    s = shifted.budget
+    diagonal = shifted.gram.diagonal()
+    i = int(np.argmin(0.5 * s * s * diagonal - s * shifted.linear))
+    free = np.array([i], dtype=np.intp)
+    active = np.delete(np.arange(p, dtype=np.intp), i)
+    iterate = np.zeros(p)
+    iterate[i] = s
+    sub = SubproblemSolution(free_values=np.array([s]),
+                             multiplier=float(shifted.linear[i] - s * diagonal[i]))
+    mu_active = lagrange_multipliers(shifted, sub, free, active)
+    trace = [objective_value(shifted, iterate)]
+    state = ActiveSetState(free=free, active=active, iterate=iterate)
+    released = release_from_active(state, mu_active, config.dual_tol)
+    if released is None:
+        return _optimal_solution(iterate, sub, mu_active, active, free, 0, trace)
+    return released, trace, (sub, mu_active, active)
+
+
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
     """Minimize the shifted quadratic over the scaled simplex.
 
-    Runs the three-step loop from a uniform starting point until the KKT
-    conditions hold within ``config`` tolerances. Returns a
-    :class:`Solution` whose status is ``OPTIMAL``, or ``MAX_ITERATIONS`` if
-    the iteration cap was reached (degenerate or numerically broken data).
+    Runs the three-step loop from the uniform start, or from the best vertex
+    when the library has more endmembers than bands or the first solve
+    shows a sparse optimum, until the KKT conditions hold within ``config``
+    tolerances. Returns a :class:`Solution` whose status is ``OPTIMAL``, or
+    ``MAX_ITERATIONS`` if the iteration cap was reached (degenerate or
+    numerically broken data).
 
     Raises
     ------
@@ -252,13 +305,21 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
         return _pinned_solution(shifted)
 
     rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
-    state = initialize_state(shifted)
-    trace = [objective_value(shifted, state.iterate)]
     cap = config.iteration_cap(p)
-    last = None
-    factor = None  # factor of the block on state.free; None after a release
+    start = _vertex_start(shifted, config)
+    probing = start is None  # the uniform start's first solve may restart at the vertex
+    if probing:
+        state = initialize_state(shifted)
+        start = state, [objective_value(shifted, state.iterate)], None
+    iteration = 0
 
-    for iteration in range(1, cap + 1):
+    while iteration < cap:
+        if start is not None:
+            if isinstance(start, Solution):
+                return start
+            (state, trace, last), start = start, None
+            factor = None  # factor of the block on state.free; None after a release
+        iteration += 1
         try:
             if factor is None or config.ridge_regularization:
                 factor = factorize(shifted.gram, state.free, ridge=config.ridge_regularization)
@@ -267,6 +328,12 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
             )
         except RankDeficientLibrary as exc:
             raise _band_deficit(exc, shifted, state.free.size) from None
+        if probing:
+            probing = False
+            start = _vertex_start(shifted, config, sub)
+            if start is not None:
+                iteration = 0
+                continue
 
         if sub.free_values.min() >= -config.primal_tol:
             # Feasible candidate: accept it (zeroing boundary roundoff) and
@@ -296,7 +363,7 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
 
 
 def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> list:
-    """Solve problems that share one Gram matrix together, one round at a time.
+    """Solve problems that share one library together, one round at a time.
 
     Every pixel takes the steps of :func:`active_set_solve` in the same
     order and with the same arithmetic, so each result equals that
@@ -304,10 +371,11 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
     :class:`Solution` for ``problems[i]``, or the :class:`UnmixError` that
     :func:`active_set_solve` would raise on it. Work on a pixel's own
     Cholesky factor (factorize, downdate, subproblem solve), the objective
-    trace and the pricing stay per pixel. The feasibility test, the ratio
-    test, the tie-break, the iterate update and the free-set bookkeeping are
-    numpy calls over all live pixels, and the full-Gram start factor is
-    computed once for all of them.
+    trace, the pricing and the choice of start stay per pixel. The
+    feasibility test, the ratio test, the tie-break, the iterate update and
+    the free-set bookkeeping are numpy calls over all live pixels. From the
+    uniform start, the full-Gram start factor is computed once for all of
+    them, and the first round is every pixel's probe.
     """
     results = [None] * len(problems)
     rows = []  # problem index of each live pixel, in order
@@ -325,31 +393,71 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
     rngs = None
     if config.tie_break == "random":
         rngs = {index: np.random.default_rng(config.tie_seed) for index in rows}
-    iterate = np.repeat(np.array([problems[i].budget for i in rows])[:, None] / p, p, axis=1)
-    traces = {i: [objective_value(problems[i], iterate[j])] for j, i in enumerate(rows)}
-    last = dict.fromkeys(rows)
-    free_mask = np.ones_like(iterate, dtype=bool)
-    try:
-        start = factorize(gram, np.arange(p), ridge=ridge)
-    except RankDeficientLibrary as exc:
-        for i in rows:
-            results[i] = _band_deficit(exc, problems[i], p)
-        return results
-    factors = [start] * len(rows)  # None after a release, or after a pin under ridge
     cap = config.iteration_cap(p)
+    iterate = np.repeat(np.array([problems[i].budget for i in rows])[:, None] / p, p, axis=1)
+    free_mask = np.ones_like(iterate, dtype=bool)
+    iterations = np.zeros(len(rows), dtype=np.intp)
+    # By row, the start a pixel takes before its next solve: the vertex of a
+    # library wider than its bands, or the restart its probe asked for.
+    starts = {j: _vertex_start(problems[i], config) for j, i in enumerate(rows)}
+    starts = {j: start for j, start in starts.items() if start is not None}
+    probing = not starts
+    if probing:
+        traces = {i: [objective_value(problems[i], iterate[j])] for j, i in enumerate(rows)}
+        last = dict.fromkeys(rows)
+        try:
+            start_factor = factorize(gram, np.arange(p), ridge=ridge)
+        except RankDeficientLibrary as exc:
+            for i in rows:
+                results[i] = _band_deficit(exc, problems[i], p)
+            return results
+        factors = [start_factor] * len(rows)  # None after a release, or after a pin under ridge
+    else:
+        traces, last, factors = {}, {}, [None] * len(rows)
+    alive = np.ones(len(rows), dtype=bool)
 
-    for iteration in range(1, cap + 1):
+    while True:
+        for j, start in starts.items():
+            i = rows[j]
+            if isinstance(start, Solution):
+                results[i] = start
+                alive[j] = False
+                continue
+            state, traces[i], last[i] = start
+            iterate[j] = state.iterate
+            free_mask[j] = False
+            free_mask[j, state.free] = True
+            iterations[j] = 0
+            factors[j] = None
+        starts = {}
+        for j in np.flatnonzero(alive & (iterations == cap)).tolist():
+            i = rows[j]
+            results[i] = _capped_solution(iterate[j], last[i], np.flatnonzero(free_mask[j]), cap,
+                                          traces[i])
+            alive[j] = False
+        if not alive.all():
+            rows = [i for j, i in enumerate(rows) if alive[j]]
+            if not rows:
+                return results
+            factors = [f for j, f in enumerate(factors) if alive[j]]
+            iterate = iterate[alive]
+            free_mask = free_mask[alive]
+            iterations = iterations[alive]
+        iterations += 1
+
         # Per pixel: the subproblem on its own factor.
         _, free_columns = np.nonzero(free_mask)
         ends = np.cumsum(np.count_nonzero(free_mask, axis=1)).tolist()
         frees, subs = [], []
         candidates = np.zeros_like(iterate)
         alive = np.ones(len(rows), dtype=bool)
+        solved = np.ones(len(rows), dtype=bool)
         begin = 0
         for j, i in enumerate(rows):
             free = free_columns[begin:ends[j]]
             begin = ends[j]
             frees.append(free)
+            subs.append(None)
             shifted = problems[i]
             try:
                 if factors[j] is None:
@@ -358,15 +466,21 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
                                        factor=factors[j])
             except UnmixError as exc:
                 results[i] = _band_deficit(exc, shifted, free.size)
-                alive[j] = False
-                subs.append(None)
+                alive[j] = solved[j] = False
                 continue
-            subs.append(sub)
+            if probing:
+                start = _vertex_start(shifted, config, sub)
+                if start is not None:
+                    starts[j] = start
+                    solved[j] = False
+                    continue
+            subs[j] = sub
             candidates[j, free] = sub.free_values
+        probing = False
 
         # Inactive coordinates hold 0 in ``candidates``, which leaves both
         # tests below as they are on the free coordinates alone.
-        feasible = alive & (candidates.min(axis=1) >= -config.primal_tol)
+        feasible = solved & (candidates.min(axis=1) >= -config.primal_tol)
         iterate[feasible] = np.maximum(candidates[feasible], 0.0)
         for j in np.flatnonzero(feasible).tolist():
             i, sub, free = rows[j], subs[j], frees[j]
@@ -379,13 +493,13 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             released = release_from_active(state, mu_active, config.dual_tol)
             if released is None:
                 results[i] = _optimal_solution(iterate[j].copy(), sub, mu_active, active, free,
-                                               iteration, traces[i])
+                                               int(iterations[j]), traces[i])
                 alive[j] = False
             else:
                 free_mask[j, released.free] = True
                 factors[j] = None
 
-        blocked = np.flatnonzero(alive & ~feasible)
+        blocked = np.flatnonzero(solved & ~feasible)
         if blocked.size:
             direction = candidates[blocked] - iterate[blocked]
             moving_down = direction < 0.0
@@ -422,16 +536,3 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             for j in moved.tolist():
                 i = rows[j]
                 traces[i].append(objective_value(problems[i], iterate[j]))
-
-        if not alive.all():
-            rows = [i for j, i in enumerate(rows) if alive[j]]
-            if not rows:
-                return results
-            factors = [f for j, f in enumerate(factors) if alive[j]]
-            iterate = iterate[alive]
-            free_mask = free_mask[alive]
-
-    for j, i in enumerate(rows):
-        free = np.flatnonzero(free_mask[j])
-        results[i] = _capped_solution(iterate[j], last[i], free, cap, traces[i])
-    return results

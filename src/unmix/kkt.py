@@ -17,8 +17,10 @@ The active-set loop keeps one factor per solve. When a variable is pinned,
 re-triangularization of the trailing block (Gill, Golub, Murray & Saunders,
 *Methods for modifying matrix factorizations*, Math. Comp. 1974), at
 ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The
-factor is rebuilt only at the start, after a release, or when ridge
-regularization is on. Both routes apply the same rank test.
+factor is built for the first solve from the uniform start, rebuilt after
+every release (a solve that starts at a vertex has its first factor built
+after the first release), and on every solve when ridge regularization is
+on. Both routes apply the same rank test.
 """
 
 from __future__ import annotations

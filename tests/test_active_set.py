@@ -7,6 +7,7 @@ from unmix import (
     ShiftedProblem,
     SolverConfig,
     SolveStatus,
+    SpectralLibrary,
     SubproblemSolution,
     UnmixingProblem,
     active_set_solve,
@@ -19,7 +20,9 @@ from unmix import (
     shift_problem,
     solve_subproblem,
     transfer_to_active,
+    verify_kkt,
 )
+from unmix.active_set import _VERTEX_START_SHARE
 from unmix.errors import NoBlockingIndex
 from instances import random_problem
 
@@ -50,13 +53,6 @@ def test_uniform_start_splits_the_budget():
 def test_uniform_start_with_partial_budget():
     state = initialize_state(_shifted(np.eye(2), np.zeros(2), 0.5))
     np.testing.assert_array_equal(state.iterate, [0.25, 0.25])
-
-
-def test_zero_budget_pins_everything():
-    state = initialize_state(_shifted(np.eye(3), np.zeros(3), 0.0))
-    np.testing.assert_array_equal(state.iterate, np.zeros(3))
-    assert state.free.size == 0
-    np.testing.assert_array_equal(state.active, np.arange(3))
 
 
 # ------------------------------------------------------------- blocking steps
@@ -302,11 +298,30 @@ def test_duplicated_columns_raise_rank_deficient():
 
 
 def test_wide_library_reports_the_band_deficit():
+    # A pixel inside the triangle of 3 spectra in 2 bands: the optimum needs
+    # all 3, whose Gram block cannot be full rank.
+    entries = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    shifted = shift_problem(UnmixingProblem(entries, np.array([0.7, 0.7])))
+    with pytest.raises(RankDeficientLibrary, match="3 free variables exceed the 2 spectral bands"):
+        active_set_solve(shifted)
+
+
+@pytest.mark.parametrize("pixel, support", [
+    ([1.5, 1.0], [0, 2]), ([0.5, 0.6], [1, 4]), ([1.0, 0.0], [0, 1]), ([1.2, 1.2], [2]),
+])
+def test_wide_library_solves_when_the_optimal_support_has_full_rank(pixel, support):
+    # 5 endmembers in 2 bands: the solve starts at the best vertex and frees
+    # at most as many endmembers as the optimum uses.
     rng = np.random.default_rng(27)
     entries = np.abs(rng.standard_normal((2, 5)))
-    shifted = shift_problem(UnmixingProblem(entries, np.array([1.0, 0.5])))
-    with pytest.raises(RankDeficientLibrary, match="bands"):
-        active_set_solve(shifted)
+    shifted = shift_problem(UnmixingProblem(entries, np.array(pixel)))
+    solution = active_set_solve(shifted)
+    oracle = brute_force_solve(shifted)
+    assert solution.status is SolveStatus.OPTIMAL
+    assert list(solution.final_free) == support
+    assert solution.objective == pytest.approx(oracle.objective, rel=1e-12, abs=1e-15)
+    np.testing.assert_allclose(solution.shifted_abundances, oracle.shifted_abundances,
+                               rtol=0, atol=1e-12)
 
 
 def test_iteration_cap_is_reported_not_raised():
@@ -353,13 +368,35 @@ def test_objective_value_is_reported_at_the_solution():
 
 def _reference_solve(shifted, config):
     # The loop of demos/04_solver_anatomy.py: the public step helpers with a
-    # fresh factorization in every solve_subproblem call.
+    # fresh factorization in every solve_subproblem call, and the solver's
+    # start. A library wider than its bands starts at the best vertex; else
+    # the uniform start's first solve is a probe, and a candidate with more
+    # than a third of its entries negative restarts at that vertex. The vertex
+    # is priced as a feasible candidate that costs no iteration.
+    p, s = shifted.size, shifted.budget
     state = initialize_state(shifted)
-    for iteration in range(1, config.iteration_cap(shifted.size) + 1):
-        sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, state.free,
-                               ridge=config.ridge_regularization)
+    best = int(np.argmin(0.5 * s * s * np.diag(shifted.gram) - s * shifted.linear))
+    probing = p <= shifted.shifted_target.size
+    vertex = None if probing else best
+    iteration = 0
+    while iteration < config.iteration_cap(p):
+        if vertex is not None:
+            state = _state([vertex], np.delete(np.arange(p), vertex), s * np.eye(p)[vertex])
+            sub = SubproblemSolution(np.array([s]), shifted.linear[vertex]
+                                     - s * shifted.gram[vertex, vertex])
+            vertex, iteration = None, 0
+        else:
+            iteration += 1
+            sub = solve_subproblem(shifted.gram, shifted.linear, s, state.free,
+                                   ridge=config.ridge_regularization)
+            if probing:
+                probing = False
+                negative = np.count_nonzero(sub.free_values < -config.primal_tol)
+                if negative > _VERTEX_START_SHARE * p:
+                    vertex = best
+                    continue
         if sub.free_values.min() >= -config.primal_tol:
-            iterate = np.zeros(shifted.size)
+            iterate = np.zeros(p)
             iterate[state.free] = np.maximum(sub.free_values, 0.0)
             state = ActiveSetState(free=state.free, active=state.active, iterate=iterate)
             mu = lagrange_multipliers(shifted, sub, state.free, state.active)
@@ -369,7 +406,7 @@ def _reference_solve(shifted, config):
             state = released
         else:
             step, blocking = max_feasible_step(state, sub)
-            direction = np.zeros(shifted.size)
+            direction = np.zeros(p)
             direction[state.free] = sub.free_values - state.iterate[state.free]
             state = transfer_to_active(state, step, direction, blocking)
     raise AssertionError("reference loop hit the iteration cap")
@@ -401,6 +438,22 @@ def test_kept_factor_pivots_like_fresh_solves_on_224_band_libraries():
         solution = _assert_same_pivots(shifted)
         pivots_out += shifted.size - solution.final_free.size
     assert pivots_out > 0  # the downdate path was taken
+
+
+def test_kept_factor_pivots_like_fresh_solves_on_wide_libraries():
+    # 60 endmembers in 30 bands, 4-sparse pixels: every solve starts at the
+    # vertex, and every answer is certified.
+    rng = np.random.default_rng(35)
+    library = SpectralLibrary(rng.random((30, 60)))
+    for _ in range(6):
+        abundances = np.zeros(60)
+        abundances[rng.choice(60, 4, replace=False)] = rng.dirichlet(np.ones(4))
+        pixel = library.entries @ abundances + 0.01 * rng.standard_normal(30)
+        bounds = rng.dirichlet(np.ones(60)) * 0.2
+        shifted = shift_problem(UnmixingProblem(library, pixel, bounds))
+        solution = _assert_same_pivots(shifted)
+        assert verify_kkt(shifted, solution.shifted_abundances, solution.eq_multiplier,
+                          solution.ineq_multipliers).satisfied
 
 
 def test_ridge_regularized_solve_end_to_end():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +208,28 @@ def test_random_tie_break_flag_parses(workspace):
     code = main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
                  "--output", str(workspace["out"]), "--tie-break", "random:99"])
     assert code == 0
+
+
+@pytest.mark.parametrize("case, code", [("solved", 0), ("missing input", 2),
+                                        ("nan pixel", 3)])
+def test_exit_codes_reach_the_shell(workspace, case, code):
+    pixels = PIXELS.copy()
+    if case == "nan pixel":
+        pixels[:, 1] = np.nan
+    _write(workspace["pix"], pixels)
+    if case == "missing input":
+        workspace["pix"].unlink()
+    src = Path(__file__).resolve().parents[1] / "src"
+    environment = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "unmix.cli",
+         "--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+         "--output", str(workspace["out"])],
+        capture_output=True, text=True, env=environment,
+    )
+    assert result.returncode == code, result.stderr
+    assert workspace["out"].exists() == (code != 2)
 
 
 def test_module_invocation(workspace):
