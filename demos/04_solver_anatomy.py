@@ -16,13 +16,15 @@ from unmix import (
     UnmixingProblem,
     active_set_solve,
     brute_force_solve,
+    objective_value,
+    shift_problem,
+    solve_subproblem,
+)
+from unmix.active_set import (
     initialize_state,
     lagrange_multipliers,
     max_feasible_step,
-    objective_value,
     release_from_active,
-    shift_problem,
-    solve_subproblem,
     transfer_to_active,
 )
 

@@ -7,17 +7,7 @@ verification tools (KKT residual checker, exhaustive oracle) used to certify
 the solver and a batch CSV command-line front end (``unmix``).
 """
 
-from .active_set import (
-    ActiveSetState,
-    Solution,
-    SolveStatus,
-    active_set_solve,
-    initialize_state,
-    lagrange_multipliers,
-    max_feasible_step,
-    release_from_active,
-    transfer_to_active,
-)
+from .active_set import Solution, SolveStatus, active_set_solve
 from .batch import BatchJob, batch_summary, precompute_gram, unmix, unmix_batch
 from .errors import (
     DimensionMismatch,
@@ -45,7 +35,6 @@ from .verify import KktReport, brute_force_solve, verify_kkt
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSetState",
     "BatchJob",
     "DimensionMismatch",
     "EmptyFreeSet",
@@ -69,15 +58,10 @@ __all__ = [
     "batch_summary",
     "brute_force_solve",
     "factorize",
-    "initialize_state",
-    "lagrange_multipliers",
-    "max_feasible_step",
     "objective_value",
     "precompute_gram",
-    "release_from_active",
     "shift_problem",
     "solve_subproblem",
-    "transfer_to_active",
     "unmix",
     "unmix_batch",
     "unshift_solution",

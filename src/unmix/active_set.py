@@ -26,20 +26,25 @@ because the uniform start's block cannot be full rank there.
 The loop keeps one Cholesky factor of ``G_FF`` per solve. It factorizes at
 the uniform start, downdates the factor when step 2 pins a variable (an
 ``O(|F|^2)`` column deletion instead of an ``O(|F|^3)`` refactorization),
-and factorizes afresh only after a release in step 3, or on every iteration
-when ridge regularization is on, because its jitter depends on ``|F|``.
+and factorizes afresh only after a release in step 3.
 
-:func:`active_set_solve` runs the loop for one problem. Batches of problems
-that share a Gram matrix go through :func:`_solve_lockstep`, which takes
-every problem through the same steps together, one round at a time, and
-returns for each exactly what :func:`active_set_solve` returns or raises.
-Both choose the start and build their results with the same helpers.
+There is one loop, :func:`_solve_lockstep`. It takes problems that share a
+Gram matrix through the moves together, one round at a time:
+:func:`active_set_solve` runs it on one problem and :mod:`unmix.batch` on
+slices of pixels, so a pixel gets the same answer either way. Each
+problem's factor, subproblem, objective trace, pricing and start are its
+own; only the ratio test, the tie-break and the iterate update of the
+problems whose candidate is infeasible are numpy calls over all of them.
+The step helpers (:func:`initialize_state`, :func:`max_feasible_step`,
+:func:`transfer_to_active`, :func:`lagrange_multipliers`,
+:func:`release_from_active`) spell the moves out for one problem; the tests
+check the loop against them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +94,8 @@ class Solution:
     ``outer_iterations + 1`` entries. A solve that starts over at the best
     vertex does not count the uniform start's probe solve, and pricing the
     vertex is not an iteration: a vertex that is already optimal returns
-    after 0 iterations.
+    after 0 iterations. A ``MAX_ITERATIONS`` solution carries no
+    certificate: its ``eq_multiplier`` and ``ineq_multipliers`` are NaN.
     """
 
     abundances: np.ndarray
@@ -163,9 +169,12 @@ def release_from_active(state: ActiveSetState, multipliers, dual_tol) -> ActiveS
     multipliers = np.asarray(multipliers, dtype=float)
     if multipliers.size == 0 or multipliers.min() >= -dual_tol:
         return None
-    released = state.active[int(np.argmin(multipliers))]
+    k = int(multipliers.argmin())
+    released = state.active[k]
+    position = state.free.searchsorted(released)
     return ActiveSetState(
-        free=np.sort(np.append(state.free, released)),
+        free=np.concatenate((state.free[:position], state.active[k:k + 1],
+                             state.free[position:])),
         active=state.active[state.active != released],
         iterate=state.iterate,
     )
@@ -207,20 +216,14 @@ def _optimal_solution(iterate, sub, mu_active, active, free, iteration, trace) -
     )
 
 
-def _capped_solution(iterate, last, free, cap, trace) -> Solution:
-    # ``last`` holds (candidate, mu_active, active) of the last feasible
-    # candidate priced, or None when no candidate was feasible.
-    mu = np.zeros(iterate.size)
-    lam = 0.0
-    if last is not None:
-        sub, mu_active, active = last
-        mu[active] = mu_active
-        lam = sub.multiplier
+def _capped_solution(iterate, free, cap, trace) -> Solution:
+    # No multipliers were computed at the returned iterate: when the last
+    # move was a pin, the last priced candidate is not the iterate.
     return Solution(
         abundances=iterate.copy(),
         shifted_abundances=iterate.copy(),
-        eq_multiplier=lam,
-        ineq_multipliers=mu,
+        eq_multiplier=float("nan"),
+        ineq_multipliers=np.full(iterate.size, np.nan),
         objective=trace[-1],
         outer_iterations=cap,
         final_free=free.copy(),
@@ -253,9 +256,8 @@ def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
     The vertex is ``s e_i``, with ``i`` the argmin of
     ``0.5 s^2 G_ii - s g_i`` (ties to the smallest index), and is priced
     without a solve: ``lam = g_i - s G_ii``. Returns the :class:`Solution`
-    when it is optimal, else ``(state, trace, last)``: the state with the
-    most negative multiplier released, the trace at the vertex, and the
-    pricing for :func:`_capped_solution`.
+    when it is optimal, else ``(state, trace)``: the state with the most
+    negative multiplier released and the trace at the vertex.
     """
     p = shifted.size
     if probe is None:
@@ -279,7 +281,7 @@ def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
     released = release_from_active(state, mu_active, config.dual_tol)
     if released is None:
         return _optimal_solution(iterate, sub, mu_active, active, free, 0, trace)
-    return released, trace, (sub, mu_active, active)
+    return released, trace
 
 
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
@@ -299,240 +301,179 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
         library columns inside the free set or more free variables than
         spectral bands.
     """
-    config = config or SolverConfig()
-    p = shifted.size
-    if shifted.budget == 0.0:
-        return _pinned_solution(shifted)
+    result = _solve_lockstep([shifted], config or SolverConfig())[0]
+    if isinstance(result, UnmixError):
+        raise result
+    return result
 
-    rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
-    cap = config.iteration_cap(p)
-    start = _vertex_start(shifted, config)
-    probing = start is None  # the uniform start's first solve may restart at the vertex
-    if probing:
-        state = initialize_state(shifted)
-        start = state, [objective_value(shifted, state.iterate)], None
-    iteration = 0
 
-    while iteration < cap:
-        if start is not None:
-            if isinstance(start, Solution):
-                return start
-            (state, trace, last), start = start, None
-            factor = None  # factor of the block on state.free; None after a release
-        iteration += 1
-        try:
-            if factor is None or config.ridge_regularization:
-                factor = factorize(shifted.gram, state.free, ridge=config.ridge_regularization)
-            sub = solve_subproblem(
-                shifted.gram, shifted.linear, shifted.budget, state.free, factor=factor
-            )
-        except RankDeficientLibrary as exc:
-            raise _band_deficit(exc, shifted, state.free.size) from None
-        if probing:
-            probing = False
-            start = _vertex_start(shifted, config, sub)
-            if start is not None:
-                iteration = 0
-                continue
+class _Pixel:
+    """Where one problem of :func:`_solve_lockstep` stands between rounds.
 
-        if sub.free_values.min() >= -config.primal_tol:
-            # Feasible candidate: accept it (zeroing boundary roundoff) and
-            # price the pinned variables.
-            iterate = np.zeros(p)
-            iterate[state.free] = np.maximum(sub.free_values, 0.0)
-            state = replace(state, iterate=iterate)
-            trace.append(objective_value(shifted, iterate))
-            mu_active = lagrange_multipliers(shifted, sub, state.free, state.active)
-            last = (sub, mu_active, state.active)
-            released = release_from_active(state, mu_active, config.dual_tol)
-            if released is None:
-                return _optimal_solution(iterate, sub, mu_active, state.active, state.free,
-                                         iteration, trace)
-            state = released
-            factor = None
-        else:
-            step, blocking = max_feasible_step(state, sub, rng=rng)
-            direction = np.zeros(p)
-            direction[state.free] = sub.free_values - state.iterate[state.free]
-            if not config.ridge_regularization:
-                factor = downdate(factor, np.searchsorted(state.free, blocking))
-            state = transfer_to_active(state, step, direction, blocking)
-            trace.append(objective_value(shifted, state.iterate))
+    ``free`` is sorted; ``active`` is its sorted complement, or None after a
+    pin until the next pricing rebuilds it; ``factor`` factors the block on
+    ``free``, or is None after a release. ``probing`` marks a uniform start
+    whose first candidate has not been seen yet.
+    """
 
-    return _capped_solution(state.iterate, last, state.free, cap, trace)
+    __slots__ = ("index", "shifted", "rng", "free", "active", "factor", "trace",
+                 "iteration", "probing")
+
+    def __init__(self, index, shifted, rng, state, trace, factor):
+        self.index = index
+        self.shifted = shifted
+        self.rng = rng
+        self.free = state.free
+        self.active = state.active
+        self.factor = factor
+        self.trace = trace
+        self.iteration = 0
+        self.probing = factor is not None  # only the uniform start comes factorized
 
 
 def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> list:
-    """Solve problems that share one library together, one round at a time.
+    """Solve problems that share one Gram matrix together, one round at a time.
 
-    Every pixel takes the steps of :func:`active_set_solve` in the same
-    order and with the same arithmetic, so each result equals that
-    function's, field for field; the ``i``-th entry is the
-    :class:`Solution` for ``problems[i]``, or the :class:`UnmixError` that
-    :func:`active_set_solve` would raise on it. Work on a pixel's own
-    Cholesky factor (factorize, downdate, subproblem solve), the objective
-    trace, the pricing and the choice of start stay per pixel. The
-    feasibility test, the ratio test, the tie-break, the iterate update and
-    the free-set bookkeeping are numpy calls over all live pixels. From the
-    uniform start, the full-Gram start factor is computed once for all of
-    them, and the first round is every pixel's probe.
+    The ``i``-th entry is the :class:`Solution` for ``problems[i]``, or the
+    :class:`UnmixError` the solve of that problem raised; no problem's
+    answer depends on the others. In a round every live problem solves its
+    subproblem on its own Cholesky factor, then either prices a feasible
+    candidate or takes the blocking step; the ratio test, the tie-break and
+    the iterate update of all blocked problems are stacked numpy calls,
+    which keep each row's arithmetic. From the uniform start, the full-Gram
+    factor is computed once for every problem, and the first round is every
+    problem's probe.
     """
     results = [None] * len(problems)
-    rows = []  # problem index of each live pixel, in order
+    live, iterates = [], []
+    start_factor = None
     for index, shifted in enumerate(problems):
         if shifted.budget == 0.0:
             results[index] = _pinned_solution(shifted)
+            continue
+        start = _vertex_start(shifted, config)
+        if isinstance(start, Solution):
+            results[index] = start
+            continue
+        rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
+        if start is not None:
+            (state, trace), factor = start, None
         else:
-            rows.append(index)
-    if not rows:
+            state = initialize_state(shifted)
+            try:
+                if start_factor is None:
+                    start_factor = factorize(shifted.gram, state.free)
+            except RankDeficientLibrary as exc:
+                results[index] = _band_deficit(exc, shifted, state.free.size)
+                continue
+            trace, factor = [objective_value(shifted, state.iterate)], start_factor
+        live.append(_Pixel(index, shifted, rng, state, trace, factor))
+        iterates.append(state.iterate)
+    if not live:
         return results
 
-    gram = problems[rows[0]].gram
+    gram = live[0].shifted.gram
     p = gram.shape[0]
-    ridge = config.ridge_regularization
-    rngs = None
-    if config.tie_break == "random":
-        rngs = {index: np.random.default_rng(config.tie_seed) for index in rows}
     cap = config.iteration_cap(p)
-    iterate = np.repeat(np.array([problems[i].budget for i in rows])[:, None] / p, p, axis=1)
-    free_mask = np.ones_like(iterate, dtype=bool)
-    iterations = np.zeros(len(rows), dtype=np.intp)
-    # By row, the start a pixel takes before its next solve: the vertex of a
-    # library wider than its bands, or the restart its probe asked for.
-    starts = {j: _vertex_start(problems[i], config) for j, i in enumerate(rows)}
-    starts = {j: start for j, start in starts.items() if start is not None}
-    probing = not starts
-    if probing:
-        traces = {i: [objective_value(problems[i], iterate[j])] for j, i in enumerate(rows)}
-        last = dict.fromkeys(rows)
-        try:
-            start_factor = factorize(gram, np.arange(p), ridge=ridge)
-        except RankDeficientLibrary as exc:
-            for i in rows:
-                results[i] = _band_deficit(exc, problems[i], p)
-            return results
-        factors = [start_factor] * len(rows)  # None after a release, or after a pin under ridge
-    else:
-        traces, last, factors = {}, {}, [None] * len(rows)
-    alive = np.ones(len(rows), dtype=bool)
-
+    iterate = np.array(iterates)  # row j is the iterate of live[j]
     while True:
-        for j, start in starts.items():
-            i = rows[j]
-            if isinstance(start, Solution):
-                results[i] = start
-                alive[j] = False
+        blocked, candidates = [], []  # rows whose candidate is infeasible, and those candidates
+        for j, px in enumerate(live):
+            shifted = px.shifted
+            if px.iteration == cap:
+                results[px.index] = _capped_solution(iterate[j], px.free, cap, px.trace)
                 continue
-            state, traces[i], last[i] = start
-            iterate[j] = state.iterate
-            free_mask[j] = False
-            free_mask[j, state.free] = True
-            iterations[j] = 0
-            factors[j] = None
-        starts = {}
-        for j in np.flatnonzero(alive & (iterations == cap)).tolist():
-            i = rows[j]
-            results[i] = _capped_solution(iterate[j], last[i], np.flatnonzero(free_mask[j]), cap,
-                                          traces[i])
-            alive[j] = False
-        if not alive.all():
-            rows = [i for j, i in enumerate(rows) if alive[j]]
-            if not rows:
-                return results
-            factors = [f for j, f in enumerate(factors) if alive[j]]
-            iterate = iterate[alive]
-            free_mask = free_mask[alive]
-            iterations = iterations[alive]
-        iterations += 1
-
-        # Per pixel: the subproblem on its own factor.
-        _, free_columns = np.nonzero(free_mask)
-        ends = np.cumsum(np.count_nonzero(free_mask, axis=1)).tolist()
-        frees, subs = [], []
-        candidates = np.zeros_like(iterate)
-        alive = np.ones(len(rows), dtype=bool)
-        solved = np.ones(len(rows), dtype=bool)
-        begin = 0
-        for j, i in enumerate(rows):
-            free = free_columns[begin:ends[j]]
-            begin = ends[j]
-            frees.append(free)
-            subs.append(None)
-            shifted = problems[i]
+            px.iteration += 1
             try:
-                if factors[j] is None:
-                    factors[j] = factorize(gram, free, ridge=ridge)
-                sub = solve_subproblem(gram, shifted.linear, shifted.budget, free,
-                                       factor=factors[j])
+                if px.factor is None:
+                    px.factor = factorize(gram, px.free)
+                sub = solve_subproblem(gram, shifted.linear, shifted.budget, px.free,
+                                       factor=px.factor)
             except UnmixError as exc:
-                results[i] = _band_deficit(exc, shifted, free.size)
-                alive[j] = solved[j] = False
+                results[px.index] = _band_deficit(exc, shifted, px.free.size)
                 continue
-            if probing:
+            if px.probing:
+                px.probing = False
                 start = _vertex_start(shifted, config, sub)
-                if start is not None:
-                    starts[j] = start
-                    solved[j] = False
+                if isinstance(start, Solution):
+                    results[px.index] = start
                     continue
-            subs[j] = sub
-            candidates[j, free] = sub.free_values
-        probing = False
-
-        # Inactive coordinates hold 0 in ``candidates``, which leaves both
-        # tests below as they are on the free coordinates alone.
-        feasible = solved & (candidates.min(axis=1) >= -config.primal_tol)
-        iterate[feasible] = np.maximum(candidates[feasible], 0.0)
-        for j in np.flatnonzero(feasible).tolist():
-            i, sub, free = rows[j], subs[j], frees[j]
-            shifted = problems[i]
-            traces[i].append(objective_value(shifted, iterate[j]))
-            active = np.flatnonzero(~free_mask[j])
-            mu_active = lagrange_multipliers(shifted, sub, free, active)
-            last[i] = (sub, mu_active, active)
-            state = ActiveSetState(free=free, active=active, iterate=iterate[j])
-            released = release_from_active(state, mu_active, config.dual_tol)
-            if released is None:
-                results[i] = _optimal_solution(iterate[j].copy(), sub, mu_active, active, free,
-                                               int(iterations[j]), traces[i])
-                alive[j] = False
+                if start is not None:
+                    state, px.trace = start
+                    iterate[j] = state.iterate
+                    px.free, px.active, px.factor, px.iteration = state.free, state.active, None, 0
+                    continue
+            if sub.free_values.min() >= -config.primal_tol:
+                # Feasible candidate: accept it (zeroing boundary roundoff)
+                # and price the pinned variables.
+                row = iterate[j]
+                row.fill(0.0)
+                row[px.free] = np.maximum(sub.free_values, 0.0)
+                px.trace.append(objective_value(shifted, row))
+                if px.active is None:
+                    pinned = np.ones(p, dtype=bool)
+                    pinned[px.free] = False
+                    px.active = np.flatnonzero(pinned)
+                mu_active = lagrange_multipliers(shifted, sub, px.free, px.active)
+                released = release_from_active(ActiveSetState(px.free, px.active, row),
+                                               mu_active, config.dual_tol)
+                if released is None:
+                    results[px.index] = _optimal_solution(row.copy(), sub, mu_active, px.active,
+                                                          px.free, px.iteration, px.trace)
+                else:
+                    px.free, px.active, px.factor = released.free, released.active, None
             else:
-                free_mask[j, released.free] = True
-                factors[j] = None
+                blocked.append(j)
+                candidates.append(sub.free_values)
 
-        blocked = np.flatnonzero(solved & ~feasible)
-        if blocked.size:
-            direction = candidates[blocked] - iterate[blocked]
-            moving_down = direction < 0.0
-            ratios = np.divide(iterate[blocked], -direction,
-                               out=np.full(direction.shape, np.inf), where=moving_down)
-            step = ratios.min(axis=1)
-            tied = moving_down & (ratios == step[:, None])
-            blocking = tied.argmax(axis=1)
-            # Position of the blocking coordinate within its pixel's free set.
-            positions = np.cumsum(free_mask[blocked], axis=1)[np.arange(blocked.size), blocking]
-            positions -= 1
-            pinned = np.ones(blocked.size, dtype=bool)
-            for k, j in enumerate(blocked.tolist()):
-                i = rows[j]
-                try:
-                    if not moving_down[k].any():
-                        raise NoBlockingIndex(_NO_BLOCKING)
-                    if rngs is not None:
-                        blocking[k] = rngs[i].choice(np.flatnonzero(tied[k]))
-                        positions[k] = np.count_nonzero(free_mask[j, :blocking[k]])
-                    factors[j] = None if ridge else downdate(factors[j], positions[k])
-                except UnmixError as exc:
-                    results[i] = exc
-                    alive[j] = False
-                    pinned[k] = False
-            moved = blocked[pinned]
-            blocking = blocking[pinned]
-            advanced = iterate[moved] + step[pinned, None] * direction[pinned]
-            advanced[np.arange(moved.size), blocking] = 0.0
-            # Coordinates tied with the blocking one can land at -1e-17 level.
+        if blocked:
+            # The ratio test, the tie-break and the iterate update, stacked
+            # over the blocked rows. Pinned coordinates hold 0 in both the
+            # candidate and the iterate, so they never move or block. ``gap``
+            # is the iterate minus the candidate, positive where a coordinate
+            # falls; it is exactly the negated step direction.
+            n = len(blocked)
+            every = n == len(live)
+            current = iterate if every else iterate[blocked]
+            stacked = np.zeros((n, p))
+            for k, j in enumerate(blocked):
+                stacked[k][live[j].free] = candidates[k]
+            gap = current - stacked
+            falling = gap > 0.0
+            ratios = np.divide(current, gap, out=np.full((n, p), np.inf), where=falling)
+            step = ratios.min(axis=1, keepdims=True)
+            tied = falling & (ratios == step)
+            blocking = tied.argmax(axis=1).tolist()
+            can_block = falling.any(axis=1)
+            advanced = current - step * gap
+            # Coordinates tied with the blocking one can land at -1e-17 level;
+            # the blocking one itself is pinned at exactly zero below. Rows
+            # of pixels that fail here are dropped at the end of the round.
             np.maximum(advanced, 0.0, out=advanced)
-            iterate[moved] = advanced
-            free_mask[moved, blocking] = False
-            for j in moved.tolist():
-                i = rows[j]
-                traces[i].append(objective_value(problems[i], iterate[j]))
+            for k, j in enumerate(blocked):
+                px = live[j]
+                try:
+                    if not can_block[k]:
+                        raise NoBlockingIndex(_NO_BLOCKING)
+                    if px.rng is not None:
+                        blocking[k] = int(px.rng.choice(np.flatnonzero(tied[k])))
+                    px.factor = downdate(px.factor, px.free.searchsorted(blocking[k]))
+                except UnmixError as exc:
+                    results[px.index] = exc
+                    continue
+                px.free = px.free[px.free != blocking[k]]
+                px.active = None
+                row = advanced[k]
+                row[blocking[k]] = 0.0
+                px.trace.append(objective_value(px.shifted, row))
+            if every:
+                iterate = advanced
+            else:
+                iterate[blocked] = advanced
+
+        if results.count(None) < len(live):
+            keep = [j for j, px in enumerate(live) if results[px.index] is None]
+            if not keep:
+                return results
+            live = [live[j] for j in keep]
+            iterate = iterate[keep]

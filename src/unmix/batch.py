@@ -1,6 +1,7 @@
 """Shift, solve and unshift: one pixel at a time for :func:`unmix`, and in
-slices of pixels, solved in lockstep where that pays, for
-:func:`unmix_batch` and the CLI."""
+slices of pixels solved in lockstep for :func:`unmix_batch` and the CLI.
+Both run the one active-set loop, so a pixel gets the same answer either
+way."""
 
 from __future__ import annotations
 
@@ -17,12 +18,6 @@ from .shift import shift_problem, unshift_solution
 # Each pixel solved in lockstep keeps a P x P Cholesky factor of 8 P^2
 # bytes; a slice holds as many pixels as fit in this many bytes of factors.
 _SLICE_FACTOR_BYTES = 1 << 19
-# A slice of fewer pixels is solved one pixel at a time: there the
-# lockstep's per-round numpy calls cost more than they save. The lockstep's
-# speed over the per-pixel loop's, measured at P = 10 to 182 on 224 bands,
-# was 0.50-0.70x on 1 pixel, 0.85-1.06x on 4, 1.00-1.10x on 6 and
-# 1.06-1.22x on 8. From P = 91 on a slice holds fewer than 8 pixels.
-_MIN_LOCKSTEP_PIXELS = 8
 
 
 @dataclass(frozen=True)
@@ -93,24 +88,12 @@ def _failed_pixel(n_endmembers, error) -> Solution:
     )
 
 
-def _solve_each(problems, config) -> list:
-    """What :func:`_solve_lockstep` returns, from one solve per problem."""
-    results = []
-    for shifted in problems:
-        try:
-            results.append(active_set_solve(shifted, config))
-        except UnmixError as exc:
-            results.append(exc)
-    return results
-
-
 def _solve_pixels(job: BatchJob):
     """Yield ``(shifted, solution)`` per pixel column, in input order.
 
-    ``shifted`` is None for a failed pixel. Pixels are shifted and solved one
-    slice at a time, so only one slice's shifted problems and Cholesky
-    factors are alive at once; a slice of at least ``_MIN_LOCKSTEP_PIXELS``
-    solvable pixels is solved in lockstep, a smaller one pixel by pixel.
+    ``shifted`` is None for a failed pixel. Pixels are shifted and solved in
+    lockstep one slice at a time, so only one slice's shifted problems and
+    Cholesky factors are alive at once.
     """
     config = job.config
     lib = job.library
@@ -126,8 +109,7 @@ def _solve_pixels(job: BatchJob):
             except UnmixError as exc:
                 shifted.append(exc)
         problems = [item for item in shifted if not isinstance(item, UnmixError)]
-        solve = _solve_lockstep if len(problems) >= _MIN_LOCKSTEP_PIXELS else _solve_each
-        solved = iter(solve(problems, config))
+        solved = iter(_solve_lockstep(problems, config))
         for item in shifted:
             result = item if isinstance(item, UnmixError) else next(solved)
             if isinstance(result, UnmixError):
@@ -139,12 +121,12 @@ def _solve_pixels(job: BatchJob):
 def unmix_batch(job: BatchJob) -> list[Solution]:
     """Unmix every pixel column of a batch job.
 
-    Pixels share the library's Gram matrix and are solved a slice at a
-    time, in lockstep where a slice holds enough pixels for it to pay; each
-    answer equals :func:`unmix` of its column, field for field, and the list
-    keeps the input order. A numerical failure is recorded in that pixel's
-    slot (``status == FAILED`` with the message set) without aborting the
-    rest; invalid bounds raise before any pixel is solved.
+    Pixels share the library's Gram matrix and are solved in lockstep a
+    slice at a time; each answer equals :func:`unmix` of its column, field
+    for field, and the list keeps the input order. A numerical failure is
+    recorded in that pixel's slot (``status == FAILED`` with the message
+    set) without aborting the rest; invalid bounds raise before any pixel
+    is solved.
     """
     return [solution for _, solution in _solve_pixels(job)]
 

@@ -108,25 +108,26 @@ def _diagnostics_record(index, shifted, solution):
     if solution.status is SolveStatus.FAILED:
         record["error"] = solution.message
         return record
-    report = verify_kkt(
-        shifted,
-        solution.shifted_abundances,
-        solution.eq_multiplier,
-        solution.ineq_multipliers,
-    )
     record.update(
         iterations=solution.outer_iterations,
         free_size=int(solution.final_free.size),
         objective=solution.objective,
-        kkt={
+    )
+    if solution.status is SolveStatus.OPTIMAL:  # a capped solve carries no certificate
+        report = verify_kkt(
+            shifted,
+            solution.shifted_abundances,
+            solution.eq_multiplier,
+            solution.ineq_multipliers,
+        )
+        record["kkt"] = {
             "stationarity": report.stationarity_residual,
             "primal_eq": report.primal_eq_residual,
             "primal_ineq": report.primal_ineq_violation,
             "dual": report.dual_violation,
             "complementarity": report.complementarity_residual,
             "satisfied": report.satisfied,
-        },
-    )
+        }
     if solution.message:
         record["message"] = solution.message
     return record

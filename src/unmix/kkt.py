@@ -17,10 +17,9 @@ The active-set loop keeps one factor per solve. When a variable is pinned,
 re-triangularization of the trailing block (Gill, Golub, Murray & Saunders,
 *Methods for modifying matrix factorizations*, Math. Comp. 1974), at
 ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The
-factor is built for the first solve from the uniform start, rebuilt after
-every release (a solve that starts at a vertex has its first factor built
-after the first release), and on every solve when ridge regularization is
-on. Both routes apply the same rank test.
+factor is built for the first solve from the uniform start and rebuilt
+after every release (a solve that starts at a vertex has its first factor
+built after the first release). Both routes apply the same rank test.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ def _checked_indices(free, n):
         raise IndexError(f"free indices must lie in [0, {n}), got {free}")
     return free
 
-def factorize(gram, free, ridge=False) -> SpdFactorization:
+def factorize(gram, free) -> SpdFactorization:
     """Cholesky-factorize the Gram matrix restricted to the free columns.
 
     Parameters
@@ -89,10 +88,6 @@ def factorize(gram, free, ridge=False) -> SpdFactorization:
         Symmetric positive semidefinite Gram matrix of the full library.
     free : array_like of int
         Indices of the free columns; must be nonempty.
-    ridge : bool, optional
-        Add a jitter of ``1e-10 * trace / |F|`` to the diagonal before
-        factorizing. Off by default: regularization silently changes the
-        optimizer and can mask a genuinely rank-deficient library.
 
     Returns
     -------
@@ -113,8 +108,6 @@ def factorize(gram, free, ridge=False) -> SpdFactorization:
     n = gram.shape[0]
     free = _checked_indices(free, n)
     block = gram.take(free, axis=0).take(free, axis=1)
-    if ridge:
-        block = block + (1e-10 * np.trace(block) / free.size) * np.eye(free.size)
     diagonal = block.diagonal().copy()
     lower, info = dpotrf(block, lower=1, clean=1)
     if info < 0:
@@ -180,8 +173,7 @@ def _rank_checked(lower, diagonal, order) -> SpdFactorization:
     return SpdFactorization(lower=lower, diagonal=diagonal, order=order)
 
 
-def solve_subproblem(gram, linear, budget, free, ridge=False, *,
-                     factor=None) -> SubproblemSolution:
+def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSolution:
     """Solve the equality-constrained subproblem on the free set.
 
     Parameters
@@ -195,13 +187,10 @@ def solve_subproblem(gram, linear, budget, free, ridge=False, *,
     free : array_like of int
         Indices of the free variables; the remaining variables are pinned
         at zero and do not enter the system.
-    ridge : bool, optional
-        Forwarded to :func:`factorize`.
     factor : SpdFactorization, optional
         A factor of the block restricted to ``free``, in the order of
         ``free``, such as the one the active-set loop keeps and downdates.
-        When given, no factorization is made and ``gram`` and ``ridge`` are
-        not read.
+        When given, no factorization is made and ``gram`` is not read.
 
     Returns
     -------
@@ -218,7 +207,7 @@ def solve_subproblem(gram, linear, budget, free, ridge=False, *,
     is what makes the bordered system uniquely solvable.
     """
     if factor is None:
-        factor = factorize(gram, free, ridge=ridge)
+        factor = factorize(gram, free)
     linear = np.asarray(linear, dtype=float)
     free = np.asarray(free, dtype=np.intp).ravel()
     rhs = np.empty((factor.size, 2))

@@ -233,9 +233,7 @@ class SolverConfig:
     ``max_outer_iterations=None`` resolves to ``10 * P`` at solve time.
     ``tie_break`` selects how a tied blocking index is chosen: ``"smallest"``
     keeps runs reproducible, ``"random"`` draws uniformly among the tied
-    minimizers using ``tie_seed``. ``ridge_regularization`` adds a jitter of
-    ``1e-10 * trace / |F|`` to each restricted Gram block before factorizing;
-    it is off by default because it perturbs the optimizer.
+    minimizers using ``tie_seed``.
     """
 
     primal_tol: float = 1e-10
@@ -243,7 +241,6 @@ class SolverConfig:
     max_outer_iterations: int | None = None
     tie_break: str = "smallest"
     tie_seed: int = 0
-    ridge_regularization: bool = False
 
     def __post_init__(self):
         if not self.primal_tol > 0.0:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from unmix import (
-    ActiveSetState,
     RankDeficientLibrary,
     ShiftedProblem,
     SolverConfig,
@@ -12,17 +11,20 @@ from unmix import (
     UnmixingProblem,
     active_set_solve,
     brute_force_solve,
+    objective_value,
+    shift_problem,
+    solve_subproblem,
+    verify_kkt,
+)
+from unmix.active_set import (
+    _VERTEX_START_SHARE,
+    ActiveSetState,
     initialize_state,
     lagrange_multipliers,
     max_feasible_step,
-    objective_value,
     release_from_active,
-    shift_problem,
-    solve_subproblem,
     transfer_to_active,
-    verify_kkt,
 )
-from unmix.active_set import _VERTEX_START_SHARE
 from unmix.errors import NoBlockingIndex
 from instances import random_problem
 
@@ -387,8 +389,7 @@ def _reference_solve(shifted, config):
             vertex, iteration = None, 0
         else:
             iteration += 1
-            sub = solve_subproblem(shifted.gram, shifted.linear, s, state.free,
-                                   ridge=config.ridge_regularization)
+            sub = solve_subproblem(shifted.gram, shifted.linear, s, state.free)
             if probing:
                 probing = False
                 negative = np.count_nonzero(sub.free_values < -config.primal_tol)
@@ -454,13 +455,3 @@ def test_kept_factor_pivots_like_fresh_solves_on_wide_libraries():
         solution = _assert_same_pivots(shifted)
         assert verify_kkt(shifted, solution.shifted_abundances, solution.eq_multiplier,
                           solution.ineq_multipliers).satisfied
-
-
-def test_ridge_regularized_solve_end_to_end():
-    rng = np.random.default_rng(34)
-    shifted = shift_problem(random_problem(rng, n_endmembers=40, n_bands=224))
-    solution = _assert_same_pivots(shifted, SolverConfig(ridge_regularization=True))
-    plain = active_set_solve(shifted)
-    assert solution.final_free.size < shifted.size
-    np.testing.assert_allclose(solution.shifted_abundances, plain.shifted_abundances,
-                               rtol=0, atol=1e-6)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unmix import UnmixingProblem, unmix
+from unmix import SolverConfig, SolveStatus, UnmixingProblem, unmix
 from unmix.cli import main
 
 LIBRARY = np.array([
@@ -133,6 +133,36 @@ def test_diagnostics_stream(workspace):
         assert record["iterations"] >= 1
         assert record["free_size"] >= 1
         assert record["objective"] >= -1e-15
+
+
+def test_capped_solve_carries_no_certificate(workspace):
+    # From the vertex e_3, the first solve on {3, 4} is feasible, priced and
+    # releases 2; the second, on {2, 3, 4}, is infeasible and pins 3. A cap
+    # of 2 returns that pinned iterate, at which no multipliers were priced.
+    library = np.array([[0.3, 0.5, 0.9, 0.9, 0.1], [0.0, 0.5, 0.9, 0.8, 0.9],
+                        [0.8, 0.2, 1.0, 0.4, 0.0], [0.0, 0.0, 0.6, 0.6, 0.1],
+                        [0.7, 0.2, 0.4, 0.3, 0.9], [0.3, 1.0, 1.0, 0.2, 0.1]])
+    pixel = np.array([0.4, 1.1, 0.3, 0.9, 0.7, 0.8])
+    problem = UnmixingProblem(library, pixel)
+    assert list(unmix(problem, SolverConfig(max_outer_iterations=1)).final_free) == [2, 3, 4]
+    capped = unmix(problem, SolverConfig(max_outer_iterations=2))
+    assert capped.status is SolveStatus.MAX_ITERATIONS
+    assert list(capped.final_free) == [2, 4]
+    assert np.isnan(capped.eq_multiplier)
+    assert capped.ineq_multipliers.shape == (5,) and np.isnan(capped.ineq_multipliers).all()
+
+    lib, pix = workspace["dir"] / "capped_library.csv", workspace["dir"] / "capped_pixel.csv"
+    _write(lib, library)
+    _write(pix, pixel[:, None])
+    diag = workspace["dir"] / "diag.jsonl"
+    code = main(["--library", str(lib), "--input", str(pix), "--output", str(workspace["out"]),
+                 "--max-iter", "2", "--diagnostics", str(diag)])
+    assert code == 3  # a capped pixel is not optimal
+    [record] = [json.loads(line) for line in diag.read_text().splitlines()]
+    assert record["status"] == "max_iterations_exceeded"
+    assert "kkt" not in record
+    assert record["iterations"] == 2 and record["free_size"] == 2
+    assert record["message"] == capped.message
 
 
 def test_header_mode_round_trip(workspace):

@@ -1,15 +1,14 @@
 """The lockstep batch solve gives every pixel exactly what ``unmix()`` gives it.
 
-``unmix_batch`` advances the pixels of a slice together, while ``unmix``
-runs the per-pixel loop of ``active_set_solve``; both take the same steps
-with the same arithmetic, so every field of every ``Solution`` must match
+``unmix_batch`` advances the pixels of a slice together, and ``unmix`` runs
+the same loop on its one pixel. Each pixel's arithmetic must not depend on
+the others in its slice, so every field of every ``Solution`` must match
 byte for byte, and a failed pixel must carry the message of the error the
-per-pixel path raises. A slice of fewer than ``_MIN_LOCKSTEP_PIXELS`` pixels
-is solved pixel by pixel, so tests on small batches lower that floor to 1.
+one-pixel solve raises. Small batches make slices of a few pixels, where
+ties, clipping and failures meet other pixels in the same round.
 """
 
 import importlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,10 +31,6 @@ from unmix import (
 
 
 batch_module = importlib.import_module("unmix.batch")
-
-
-def _lockstep_on_every_slice():
-    return mock.patch.object(batch_module, "_MIN_LOCKSTEP_PIXELS", 1)
 
 
 def _bytes(value):
@@ -114,7 +109,6 @@ def batches(draw):
     config = SolverConfig(
         tie_break=draw(st.sampled_from(["smallest", "random"])),
         tie_seed=draw(st.integers(0, 3)),
-        ridge_regularization=draw(st.booleans()),
         max_outer_iterations=draw(st.sampled_from([None, 1, 2])),
         dual_tol=1e-10 * scale**2,
     )
@@ -126,11 +120,8 @@ def batches(draw):
 @given(batches())
 def test_lockstep_batch_equals_per_pixel_solves(batch):
     library, pixels, bounds, config = batch
-    with _lockstep_on_every_slice():
-        solutions = unmix_batch(BatchJob(library, pixels, bounds, config))
+    solutions = unmix_batch(BatchJob(library, pixels, bounds, config))
     _assert_matches_unmix(solutions, library, pixels, bounds, config)
-    if config.ridge_regularization:
-        return
     for column, solution in enumerate(solutions):
         support = library.entries[:, solution.final_free]
         if (solution.status is not SolveStatus.OPTIMAL
@@ -156,8 +147,7 @@ def test_lockstep_breaks_exact_ties_like_the_per_pixel_path():
     paths = set()
     for tie_seed in range(4):
         config = SolverConfig(tie_break="random", tie_seed=tie_seed)
-        with _lockstep_on_every_slice():
-            solutions = unmix_batch(BatchJob(library, pixels, config=config))
+        solutions = unmix_batch(BatchJob(library, pixels, config=config))
         _assert_matches_unmix(solutions, library, pixels, None, config)
         paths.add(solutions[0].outer_iterations)
     assert paths == {3, 4}
@@ -190,19 +180,15 @@ def test_tied_coordinate_that_lands_below_zero_is_clipped():
     assert single.shifted_abundances[8] == 0.0
     assert single.shifted_abundances.min() >= 0.0
     pixels = np.column_stack([tied, -tied[::-1], tied])
-    with _lockstep_on_every_slice():
-        solutions = unmix_batch(BatchJob(library, pixels, config=config))
+    solutions = unmix_batch(BatchJob(library, pixels, config=config))
     _assert_matches_unmix(solutions, library, pixels, None, config)
 
 
-@pytest.mark.parametrize("n_endmembers, n_pixels, lockstep_calls", [
-    (10, 7, 0),     # one slice of 7 pixels: below the floor
-    (10, 8, 1),     # one slice of 8 pixels
-    (10, 700, 2),   # 655 + 45 pixels
-    (100, 13, 0),   # slices of 6, 6 and 1 pixels
+@pytest.mark.parametrize("n_endmembers, n_pixels, slices", [
+    (10, 700, [655, 45]),   # 512 KiB of 10 x 10 factors, then the rest
+    (100, 13, [6, 6, 1]),   # a slice of one pixel runs the same loop
 ])
-def test_only_slices_of_enough_pixels_are_solved_in_lockstep(
-        monkeypatch, n_endmembers, n_pixels, lockstep_calls):
+def test_every_slice_is_solved_in_lockstep(monkeypatch, n_endmembers, n_pixels, slices):
     calls = []
     lockstep = batch_module._solve_lockstep
 
@@ -215,7 +201,5 @@ def test_only_slices_of_enough_pixels_are_solved_in_lockstep(
     library = SpectralLibrary(rng.random((n_endmembers + 4, n_endmembers)))
     pixels = library.entries @ rng.dirichlet(np.ones(n_endmembers), size=n_pixels).T
     solutions = unmix_batch(BatchJob(library, pixels))
-    assert len(calls) == lockstep_calls
-    assert all(size >= batch_module._MIN_LOCKSTEP_PIXELS for size in calls)
+    assert calls == slices
     assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
-    _assert_matches_unmix(solutions[:8], library, pixels[:, :8], None, SolverConfig())

@@ -28,7 +28,6 @@ from unmix import (
 from instances import random_problem
 
 active_set = importlib.import_module("unmix.active_set")
-batch_module = importlib.import_module("unmix.batch")
 
 
 def _sparse_scene(rng, n_bands, n_endmembers, support, n_pixels):
@@ -61,8 +60,7 @@ def _counted_starts(solve):
             counts["vertex"] += 1
         return start
 
-    with mock.patch.object(active_set, "_vertex_start", counted), \
-            mock.patch.object(batch_module, "_MIN_LOCKSTEP_PIXELS", 1):
+    with mock.patch.object(active_set, "_vertex_start", counted):
         solutions = solve()
     assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
     return counts
@@ -101,6 +99,9 @@ def _assert_trace_describes_every_iterate(shifted):
         assert capped.status is SolveStatus.MAX_ITERATIONS
         assert capped.objective_trace == solution.objective_trace[:cap + 1]
         assert objective_value(shifted, capped.shifted_abundances) == trace[cap]
+        pinned = np.ones(shifted.size, dtype=bool)
+        pinned[capped.final_free] = False
+        assert not capped.shifted_abundances[pinned].any()  # exactly zero
     assert objective_value(shifted, solution.shifted_abundances) == trace[-1]
     return solution
 

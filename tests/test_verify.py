@@ -9,11 +9,11 @@ from unmix import (
     SolveStatus,
     active_set_solve,
     brute_force_solve,
-    initialize_state,
     objective_value,
     shift_problem,
     verify_kkt,
 )
+from unmix.active_set import initialize_state
 from instances import random_problem
 
 
