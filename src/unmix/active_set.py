@@ -24,9 +24,18 @@ time. A library with more endmembers than bands always starts at the vertex,
 because the uniform start's block cannot be full rank there.
 
 The loop keeps one Cholesky factor of ``G_FF`` per solve. It factorizes at
-the uniform start, downdates the factor when step 2 pins a variable (an
-``O(|F|^2)`` column deletion instead of an ``O(|F|^3)`` refactorization),
-and factorizes afresh only after a release in step 3.
+the uniform start, or at the first two-column block of a vertex start, and
+after that only modifies it: step 2 deletes the pinned column where it sits
+(:func:`unmix.kkt.downdate`) and step 3 appends the released column last
+(:func:`unmix.kkt.append`), each ``O(|F|^2)`` instead of the ``O(|F|^3)`` of
+a refactorization. Each problem's free set is kept in the factor's column
+order; :attr:`Solution.final_free` is sorted.
+
+Step 3 prices every pinned variable from one gather of the free rows of the
+Gram matrix, at the accepted, clipped iterate ``x``: ``mu = G x - g + lam``,
+zero on the free set. That is the certificate the returned iterate
+carries. Ties go to the smallest index, both in the blocking step and in the
+release; ``tie_break="random"`` draws among tied blocking coordinates only.
 
 There is one loop, :func:`_solve_lockstep`. It takes problems that share a
 Gram matrix through the moves together, one round at a time:
@@ -37,8 +46,9 @@ own; only the ratio test, the tie-break and the iterate update of the
 problems whose candidate is infeasible are numpy calls over all of them.
 The step helpers (:func:`initialize_state`, :func:`max_feasible_step`,
 :func:`transfer_to_active`, :func:`lagrange_multipliers`,
-:func:`release_from_active`) spell the moves out for one problem; the tests
-check the loop against them.
+:func:`release_from_active`) spell the moves out for one problem with
+sorted index sets and fresh factorizations; the tests check the loop
+against them.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBlockingIndex, RankDeficientLibrary, UnmixError
-from .kkt import SubproblemSolution, downdate, factorize, solve_subproblem
+from .kkt import SubproblemSolution, append, downdate, factorize, solve_subproblem
 from .model import ShiftedProblem, SolverConfig, objective_value
 
 
@@ -94,8 +104,12 @@ class Solution:
     ``outer_iterations + 1`` entries. A solve that starts over at the best
     vertex does not count the uniform start's probe solve, and pricing the
     vertex is not an iteration: a vertex that is already optimal returns
-    after 0 iterations. A ``MAX_ITERATIONS`` solution carries no
-    certificate: its ``eq_multiplier`` and ``ineq_multipliers`` are NaN.
+    after 0 iterations. ``final_free`` is sorted, although the solve keeps
+    its free set in the order of its factor's columns. An ``OPTIMAL``
+    solution's ``ineq_multipliers`` are ``G x - g + eq_multiplier`` at the
+    returned ``shifted_abundances`` ``x``, zero on ``final_free``. A
+    ``MAX_ITERATIONS`` solution carries no certificate: its
+    ``eq_multiplier`` and ``ineq_multipliers`` are NaN.
     """
 
     abundances: np.ndarray
@@ -165,7 +179,10 @@ def lagrange_multipliers(shifted, candidate, free, active) -> np.ndarray:
 
 
 def release_from_active(state: ActiveSetState, multipliers, dual_tol) -> ActiveSetState | None:
-    """Free the most negative multiplier's variable; ``None`` means optimal."""
+    """Free the most negative multiplier's variable; ``None`` means optimal.
+
+    Ties go to the smallest index, as in the solver's loop.
+    """
     multipliers = np.asarray(multipliers, dtype=float)
     if multipliers.size == 0 or multipliers.min() >= -dual_tol:
         return None
@@ -200,9 +217,21 @@ def _pinned_solution(shifted: ShiftedProblem) -> Solution:
     )
 
 
-def _optimal_solution(iterate, sub, mu_active, active, free, iteration, trace) -> Solution:
-    mu = np.zeros(iterate.size)
-    mu[active] = mu_active
+def _multipliers(shifted: ShiftedProblem, free, x_free, lam) -> np.ndarray:
+    """Bound multipliers ``G x - g + lam`` at ``x``, which is zero off ``free``.
+
+    One gather of the free rows of the Gram matrix prices every pinned
+    variable. On ``free`` the same expression is the stationarity residual,
+    not a multiplier, so it is set to zero there.
+    """
+    mu = x_free @ shifted.gram.take(free, axis=0)
+    mu -= shifted.linear
+    mu += lam
+    mu[free] = 0.0
+    return mu
+
+
+def _optimal_solution(iterate, sub, mu, free, iteration, trace) -> Solution:
     return Solution(
         abundances=iterate.copy(),
         shifted_abundances=iterate,
@@ -210,7 +239,7 @@ def _optimal_solution(iterate, sub, mu_active, active, free, iteration, trace) -
         ineq_multipliers=mu,
         objective=trace[-1],
         outer_iterations=iteration,
-        final_free=free.copy(),
+        final_free=np.sort(free),
         status=SolveStatus.OPTIMAL,
         objective_trace=tuple(trace),
     )
@@ -226,7 +255,7 @@ def _capped_solution(iterate, free, cap, trace) -> Solution:
         ineq_multipliers=np.full(iterate.size, np.nan),
         objective=trace[-1],
         outer_iterations=cap,
-        final_free=free.copy(),
+        final_free=np.sort(free),
         status=SolveStatus.MAX_ITERATIONS,
         objective_trace=tuple(trace),
         message=f"iteration cap {cap} reached without dual feasibility",
@@ -255,9 +284,10 @@ def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
 
     The vertex is ``s e_i``, with ``i`` the argmin of
     ``0.5 s^2 G_ii - s g_i`` (ties to the smallest index), and is priced
-    without a solve: ``lam = g_i - s G_ii``. Returns the :class:`Solution`
-    when it is optimal, else ``(state, trace)``: the state with the most
-    negative multiplier released and the trace at the vertex.
+    without a solve: ``lam = g_i - s G_ii``, and ``mu`` from row ``i`` of
+    the Gram matrix. Returns the :class:`Solution` when it is optimal, else
+    ``(free, iterate, trace)``: the free set ``[i, r]`` with ``r`` the most
+    negative multiplier's variable released, the vertex and the trace there.
     """
     p = shifted.size
     if probe is None:
@@ -270,18 +300,16 @@ def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
     diagonal = shifted.gram.diagonal()
     i = int(np.argmin(0.5 * s * s * diagonal - s * shifted.linear))
     free = np.array([i], dtype=np.intp)
-    active = np.delete(np.arange(p, dtype=np.intp), i)
     iterate = np.zeros(p)
     iterate[i] = s
     sub = SubproblemSolution(free_values=np.array([s]),
                              multiplier=float(shifted.linear[i] - s * diagonal[i]))
-    mu_active = lagrange_multipliers(shifted, sub, free, active)
+    mu = _multipliers(shifted, free, sub.free_values, sub.multiplier)
     trace = [objective_value(shifted, iterate)]
-    state = ActiveSetState(free=free, active=active, iterate=iterate)
-    released = release_from_active(state, mu_active, config.dual_tol)
-    if released is None:
-        return _optimal_solution(iterate, sub, mu_active, active, free, 0, trace)
-    return released, trace
+    released = int(mu.argmin())
+    if mu[released] >= -config.dual_tol:
+        return _optimal_solution(iterate, sub, mu, free, 0, trace)
+    return np.array([i, released], dtype=np.intp), iterate, trace
 
 
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
@@ -310,21 +338,21 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
 class _Pixel:
     """Where one problem of :func:`_solve_lockstep` stands between rounds.
 
-    ``free`` is sorted; ``active`` is its sorted complement, or None after a
-    pin until the next pricing rebuilds it; ``factor`` factors the block on
-    ``free``, or is None after a release. ``probing`` marks a uniform start
-    whose first candidate has not been seen yet.
+    ``free`` lists the free variables in the column order of ``factor``: a
+    pin deletes its entry where it sits and a release appends one last.
+    ``factor`` factors the block on ``free``, except that after a release it
+    lacks the last column until the next round appends it, and that a vertex
+    start has none until its first round factorizes ``free``. ``probing``
+    marks a uniform start whose first candidate has not been seen yet.
     """
 
-    __slots__ = ("index", "shifted", "rng", "free", "active", "factor", "trace",
-                 "iteration", "probing")
+    __slots__ = ("index", "shifted", "rng", "free", "factor", "trace", "iteration", "probing")
 
-    def __init__(self, index, shifted, rng, state, trace, factor):
+    def __init__(self, index, shifted, rng, free, trace, factor):
         self.index = index
         self.shifted = shifted
         self.rng = rng
-        self.free = state.free
-        self.active = state.active
+        self.free = free
         self.factor = factor
         self.trace = trace
         self.iteration = 0
@@ -357,18 +385,19 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             continue
         rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
         if start is not None:
-            (state, trace), factor = start, None
+            (free, iterate, trace), factor = start, None
         else:
             state = initialize_state(shifted)
+            free, iterate = state.free, state.iterate
             try:
                 if start_factor is None:
-                    start_factor = factorize(shifted.gram, state.free)
+                    start_factor = factorize(shifted.gram, free)
             except RankDeficientLibrary as exc:
-                results[index] = _band_deficit(exc, shifted, state.free.size)
+                results[index] = _band_deficit(exc, shifted, free.size)
                 continue
-            trace, factor = [objective_value(shifted, state.iterate)], start_factor
-        live.append(_Pixel(index, shifted, rng, state, trace, factor))
-        iterates.append(state.iterate)
+            trace, factor = [objective_value(shifted, iterate)], start_factor
+        live.append(_Pixel(index, shifted, rng, free, trace, factor))
+        iterates.append(iterate)
     if not live:
         return results
 
@@ -387,6 +416,8 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             try:
                 if px.factor is None:
                     px.factor = factorize(gram, px.free)
+                elif px.factor.size < px.free.size:
+                    px.factor = append(px.factor, gram, px.free[:-1], px.free[-1])
                 sub = solve_subproblem(gram, shifted.linear, shifted.budget, px.free,
                                        factor=px.factor)
             except UnmixError as exc:
@@ -399,29 +430,24 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
                     results[px.index] = start
                     continue
                 if start is not None:
-                    state, px.trace = start
-                    iterate[j] = state.iterate
-                    px.free, px.active, px.factor, px.iteration = state.free, state.active, None, 0
+                    px.free, iterate[j], px.trace = start
+                    px.factor, px.iteration = None, 0
                     continue
             if sub.free_values.min() >= -config.primal_tol:
                 # Feasible candidate: accept it (zeroing boundary roundoff)
-                # and price the pinned variables.
+                # and price the pinned variables there.
                 row = iterate[j]
                 row.fill(0.0)
-                row[px.free] = np.maximum(sub.free_values, 0.0)
+                x_free = np.maximum(sub.free_values, 0.0)
+                row[px.free] = x_free
                 px.trace.append(objective_value(shifted, row))
-                if px.active is None:
-                    pinned = np.ones(p, dtype=bool)
-                    pinned[px.free] = False
-                    px.active = np.flatnonzero(pinned)
-                mu_active = lagrange_multipliers(shifted, sub, px.free, px.active)
-                released = release_from_active(ActiveSetState(px.free, px.active, row),
-                                               mu_active, config.dual_tol)
-                if released is None:
-                    results[px.index] = _optimal_solution(row.copy(), sub, mu_active, px.active,
-                                                          px.free, px.iteration, px.trace)
+                mu = _multipliers(shifted, px.free, x_free, sub.multiplier)
+                released = int(mu.argmin())  # ties to the smallest index
+                if mu[released] >= -config.dual_tol:
+                    results[px.index] = _optimal_solution(row.copy(), sub, mu, px.free,
+                                                          px.iteration, px.trace)
                 else:
-                    px.free, px.active, px.factor = released.free, released.active, None
+                    px.free = np.concatenate((px.free, [released]))
             else:
                 blocked.append(j)
                 candidates.append(sub.free_values)
@@ -457,12 +483,12 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
                         raise NoBlockingIndex(_NO_BLOCKING)
                     if px.rng is not None:
                         blocking[k] = int(px.rng.choice(np.flatnonzero(tied[k])))
-                    px.factor = downdate(px.factor, px.free.searchsorted(blocking[k]))
+                    kept = px.free != blocking[k]
+                    px.factor = downdate(px.factor, kept.argmin())  # the blocking position
                 except UnmixError as exc:
                     results[px.index] = exc
                     continue
-                px.free = px.free[px.free != blocking[k]]
-                px.active = None
+                px.free = px.free[kept]
                 row = advanced[k]
                 row[blocking[k]] = 0.0
                 px.trace.append(objective_value(px.shifted, row))

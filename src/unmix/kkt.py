@@ -12,23 +12,26 @@ scalar Schur complement ``-1^T G_FF^{-1} 1``, which is strictly negative
 whenever ``G_FF`` is positive definite, so the system has exactly one
 solution.
 
-The active-set loop keeps one factor per solve. When a variable is pinned,
-:func:`downdate` deletes its column from the factor by Givens
-re-triangularization of the trailing block (Gill, Golub, Murray & Saunders,
-*Methods for modifying matrix factorizations*, Math. Comp. 1974), at
-``O(|F|^2)`` instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The
-factor is built for the first solve from the uniform start and rebuilt
-after every release (a solve that starts at a vertex has its first factor
-built after the first release). Both routes apply the same rank test.
+The active-set loop keeps one factor per solve and modifies it in place of
+refactorizing (Gill, Golub, Murray & Saunders, *Methods for modifying
+matrix factorizations*, Math. Comp. 1974). When a variable is pinned,
+:func:`downdate` deletes its column by Givens re-triangularization of the
+trailing block; when one is released, :func:`append` adds its column last
+with one triangular solve. Each costs ``O(|F|^2)`` instead of the
+``O(|F|^3)`` of a fresh :func:`factorize`, which the loop calls only for
+the uniform start and for the first block of a solve that starts at a
+vertex. The factor's columns therefore follow the loop's own order, not
+the sorted free set. All three routes apply the same rank test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr_delete
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import EmptyFreeSet, RankDeficientLibrary
 
@@ -50,9 +53,13 @@ class SubproblemSolution:
 class SpdFactorization:
     """Lower-triangular Cholesky factor of a restricted Gram block.
 
+    Its columns follow the order of the free set it was built for, which in
+    the active-set loop is the loop's own order: a downdate keeps the order
+    of the remaining columns and an append puts the new one last.
     ``diagonal`` is the diagonal of the factorized block and ``order`` the
     size P of the full Gram matrix; together they set the rank test's pivot
-    floor ``P * eps * max(diagonal)``, which a downdate applies again.
+    floor ``P * eps * max(diagonal)``, which a downdate or an append applies
+    again.
     """
 
     lower: np.ndarray
@@ -161,16 +168,71 @@ def downdate(factor: SpdFactorization, position) -> SpdFactorization:
     return _rank_checked(lower, diagonal, factor.order)
 
 
+def append(factor: SpdFactorization, gram, free, new) -> SpdFactorization:
+    """Add one column to a factorization without refactorizing.
+
+    Parameters
+    ----------
+    factor : SpdFactorization
+        Factor of the Gram block restricted to ``free``, in that order.
+    gram : ndarray, shape (P, P)
+        Symmetric Gram matrix of the full library.
+    free : array_like of int
+        The free set ``factor`` was built for, in its column order.
+    new : int
+        Index of the variable to add; it must not be in ``free``.
+
+    Returns
+    -------
+    SpdFactorization
+        Factor of the block restricted to ``free`` followed by ``new``. The
+        old columns keep their factor rows; the new last row is
+        ``l = L^{-1} G[free, new]`` with pivot ``sqrt(G[new, new] - l.l)``.
+
+    Raises
+    ------
+    RankDeficientLibrary
+        If the new pivot is nonpositive or falls at or below the pivot floor
+        of the grown block, or a larger ``G[new, new]`` raises that floor
+        above an old pivot, exactly as :func:`factorize` would report.
+    """
+    size = factor.size
+    row = gram[new]
+    cross, info = dtrtrs(factor.lower, row.take(free), lower=1)
+    if info != 0:
+        raise ValueError(f"LAPACK dtrtrs rejected argument {-info}")
+    corner = float(row[new])
+    pivot = corner - float(cross @ cross)
+    old_top = float(factor.diagonal.max())
+    pivot_floor = factor.order * _EPS * max(old_top, corner, 0.0)
+    # The old pivots passed the old floor; only a larger corner raises it.
+    smallest = pivot
+    if corner > old_top:
+        smallest = min(pivot, float((factor.lower.diagonal() ** 2).min()))
+    if smallest <= pivot_floor:
+        raise _rank_error(size + 1, smallest, pivot_floor)
+    lower = np.zeros((size + 1, size + 1), order="F")
+    lower[:size, :size] = factor.lower
+    lower[size, :size] = cross
+    lower[size, size] = math.sqrt(pivot)
+    return SpdFactorization(lower=lower, diagonal=np.concatenate((factor.diagonal, [corner])),
+                            order=factor.order)
+
+
 def _rank_checked(lower, diagonal, order) -> SpdFactorization:
     pivot_floor = order * _EPS * max(diagonal.max(), 0.0)
-    pivots = lower.diagonal() ** 2
-    if pivots.min() <= pivot_floor:
-        raise RankDeficientLibrary(
-            f"restricted Gram block of size {lower.shape[0]} has pivot {pivots.min():.3e} "
-            f"at or below the rank threshold {pivot_floor:.3e}; the free columns "
-            f"of the library are numerically linearly dependent"
-        )
+    pivot = (lower.diagonal() ** 2).min()
+    if pivot <= pivot_floor:
+        raise _rank_error(lower.shape[0], pivot, pivot_floor)
     return SpdFactorization(lower=lower, diagonal=diagonal, order=order)
+
+
+def _rank_error(size, pivot, pivot_floor) -> RankDeficientLibrary:
+    return RankDeficientLibrary(
+        f"restricted Gram block of size {size} has pivot {pivot:.3e} "
+        f"at or below the rank threshold {pivot_floor:.3e}; the free columns "
+        f"of the library are numerically linearly dependent"
+    )
 
 
 def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSolution:

@@ -233,7 +233,9 @@ class SolverConfig:
     ``max_outer_iterations=None`` resolves to ``10 * P`` at solve time.
     ``tie_break`` selects how a tied blocking index is chosen: ``"smallest"``
     keeps runs reproducible, ``"random"`` draws uniformly among the tied
-    minimizers using ``tie_seed``.
+    minimizers using ``tie_seed``. A tie among the most negative multipliers
+    when a variable is released always goes to the smallest index, under
+    either policy.
     """
 
     primal_tol: float = 1e-10

@@ -203,6 +203,49 @@ def test_release_examples():
     assert release_from_active(state, np.zeros(0), 1e-10) is None
 
 
+def test_release_ties_go_to_the_smallest_index_from_the_vertex_start():
+    # Identity library: the probe has 2 of 5 entries negative, so the solve
+    # restarts at the vertex e_0, where mu_a = lam - g_a with lam = 3 - 1.
+    # Endmembers 1 and 2 tie exactly at -0.5 and the smaller index is freed
+    # first: after one iteration the iterate is (0.75, 0.25, 0, 0, 0).
+    shifted = shift_problem(UnmixingProblem(np.eye(5), np.array([3.0, 2.5, 2.5, 0.0, -1.0])))
+    capped = active_set_solve(shifted, SolverConfig(max_outer_iterations=1))
+    np.testing.assert_array_equal(capped.shifted_abundances, [0.75, 0.25, 0.0, 0.0, 0.0])
+    solution = active_set_solve(shifted)
+    assert solution.objective_trace[0] == objective_value(shifted, np.eye(5)[0])
+    np.testing.assert_array_equal(solution.final_free, [0, 1, 2])
+
+
+def test_release_ties_go_to_the_smallest_index_from_the_uniform_start():
+    # Endmembers 1 and 2 share every band but one of their own, where the
+    # pixel is 0: their Gram rows agree off the (1, 2) block and their
+    # linear terms agree, so while both are pinned their multipliers are
+    # bitwise equal. The solve keeps the uniform start, pins both, and after
+    # five iterations prices them at an exact tie on free set {0, 3, 4}.
+    entries = np.array([[0, 3, 3, 3, 3, 0], [2, 3, 3, 0, 0, 3], [3, 3, 3, 2, 3, 0],
+                        [1, 3, 3, 1, 1, 3], [3, 0, 0, 1, 2, 0], [0, 1, 0, 0, 0, 0],
+                        [0, 0, 1, 0, 0, 0]], dtype=float)
+    shifted = shift_problem(UnmixingProblem(entries, np.array([2.0, 0, 3, 1, 1, 0, 0])))
+    rows = np.delete(shifted.gram[[1, 2]], [1, 2], axis=1)
+    np.testing.assert_array_equal(rows[0], rows[1])
+    assert shifted.linear[1] == shifted.linear[2]
+    solution = active_set_solve(shifted)
+    assert solution.objective_trace[0] == objective_value(shifted, np.full(6, 1 / 6))
+    before = active_set_solve(shifted, SolverConfig(max_outer_iterations=5))
+    np.testing.assert_array_equal(before.final_free, [0, 3, 4])
+    x = before.shifted_abundances
+    sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, [0, 3, 4])
+    mu = lagrange_multipliers(shifted, sub, np.array([0, 3, 4]), np.array([1, 2, 5]))
+    assert mu[0] == mu[1] < min(-1e-3, mu[2])
+    assert x[1] == x[2] == 0.0
+    after = active_set_solve(shifted, SolverConfig(max_outer_iterations=6))
+    np.testing.assert_array_equal(after.final_free, [0, 1, 3, 4])
+    released = release_from_active(_state([0, 3, 4], [1, 2, 5], x), mu, 1e-10)
+    np.testing.assert_array_equal(released.free, [0, 1, 3, 4])
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.shifted_abundances[1] == pytest.approx(solution.shifted_abundances[2])
+
+
 # ------------------------------------------------------------------ full solves
 
 def test_interior_optimum_in_one_iteration():
@@ -320,6 +363,7 @@ def test_wide_library_solves_when_the_optimal_support_has_full_rank(pixel, suppo
     solution = active_set_solve(shifted)
     oracle = brute_force_solve(shifted)
     assert solution.status is SolveStatus.OPTIMAL
+    assert (np.diff(solution.final_free) > 0).all()  # sorted, unlike the factor's order
     assert list(solution.final_free) == support
     assert solution.objective == pytest.approx(oracle.objective, rel=1e-12, abs=1e-15)
     np.testing.assert_allclose(solution.shifted_abundances, oracle.shifted_abundances,
@@ -453,5 +497,6 @@ def test_kept_factor_pivots_like_fresh_solves_on_wide_libraries():
         bounds = rng.dirichlet(np.ones(60)) * 0.2
         shifted = shift_problem(UnmixingProblem(library, pixel, bounds))
         solution = _assert_same_pivots(shifted)
+        assert (np.diff(solution.final_free) > 0).all()
         assert verify_kkt(shifted, solution.shifted_abundances, solution.eq_multiplier,
                           solution.ineq_multipliers).satisfied

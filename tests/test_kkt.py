@@ -8,7 +8,7 @@ from unmix import (
     factorize,
     solve_subproblem,
 )
-from unmix.kkt import downdate
+from unmix.kkt import append, downdate
 from instances import random_spd_system
 
 
@@ -183,3 +183,61 @@ def test_downdate_position_out_of_range_is_rejected():
     factor = factorize(np.eye(3), [0, 1, 2])
     with pytest.raises(IndexError):
         downdate(factor, 3)
+
+
+@pytest.mark.parametrize("n_bands, n_endmembers", [(60, 50), (30, 45)])
+def test_appends_reproduce_the_block_in_factor_order(n_bands, n_endmembers):
+    # Up to 40 columns, and up to 30 of 45 endmembers in 30 bands (P > N).
+    rng = np.random.default_rng(n_endmembers)
+    entries = rng.random((n_bands, n_endmembers))
+    gram = entries.T @ entries
+    order = rng.permutation(n_endmembers)[:min(40, n_bands)]
+    factor = factorize(gram, order[:1])
+    for size in range(1, order.size):
+        factor = append(factor, gram, order[:size], order[size])
+        _assert_factors_block(factor, gram, order[:size + 1])
+        assert factor.order == n_endmembers
+        np.testing.assert_array_equal(factor.diagonal, gram.diagonal()[order[:size + 1]])
+
+
+def test_appended_factor_gives_the_fresh_subproblem_solution():
+    rng = np.random.default_rng(19)
+    entries = rng.random((224, 100))
+    gram = entries.T @ entries
+    linear = entries.T @ rng.random(224)
+    for size in (1, 2, 10, 40):
+        order = rng.permutation(100)[:size + 1]
+        factor = append(factorize(gram, order[:size]), gram, order[:size], order[size])
+        kept = solve_subproblem(gram, linear, 0.7, order, factor=factor)
+        fresh = solve_subproblem(gram, linear, 0.7, np.sort(order))
+        restored = kept.free_values[np.argsort(order)]
+        np.testing.assert_allclose(restored, fresh.free_values, rtol=0, atol=1e-9)
+        assert kept.multiplier == pytest.approx(fresh.multiplier, abs=1e-9)
+
+
+def test_appending_a_duplicate_or_an_excess_column_is_rank_deficient():
+    rng = np.random.default_rng(20)
+    for n_bands in (2, 5, 12):
+        entries = rng.random((n_bands, n_bands + 2))
+        entries[:, -1] = entries[:, 0]
+        gram = entries.T @ entries
+        full = factorize(gram, np.arange(n_bands))
+        with pytest.raises(RankDeficientLibrary):  # the (N+1)-th column
+            append(full, gram, np.arange(n_bands), n_bands)
+        with pytest.raises(RankDeficientLibrary):  # a duplicate of column 0
+            append(factorize(gram, [0]), gram, [0], n_bands + 1)
+    # Exact arithmetic: a2 = a0 + a1 leaves a pivot of exactly 0.
+    gram = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    with pytest.raises(RankDeficientLibrary):
+        append(factorize(gram, [1, 0]), gram, [1, 0], 2)
+
+
+def test_a_larger_diagonal_raises_the_floor_above_an_old_pivot():
+    # Columns (1, 0, 0), (0, 1e-7, 0) and (0, 0, 100): the first two pass the
+    # floor 3 eps; the third lifts it to 3 eps 1e4, above the pivot 1e-14.
+    gram = np.diag([1.0, 1e-14, 1e4])
+    factor = factorize(gram, [0, 1])
+    with pytest.raises(RankDeficientLibrary):
+        append(factor, gram, [0, 1], 2)
+    with pytest.raises(RankDeficientLibrary):
+        factorize(gram, [0, 1, 2])

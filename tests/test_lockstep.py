@@ -27,6 +27,7 @@ from unmix import (
     shift_problem,
     unmix,
     unmix_batch,
+    verify_kkt,
 )
 
 
@@ -123,6 +124,8 @@ def test_lockstep_batch_equals_per_pixel_solves(batch):
     solutions = unmix_batch(BatchJob(library, pixels, bounds, config))
     _assert_matches_unmix(solutions, library, pixels, bounds, config)
     for column, solution in enumerate(solutions):
+        # Sorted although each solve keeps its free set in its factor's order.
+        assert (np.diff(solution.final_free) > 0).all()
         support = library.entries[:, solution.final_free]
         if (solution.status is not SolveStatus.OPTIMAL
                 or np.linalg.matrix_rank(support) < solution.final_free.size):
@@ -182,6 +185,40 @@ def test_tied_coordinate_that_lands_below_zero_is_clipped():
     pixels = np.column_stack([tied, -tied[::-1], tied])
     solutions = unmix_batch(BatchJob(library, pixels, config=config))
     _assert_matches_unmix(solutions, library, pixels, None, config)
+
+
+def _assert_certified_at_the_iterate(library, pixel):
+    shifted = shift_problem(UnmixingProblem(library, pixel))
+    solution = unmix(UnmixingProblem(library, pixel))
+    assert solution.status is SolveStatus.OPTIMAL
+    x = solution.shifted_abundances
+    pinned = np.ones(x.size, dtype=bool)
+    pinned[solution.final_free] = False
+    priced = shifted.gram @ x - shifted.linear + solution.eq_multiplier
+    np.testing.assert_allclose(solution.ineq_multipliers[pinned], priced[pinned],
+                               rtol=0, atol=1e-12)
+    assert not solution.ineq_multipliers[~pinned].any()
+    assert verify_kkt(shifted, x, solution.eq_multiplier, solution.ineq_multipliers).satisfied
+    return solution
+
+
+def test_multipliers_are_priced_at_the_returned_iterate():
+    # The clip instance above, solved to the end.
+    library = SpectralLibrary(np.eye(9))
+    _assert_certified_at_the_iterate(
+        library, np.array([0.9, 0.2, 0.7, -0.8, 0.4, 0.5, 0.8, 0.7, 0.2]))
+    # The optimum on {0, 1, 2} has x_2 = -5e-11, inside primal_tol, so the
+    # accepted candidate is clipped to 0 there; endmember 3 is pinned with a
+    # positive multiplier. Priced at the unclipped candidate, that multiplier
+    # is off by G_32 * 5e-11, about 1e-10.
+    rng = np.random.default_rng(0)
+    entries = rng.random((8, 4))
+    free = entries[:, :3]
+    away = entries[:, 3] - free @ np.linalg.lstsq(free, entries[:, 3], rcond=None)[0]
+    pixel = entries @ np.array([0.6, 0.4 + 5e-11, -5e-11, 0.0]) - 0.5 * away
+    solution = _assert_certified_at_the_iterate(SpectralLibrary(entries), pixel)
+    np.testing.assert_array_equal(solution.final_free, [0, 1, 2])
+    assert solution.shifted_abundances[2] == 0.0
 
 
 @pytest.mark.parametrize("n_endmembers, n_pixels, slices", [
