@@ -3,9 +3,9 @@
 Shows the three moves the solver alternates between - the equality-
 constrained solve, the blocking step that pins a variable at zero, and the
 multiplier check that releases one - from the uniform start, then how the
-solver grows its kept Cholesky factor on a release, the start the solver
-itself picks, its monotone objective trace and a cross-check against the
-exhaustive oracle.
+solver keeps one Cholesky factor and its forward solves through a release
+and a pin, the start the solver itself picks, its monotone objective trace
+and a cross-check against the exhaustive oracle.
 """
 
 from dataclasses import replace
@@ -22,7 +22,7 @@ from unmix import (
     shift_problem,
     solve_subproblem,
 )
-from unmix.kkt import append
+from unmix.kkt import KeptSystem
 from unmix.active_set import (
     initialize_state,
     lagrange_multipliers,
@@ -77,13 +77,23 @@ for step_number in range(1, 30):
     print("  objective now %.6f" % objective_value(shifted, state.iterate))
 
 # The walk above refactorizes every free set. The solver instead keeps one
-# factor: a pin deletes a column where it sits, and a release appends the
-# freed column last, so the factor's columns follow the order in which the
-# variables were freed rather than the sorted free set.
-grown = append(factorize(shifted.gram, [2, 0]), shifted.gram, [2, 0], 4)
-fresh = factorize(shifted.gram, [2, 0, 4])
+# system: the factor L with the forward solves L^-1 [g_F, 1]. A release
+# appends the freed column last and a pin deletes a column where it sits,
+# so the factor's columns follow the order in which the variables were
+# freed rather than the sorted free set. Each solve on it is two dot
+# products and one back-substitution.
+kept = KeptSystem(factorize(shifted.gram, [2, 0]), shifted.gram, shifted.linear, [2, 0])
+kept.append([2, 0], 4)
 print("\nfree set [2, 0] plus a released 4: appended factor == factorize([2, 0, 4]):",
-      np.allclose(grown.lower, fresh.lower, rtol=0, atol=1e-12))
+      np.allclose(kept.lower, factorize(shifted.gram, [2, 0, 4]).lower, rtol=0, atol=1e-12))
+kept.delete(0)
+print("then variable 2 pinned: factor after the delete == factorize([0, 4]):",
+      np.allclose(kept.lower, factorize(shifted.gram, [0, 4]).lower, rtol=0, atol=1e-12))
+sub = kept.solve(shifted.budget)
+fresh = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, [0, 4])
+print("its solve == solve_subproblem on [0, 4]:",
+      np.allclose(sub.free_values, fresh.free_values, rtol=0, atol=1e-12)
+      and abs(sub.multiplier - fresh.multiplier) <= 1e-12)
 
 solution = active_set_solve(shifted)
 s = shifted.budget

@@ -23,19 +23,22 @@ vertex is priced without a solve and grows its free set one release at a
 time. A library with more endmembers than bands always starts at the vertex,
 because the uniform start's block cannot be full rank there.
 
-The loop keeps one Cholesky factor of ``G_FF`` per solve. It factorizes at
-the uniform start, or at the first two-column block of a vertex start, and
-after that only modifies it: step 2 deletes the pinned column where it sits
-(:func:`unmix.kkt.downdate`) and step 3 appends the released column last
-(:func:`unmix.kkt.append`), each ``O(|F|^2)`` instead of the ``O(|F|^3)`` of
-a refactorization. Each problem's free set is kept in the factor's column
-order; :attr:`Solution.final_free` is sorted.
+The loop keeps one :class:`unmix.kkt.KeptSystem` per solve: the Cholesky
+factor of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so that
+each subproblem costs two dot products and one back-substitution. It
+factorizes at the uniform start, or at the first two-column block of a
+vertex start, and after that only modifies the system: step 2 deletes the
+pinned column where it sits and step 3 appends the released column last,
+each ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a refactorization. Each
+problem's free set is kept in the factor's column order;
+:attr:`Solution.final_free` is sorted.
 
-Step 3 prices every pinned variable from one gather of the free rows of the
-Gram matrix, at the accepted, clipped iterate ``x``: ``mu = G x - g + lam``,
-zero on the free set. That is the certificate the returned iterate
-carries. Ties go to the smallest index, both in the blocking step and in the
-release; ``tie_break="random"`` draws among tied blocking coordinates only.
+Step 3 forms ``G x`` once at the accepted, clipped iterate ``x``, and takes
+both the objective trace and the prices of the pinned variables from it:
+``mu = G x - g + lam``, zero on the free set. That is the certificate the
+returned iterate carries. Ties go to the smallest index, both in the
+blocking step and in the release; ``tie_break="random"`` draws among tied
+blocking coordinates only.
 
 There is one loop, :func:`_solve_lockstep`. It takes problems that share a
 Gram matrix through the moves together, one round at a time:
@@ -59,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBlockingIndex, RankDeficientLibrary, UnmixError
-from .kkt import SubproblemSolution, append, downdate, factorize, solve_subproblem
-from .model import ShiftedProblem, SolverConfig, objective_value
+from .kkt import KeptSystem, SubproblemSolution, factorize, solve_subproblem
+from .model import ShiftedProblem, SolverConfig, objective_from_product, objective_value
 
 
 _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
@@ -217,15 +220,13 @@ def _pinned_solution(shifted: ShiftedProblem) -> Solution:
     )
 
 
-def _multipliers(shifted: ShiftedProblem, free, x_free, lam) -> np.ndarray:
-    """Bound multipliers ``G x - g + lam`` at ``x``, which is zero off ``free``.
+def _multipliers(shifted: ShiftedProblem, free, gx, lam) -> np.ndarray:
+    """Bound multipliers ``G x - g + lam`` from ``gx = G x``.
 
-    One gather of the free rows of the Gram matrix prices every pinned
-    variable. On ``free`` the same expression is the stationarity residual,
-    not a multiplier, so it is set to zero there.
+    On ``free`` the same expression is the stationarity residual, not a
+    multiplier, so it is set to zero there.
     """
-    mu = x_free @ shifted.gram.take(free, axis=0)
-    mu -= shifted.linear
+    mu = gx - shifted.linear
     mu += lam
     mu[free] = 0.0
     return mu
@@ -284,8 +285,8 @@ def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
 
     The vertex is ``s e_i``, with ``i`` the argmin of
     ``0.5 s^2 G_ii - s g_i`` (ties to the smallest index), and is priced
-    without a solve: ``lam = g_i - s G_ii``, and ``mu`` from row ``i`` of
-    the Gram matrix. Returns the :class:`Solution` when it is optimal, else
+    without a solve: ``lam = g_i - s G_ii``, and ``mu`` from ``G x = s G_i``.
+    Returns the :class:`Solution` when it is optimal, else
     ``(free, iterate, trace)``: the free set ``[i, r]`` with ``r`` the most
     negative multiplier's variable released, the vertex and the trace there.
     """
@@ -304,7 +305,7 @@ def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
     iterate[i] = s
     sub = SubproblemSolution(free_values=np.array([s]),
                              multiplier=float(shifted.linear[i] - s * diagonal[i]))
-    mu = _multipliers(shifted, free, sub.free_values, sub.multiplier)
+    mu = _multipliers(shifted, free, s * shifted.gram[i], sub.multiplier)
     trace = [objective_value(shifted, iterate)]
     released = int(mu.argmin())
     if mu[released] >= -config.dual_tol:
@@ -340,10 +341,12 @@ class _Pixel:
 
     ``free`` lists the free variables in the column order of ``factor``: a
     pin deletes its entry where it sits and a release appends one last.
-    ``factor`` factors the block on ``free``, except that after a release it
-    lacks the last column until the next round appends it, and that a vertex
-    start has none until its first round factorizes ``free``. ``probing``
-    marks a uniform start whose first candidate has not been seen yet.
+    ``factor`` is the :class:`KeptSystem` of ``free``, except that after a
+    release it lacks the last column until the next round appends it, and
+    that a vertex start has none until its first round factorizes ``free``.
+    A uniform start's system wraps the start factor that all problems
+    share. ``probing`` marks a uniform start whose first candidate has not
+    been seen yet.
     """
 
     __slots__ = ("index", "shifted", "rng", "free", "factor", "trace", "iteration", "probing")
@@ -365,7 +368,7 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
     The ``i``-th entry is the :class:`Solution` for ``problems[i]``, or the
     :class:`UnmixError` the solve of that problem raised; no problem's
     answer depends on the others. In a round every live problem solves its
-    subproblem on its own Cholesky factor, then either prices a feasible
+    subproblem on its own kept system, then either prices a feasible
     candidate or takes the blocking step; the ratio test, the tie-break and
     the iterate update of all blocked problems are stacked numpy calls,
     which keep each row's arithmetic. From the uniform start, the full-Gram
@@ -395,7 +398,8 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             except RankDeficientLibrary as exc:
                 results[index] = _band_deficit(exc, shifted, free.size)
                 continue
-            trace, factor = [objective_value(shifted, iterate)], start_factor
+            trace = [objective_value(shifted, iterate)]
+            factor = KeptSystem(start_factor, shifted.gram, shifted.linear, free)
         live.append(_Pixel(index, shifted, rng, free, trace, factor))
         iterates.append(iterate)
     if not live:
@@ -415,9 +419,10 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             px.iteration += 1
             try:
                 if px.factor is None:
-                    px.factor = factorize(gram, px.free)
+                    px.factor = KeptSystem(factorize(gram, px.free), gram, shifted.linear,
+                                           px.free)
                 elif px.factor.size < px.free.size:
-                    px.factor = append(px.factor, gram, px.free[:-1], px.free[-1])
+                    px.factor.append(px.free[:-1], px.free[-1])
                 sub = solve_subproblem(gram, shifted.linear, shifted.budget, px.free,
                                        factor=px.factor)
             except UnmixError as exc:
@@ -434,14 +439,14 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
                     px.factor, px.iteration = None, 0
                     continue
             if sub.free_values.min() >= -config.primal_tol:
-                # Feasible candidate: accept it (zeroing boundary roundoff)
-                # and price the pinned variables there.
+                # Feasible candidate: accept it (zeroing boundary roundoff),
+                # then trace it and price the pinned variables from one G x.
                 row = iterate[j]
                 row.fill(0.0)
-                x_free = np.maximum(sub.free_values, 0.0)
-                row[px.free] = x_free
-                px.trace.append(objective_value(shifted, row))
-                mu = _multipliers(shifted, px.free, x_free, sub.multiplier)
+                row[px.free] = np.maximum(sub.free_values, 0.0)
+                gx = gram @ row
+                px.trace.append(objective_from_product(shifted, row, gx))
+                mu = _multipliers(shifted, px.free, gx, sub.multiplier)
                 released = int(mu.argmin())  # ties to the smallest index
                 if mu[released] >= -config.dual_tol:
                     results[px.index] = _optimal_solution(row.copy(), sub, mu, px.free,
@@ -484,7 +489,7 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
                     if px.rng is not None:
                         blocking[k] = int(px.rng.choice(np.flatnonzero(tied[k])))
                     kept = px.free != blocking[k]
-                    px.factor = downdate(px.factor, kept.argmin())  # the blocking position
+                    px.factor.delete(kept.argmin())  # the blocking position
                 except UnmixError as exc:
                     results[px.index] = exc
                     continue

@@ -7,21 +7,26 @@ equations with the sum constraint:
     [ 1^T   0 ] [ lam ] = [  s  ]
 
 Rather than factorizing this indefinite bordered matrix, the solver runs a
-Cholesky factorization of ``G_FF`` and eliminates the border through the
-scalar Schur complement ``-1^T G_FF^{-1} 1``, which is strictly negative
+Cholesky factorization ``G_FF = L L^T`` and eliminates the border through
+the scalar Schur complement ``-1^T G_FF^{-1} 1``, which is strictly negative
 whenever ``G_FF`` is positive definite, so the system has exactly one
-solution.
+solution. With the forward solves ``Z = [z_g, z_1] = L^{-1} [g_F, 1]`` at
+hand, ``1^T G_FF^{-1} 1`` is the sum of squares ``z_1 . z_1``, the
+multiplier is ``lam = (z_1 . z_g - s) / (z_1 . z_1)``, and ``x_F`` takes one
+back-substitution, ``L^T x_F = z_g - lam z_1``.
 
-The active-set loop keeps one factor per solve and modifies it in place of
-refactorizing (Gill, Golub, Murray & Saunders, *Methods for modifying
-matrix factorizations*, Math. Comp. 1974). When a variable is pinned,
-:func:`downdate` deletes its column by Givens re-triangularization of the
-trailing block; when one is released, :func:`append` adds its column last
-with one triangular solve. Each costs ``O(|F|^2)`` instead of the
-``O(|F|^3)`` of a fresh :func:`factorize`, which the loop calls only for
-the uniform start and for the first block of a solve that starts at a
-vertex. The factor's columns therefore follow the loop's own order, not
-the sorted free set. All three routes apply the same rank test.
+The active-set loop keeps one such system per solve, a :class:`KeptSystem`
+holding ``L`` and ``Z``, and modifies both in place of refactorizing (Gill,
+Golub, Murray & Saunders, *Methods for modifying matrix factorizations*,
+Math. Comp. 1974). When a variable is pinned, :meth:`KeptSystem.delete`
+removes its column by Givens re-triangularization of the trailing block and
+rotates ``Z`` with the same rotations; when one is released,
+:meth:`KeptSystem.append` adds its column last with one triangular solve,
+which also gives the new row of ``Z``. Each costs ``O(|F|^2)`` instead of
+the ``O(|F|^3)`` of a fresh :func:`factorize`, which the loop calls only
+for the uniform start and for the first block of a solve that starts at a
+vertex. The factor's columns therefore follow the loop's own order, not the
+sorted free set. All three routes apply the same rank test.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr_delete
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.blas import daxpy, ddot, dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import EmptyFreeSet, RankDeficientLibrary
 
@@ -53,13 +59,11 @@ class SubproblemSolution:
 class SpdFactorization:
     """Lower-triangular Cholesky factor of a restricted Gram block.
 
-    Its columns follow the order of the free set it was built for, which in
-    the active-set loop is the loop's own order: a downdate keeps the order
-    of the remaining columns and an append puts the new one last.
+    Its columns follow the order of the free set it was built for.
     ``diagonal`` is the diagonal of the factorized block and ``order`` the
     size P of the full Gram matrix; together they set the rank test's pivot
-    floor ``P * eps * max(diagonal)``, which a downdate or an append applies
-    again.
+    floor ``P * eps * max(diagonal)``, which :class:`KeptSystem` applies
+    again on every modification.
     """
 
     lower: np.ndarray
@@ -69,13 +73,6 @@ class SpdFactorization:
     @property
     def size(self) -> int:
         return self.lower.shape[0]
-
-    def solve(self, rhs):
-        """Solve ``G_FF z = rhs`` using the stored factor."""
-        solved, info = dpotrs(self.lower, rhs, lower=1)
-        if info != 0:
-            raise ValueError(f"LAPACK dpotrs rejected argument {-info}")
-        return solved
 
 
 def _checked_indices(free, n):
@@ -125,106 +122,15 @@ def factorize(gram, free) -> SpdFactorization:
             f"(leading minor of order {info} is not positive); the free columns "
             f"of the library are linearly dependent"
         )
-    return _rank_checked(lower, diagonal, n)
+    _check_rank(lower, diagonal.max(), n)
+    return SpdFactorization(lower=lower, diagonal=diagonal, order=n)
 
 
-def downdate(factor: SpdFactorization, position) -> SpdFactorization:
-    """Delete one free column from a factorization without refactorizing.
-
-    Parameters
-    ----------
-    factor : SpdFactorization
-        Factor of the Gram block restricted to a free set F.
-    position : int
-        Position within F (not the variable index) of the column to delete.
-
-    Returns
-    -------
-    SpdFactorization
-        Factor of the block restricted to F without that column, with a
-        positive diagonal. Columns before ``position`` keep their factor
-        rows; the trailing block is re-triangularized by Givens rotations.
-
-    Raises
-    ------
-    RankDeficientLibrary
-        If a pivot of the new factor falls at or below the pivot floor of the
-        reduced block, exactly as :func:`factorize` would report.
-    EmptyFreeSet
-        If the factor has a single column.
-    """
-    size = factor.size
-    k = int(position)
-    if size == 1:
-        raise EmptyFreeSet("downdate would leave an empty free set")
-    if not 0 <= k < size:
-        raise IndexError(f"position must lie in [0, {size}), got {k}")
-    # The upper factor L^T minus its column k is upper Hessenberg from row k
-    # on; its QR factor, less the zero last row, is the new upper factor.
-    _, upper = _qr_delete(np.eye(size), factor.lower.T, k, which="col", check_finite=False)
-    upper = upper[:-1]
-    lower = (upper * np.copysign(1.0, upper.diagonal())[:, None]).T
-    diagonal = np.concatenate((factor.diagonal[:k], factor.diagonal[k + 1:]))
-    return _rank_checked(lower, diagonal, factor.order)
-
-
-def append(factor: SpdFactorization, gram, free, new) -> SpdFactorization:
-    """Add one column to a factorization without refactorizing.
-
-    Parameters
-    ----------
-    factor : SpdFactorization
-        Factor of the Gram block restricted to ``free``, in that order.
-    gram : ndarray, shape (P, P)
-        Symmetric Gram matrix of the full library.
-    free : array_like of int
-        The free set ``factor`` was built for, in its column order.
-    new : int
-        Index of the variable to add; it must not be in ``free``.
-
-    Returns
-    -------
-    SpdFactorization
-        Factor of the block restricted to ``free`` followed by ``new``. The
-        old columns keep their factor rows; the new last row is
-        ``l = L^{-1} G[free, new]`` with pivot ``sqrt(G[new, new] - l.l)``.
-
-    Raises
-    ------
-    RankDeficientLibrary
-        If the new pivot is nonpositive or falls at or below the pivot floor
-        of the grown block, or a larger ``G[new, new]`` raises that floor
-        above an old pivot, exactly as :func:`factorize` would report.
-    """
-    size = factor.size
-    row = gram[new]
-    cross, info = dtrtrs(factor.lower, row.take(free), lower=1)
-    if info != 0:
-        raise ValueError(f"LAPACK dtrtrs rejected argument {-info}")
-    corner = float(row[new])
-    pivot = corner - float(cross @ cross)
-    old_top = float(factor.diagonal.max())
-    pivot_floor = factor.order * _EPS * max(old_top, corner, 0.0)
-    # The old pivots passed the old floor; only a larger corner raises it.
-    smallest = pivot
-    if corner > old_top:
-        smallest = min(pivot, float((factor.lower.diagonal() ** 2).min()))
-    if smallest <= pivot_floor:
-        raise _rank_error(size + 1, smallest, pivot_floor)
-    lower = np.zeros((size + 1, size + 1), order="F")
-    lower[:size, :size] = factor.lower
-    lower[size, :size] = cross
-    lower[size, size] = math.sqrt(pivot)
-    return SpdFactorization(lower=lower, diagonal=np.concatenate((factor.diagonal, [corner])),
-                            order=factor.order)
-
-
-def _rank_checked(lower, diagonal, order) -> SpdFactorization:
-    pivot_floor = order * _EPS * max(diagonal.max(), 0.0)
+def _check_rank(lower, top, order):
+    pivot_floor = order * _EPS * max(top, 0.0)
     pivot = (lower.diagonal() ** 2).min()
     if pivot <= pivot_floor:
         raise _rank_error(lower.shape[0], pivot, pivot_floor)
-    return SpdFactorization(lower=lower, diagonal=diagonal, order=order)
 
 
 def _rank_error(size, pivot, pivot_floor) -> RankDeficientLibrary:
@@ -233,6 +139,129 @@ def _rank_error(size, pivot, pivot_floor) -> RankDeficientLibrary:
         f"at or below the rank threshold {pivot_floor:.3e}; the free columns "
         f"of the library are numerically linearly dependent"
     )
+
+
+class KeptSystem:
+    """The factor ``L`` of ``G_FF`` and the forward solves ``Z = L^{-1} [g_F, 1]``.
+
+    Built from a :class:`SpdFactorization` of the block on ``free`` plus the
+    full ``gram`` and ``linear`` term; its columns follow the order of
+    ``free``. :meth:`append` and :meth:`delete` modify it, and
+    :meth:`solve` solves the subproblem on it for any budget.
+
+    ``lower`` is replaced on each modification and never written in place,
+    so systems built from one factorization share it without a copy.
+    ``forward`` is ``Z``, of shape ``(|F|, 2)``. ``diagonal`` lists the
+    diagonal of the block and ``top`` is its maximum, which sets the pivot
+    floor ``P * eps * top`` of the rank test.
+    """
+
+    __slots__ = ("gram", "linear", "order", "lower", "forward", "diagonal", "top")
+
+    def __init__(self, factor: SpdFactorization, gram, linear, free):
+        self.gram = np.asarray(gram, dtype=float)
+        self.linear = np.asarray(linear, dtype=float)
+        self.order = factor.order
+        self.lower = factor.lower
+        self.diagonal = factor.diagonal.tolist()
+        self.top = max(self.diagonal)
+        self.forward = np.empty((factor.size, 2), order="F")
+        self.forward[:, 0] = dtrsv(self.lower, self.linear.take(free), lower=1)
+        self.forward[:, 1] = dtrsv(self.lower, np.ones(factor.size), lower=1)
+
+    @property
+    def size(self) -> int:
+        return len(self.diagonal)
+
+    def append(self, free, new) -> None:
+        """Add the column of variable ``new`` last, without refactorizing.
+
+        ``free`` is the free set the system was built for, in its column
+        order. The old rows of ``L`` and ``Z`` stay; the new row of ``L`` is
+        ``l = L^{-1} G[free, new]`` with pivot ``sqrt(G[new, new] - l.l)``,
+        and the new row of ``Z`` is ``([g_new, 1] - l Z) / pivot``.
+
+        Raises
+        ------
+        RankDeficientLibrary
+            If the new pivot is nonpositive or falls at or below the pivot
+            floor of the grown block, or a larger ``G[new, new]`` raises that
+            floor above an old pivot, exactly as :func:`factorize` would
+            report. The system is then left as it was.
+        """
+        row = self.gram[new]
+        cross = dtrsv(self.lower, row.take(free), lower=1, overwrite_x=1)
+        corner = row.item(new)
+        pivot = corner - ddot(cross, cross)
+        pivot_floor = self.order * _EPS * max(self.top, corner, 0.0)
+        # The old pivots passed the old floor; only a larger corner raises it.
+        smallest = pivot
+        if corner > self.top:
+            smallest = min(pivot, float((self.lower.diagonal() ** 2).min()))
+        size = cross.size
+        if smallest <= pivot_floor:
+            raise _rank_error(size + 1, smallest, pivot_floor)
+        root = math.sqrt(pivot)
+        lower = np.zeros((size + 1, size + 1), order="F")
+        lower[:size, :size] = self.lower
+        lower[size, :size] = cross
+        lower[size, size] = root
+        forward = np.empty((size + 1, 2), order="F")
+        forward[:size] = self.forward
+        forward[size, 0] = (self.linear.item(new) - ddot(cross, self.forward[:, 0])) / root
+        forward[size, 1] = (1.0 - ddot(cross, self.forward[:, 1])) / root
+        self.lower, self.forward = lower, forward
+        self.diagonal.append(corner)
+        self.top = max(self.top, corner)
+
+    def delete(self, position) -> None:
+        """Remove the column at ``position`` (not the variable index).
+
+        Columns before ``position`` keep their rows of ``L``; the trailing
+        block is re-triangularized by Givens rotations, ``L_{-k}^T = Q R``,
+        and with ``D`` the signs that make the new diagonal positive,
+        ``L' = (D R)^T`` and ``Z' = D (Q^T Z)`` without the last row.
+
+        Raises
+        ------
+        RankDeficientLibrary
+            If a pivot of the new factor falls at or below the pivot floor
+            of the reduced block, exactly as :func:`factorize` would report.
+            The system is then left as it was.
+        EmptyFreeSet
+            If the system has a single column.
+        """
+        size = self.size
+        k = int(position)
+        if size == 1:
+            raise EmptyFreeSet("deleting the only column would leave an empty free set")
+        if not 0 <= k < size:
+            raise IndexError(f"position must lie in [0, {size}), got {k}")
+        # The upper factor L^T minus its column k is upper Hessenberg from row k
+        # on; its QR factor, less the zero last row, is the new upper factor.
+        rotation, upper = _qr_delete(np.eye(size), self.lower.T, k, which="col",
+                                     check_finite=False)
+        signs = np.copysign(1.0, upper.diagonal())[:, None]
+        lower = (upper[:-1] * signs).T
+        diagonal = self.diagonal[:k] + self.diagonal[k + 1:]
+        top = self.top if self.diagonal[k] < self.top else max(diagonal)
+        _check_rank(lower, top, self.order)
+        self.lower = lower
+        self.forward = (self.forward.T @ rotation).T[:-1] * signs  # in column order
+        self.diagonal, self.top = diagonal, top
+
+    def solve(self, budget) -> SubproblemSolution:
+        """The subproblem on this free set with sum ``budget``.
+
+        ``1^T G_FF^{-1} 1`` is the sum of squares ``z_1 . z_1``, positive
+        for any factor that passed the rank test.
+        """
+        forward_linear, forward_ones = self.forward[:, 0], self.forward[:, 1]
+        lam = ((ddot(forward_ones, forward_linear) - float(budget))
+               / ddot(forward_ones, forward_ones))
+        rhs = daxpy(forward_ones, forward_linear.copy(), a=-lam)
+        free_values = dtrsv(self.lower, rhs, lower=1, trans=1, overwrite_x=1)
+        return SubproblemSolution(free_values=free_values, multiplier=lam)
 
 
 def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSolution:
@@ -249,10 +278,12 @@ def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSo
     free : array_like of int
         Indices of the free variables; the remaining variables are pinned
         at zero and do not enter the system.
-    factor : SpdFactorization, optional
-        A factor of the block restricted to ``free``, in the order of
-        ``free``, such as the one the active-set loop keeps and downdates.
-        When given, no factorization is made and ``gram`` is not read.
+    factor : KeptSystem or SpdFactorization, optional
+        The kept system of ``free``, such as the one the active-set loop
+        keeps, in which case ``gram``, ``linear`` and ``free`` are not read;
+        or a factor of the block restricted to ``free``, in the order of
+        ``free``, in which case no factorization is made. Either way the
+        solve runs through :meth:`KeptSystem.solve`.
 
     Returns
     -------
@@ -268,19 +299,8 @@ def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSo
     denominator ``sum(v)`` is positive for any positive definite block, which
     is what makes the bordered system uniquely solvable.
     """
-    if factor is None:
-        factor = factorize(gram, free)
-    linear = np.asarray(linear, dtype=float)
-    free = np.asarray(free, dtype=np.intp).ravel()
-    rhs = np.empty((factor.size, 2))
-    rhs[:, 0] = linear[free]
-    rhs[:, 1] = 1.0
-    solved = factor.solve(rhs)
-    schur = float(solved[:, 1].sum())
-    if schur <= 0.0:
-        raise RankDeficientLibrary(
-            f"Schur complement {schur:.3e} is not positive; the restricted "
-            "Gram block is numerically indefinite"
-        )
-    lam = (float(solved[:, 0].sum()) - float(budget)) / schur
-    return SubproblemSolution(free_values=solved[:, 0] - lam * solved[:, 1], multiplier=lam)
+    if not isinstance(factor, KeptSystem):
+        if factor is None:
+            factor = factorize(gram, free)
+        factor = KeptSystem(factor, gram, linear, free)
+    return factor.solve(budget)

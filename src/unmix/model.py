@@ -269,5 +269,9 @@ def objective_value(shifted: ShiftedProblem, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (shifted.size,):
         raise DimensionMismatch(f"abundance vector has shape {x.shape}, expected ({shifted.size},)")
-    quad = 0.5 * float(x @ (shifted.gram @ x))
-    return quad - float(shifted.linear @ x) + shifted.const_term
+    return objective_from_product(shifted, x, shifted.gram @ x)
+
+
+def objective_from_product(shifted: ShiftedProblem, x, gx) -> float:
+    """The objective at ``x`` from ``gx = G x`` already at hand, unchecked."""
+    return 0.5 * float(x @ gx) - float(shifted.linear @ x) + shifted.const_term

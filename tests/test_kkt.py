@@ -8,8 +8,22 @@ from unmix import (
     factorize,
     solve_subproblem,
 )
-from unmix.kkt import append, downdate
+from scipy.linalg.lapack import dtrtrs
+
+from unmix.kkt import KeptSystem
 from instances import random_spd_system
+
+
+def _kept(gram, free, linear=None):
+    linear = np.zeros(gram.shape[0]) if linear is None else linear
+    return KeptSystem(factorize(gram, free), gram, linear, free)
+
+
+def _assert_forward_solves(system, gram, linear, free):
+    # Z = L^{-1} [g_F, 1], whatever chain of modifications produced L.
+    rhs = np.column_stack((linear[free], np.ones(len(free))))
+    expected, _ = dtrtrs(system.lower, rhs, lower=1)
+    np.testing.assert_allclose(system.forward, expected, rtol=0, atol=1e-12)
 
 
 def _assert_factors_block(factor, gram, free):
@@ -127,28 +141,33 @@ def test_free_indices_out_of_range_are_rejected():
 def test_downdate_at_every_position_factors_the_reduced_block():
     rng = np.random.default_rng(16)
     for _ in range(40):
-        gram, _, _ = random_spd_system(rng, size=rng.integers(2, 13))
+        gram, linear, _ = random_spd_system(rng, size=rng.integers(2, 13))
         k = gram.shape[0]
         free = np.sort(rng.choice(k, size=rng.integers(2, k + 1), replace=False))
-        factor = factorize(gram, free)
         for position in range(free.size):
-            reduced = downdate(factor, position)
-            _assert_factors_block(reduced, gram, np.delete(free, position))
+            system = _kept(gram, free, linear)
+            system.delete(position)
+            reduced = np.delete(free, position)
+            _assert_factors_block(system, gram, reduced)
+            _assert_forward_solves(system, gram, linear, reduced)
+            np.testing.assert_array_equal(system.diagonal, gram.diagonal()[reduced])
 
 
 def test_chain_of_downdates_down_to_one_column():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        gram, _, _ = random_spd_system(rng, size=12)
+        gram, linear, _ = random_spd_system(rng, size=12)
         free = np.arange(12)
-        factor = factorize(gram, free)
+        system = _kept(gram, free, linear)
         while free.size > 1:
             position = int(rng.integers(free.size))
-            factor = downdate(factor, position)
+            system.delete(position)
             free = np.delete(free, position)
-            _assert_factors_block(factor, gram, free)
+            _assert_factors_block(system, gram, free)
+            _assert_forward_solves(system, gram, linear, free)
+            assert system.top == gram.diagonal()[free].max()
         with pytest.raises(EmptyFreeSet):
-            downdate(factor, 0)
+            system.delete(0)
 
 
 def test_downdated_factor_gives_the_fresh_subproblem_solution():
@@ -156,9 +175,10 @@ def test_downdated_factor_gives_the_fresh_subproblem_solution():
     for _ in range(30):
         gram, linear, budget = random_spd_system(rng, size=10)
         free = np.arange(10)
-        factor = downdate(factorize(gram, free), 4)
+        system = _kept(gram, free, linear)
+        system.delete(4)
         free = np.delete(free, 4)
-        kept = solve_subproblem(gram, linear, budget, free, factor=factor)
+        kept = solve_subproblem(gram, linear, budget, free, factor=system)
         fresh = solve_subproblem(gram, linear, budget, free)
         np.testing.assert_allclose(kept.free_values, fresh.free_values, rtol=0, atol=1e-10)
         assert kept.multiplier == pytest.approx(fresh.multiplier, abs=1e-10)
@@ -167,12 +187,15 @@ def test_downdated_factor_gives_the_fresh_subproblem_solution():
 def test_near_dependent_pair_is_rank_deficient_on_both_paths():
     # Library columns a0 = (1, 0, 0) and a2 = (1, 0, 1e-9) are near-dependent;
     # a1 sits between them. The factor is built by hand because factorize
-    # rejects the block, so deleting a1 exercises the downdate's own rank test.
+    # rejects the block, so deleting a1 exercises the deletion's own rank test.
     lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1e-9]])
     gram = lower @ lower.T
     factor = SpdFactorization(lower=lower, diagonal=gram.diagonal().copy(), order=3)
+    system = KeptSystem(factor, gram, np.zeros(3), [0, 1, 2])
+    forward = system.forward
     with pytest.raises(RankDeficientLibrary):
-        downdate(factor, 1)
+        system.delete(1)
+    assert system.lower is lower and system.forward is forward and system.size == 3
     with pytest.raises(RankDeficientLibrary):
         factorize(gram, [0, 2])
     with pytest.raises(RankDeficientLibrary):
@@ -180,9 +203,9 @@ def test_near_dependent_pair_is_rank_deficient_on_both_paths():
 
 
 def test_downdate_position_out_of_range_is_rejected():
-    factor = factorize(np.eye(3), [0, 1, 2])
+    system = _kept(np.eye(3), [0, 1, 2])
     with pytest.raises(IndexError):
-        downdate(factor, 3)
+        system.delete(3)
 
 
 @pytest.mark.parametrize("n_bands, n_endmembers", [(60, 50), (30, 45)])
@@ -191,13 +214,16 @@ def test_appends_reproduce_the_block_in_factor_order(n_bands, n_endmembers):
     rng = np.random.default_rng(n_endmembers)
     entries = rng.random((n_bands, n_endmembers))
     gram = entries.T @ entries
+    linear = entries.T @ rng.random(n_bands)
     order = rng.permutation(n_endmembers)[:min(40, n_bands)]
-    factor = factorize(gram, order[:1])
+    system = _kept(gram, order[:1], linear)
     for size in range(1, order.size):
-        factor = append(factor, gram, order[:size], order[size])
-        _assert_factors_block(factor, gram, order[:size + 1])
-        assert factor.order == n_endmembers
-        np.testing.assert_array_equal(factor.diagonal, gram.diagonal()[order[:size + 1]])
+        system.append(order[:size], order[size])
+        _assert_factors_block(system, gram, order[:size + 1])
+        _assert_forward_solves(system, gram, linear, order[:size + 1])
+        assert system.order == n_endmembers
+        np.testing.assert_array_equal(system.diagonal, gram.diagonal()[order[:size + 1]])
+        assert system.top == gram.diagonal()[order[:size + 1]].max()
 
 
 def test_appended_factor_gives_the_fresh_subproblem_solution():
@@ -207,8 +233,9 @@ def test_appended_factor_gives_the_fresh_subproblem_solution():
     linear = entries.T @ rng.random(224)
     for size in (1, 2, 10, 40):
         order = rng.permutation(100)[:size + 1]
-        factor = append(factorize(gram, order[:size]), gram, order[:size], order[size])
-        kept = solve_subproblem(gram, linear, 0.7, order, factor=factor)
+        system = _kept(gram, order[:size], linear)
+        system.append(order[:size], order[size])
+        kept = solve_subproblem(gram, linear, 0.7, order, factor=system)
         fresh = solve_subproblem(gram, linear, 0.7, np.sort(order))
         restored = kept.free_values[np.argsort(order)]
         np.testing.assert_allclose(restored, fresh.free_values, rtol=0, atol=1e-9)
@@ -221,23 +248,54 @@ def test_appending_a_duplicate_or_an_excess_column_is_rank_deficient():
         entries = rng.random((n_bands, n_bands + 2))
         entries[:, -1] = entries[:, 0]
         gram = entries.T @ entries
-        full = factorize(gram, np.arange(n_bands))
+        full = _kept(gram, np.arange(n_bands))
         with pytest.raises(RankDeficientLibrary):  # the (N+1)-th column
-            append(full, gram, np.arange(n_bands), n_bands)
+            full.append(np.arange(n_bands), n_bands)
+        assert full.size == n_bands and full.lower.shape == (n_bands, n_bands)
         with pytest.raises(RankDeficientLibrary):  # a duplicate of column 0
-            append(factorize(gram, [0]), gram, [0], n_bands + 1)
+            _kept(gram, [0]).append([0], n_bands + 1)
     # Exact arithmetic: a2 = a0 + a1 leaves a pivot of exactly 0.
     gram = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
     with pytest.raises(RankDeficientLibrary):
-        append(factorize(gram, [1, 0]), gram, [1, 0], 2)
+        _kept(gram, [1, 0]).append([1, 0], 2)
 
 
 def test_a_larger_diagonal_raises_the_floor_above_an_old_pivot():
     # Columns (1, 0, 0), (0, 1e-7, 0) and (0, 0, 100): the first two pass the
     # floor 3 eps; the third lifts it to 3 eps 1e4, above the pivot 1e-14.
     gram = np.diag([1.0, 1e-14, 1e4])
-    factor = factorize(gram, [0, 1])
     with pytest.raises(RankDeficientLibrary):
-        append(factor, gram, [0, 1], 2)
+        _kept(gram, [0, 1]).append([0, 1], 2)
     with pytest.raises(RankDeficientLibrary):
         factorize(gram, [0, 1, 2])
+
+
+def test_kept_system_follows_a_chain_of_appends_and_deletes():
+    # Random releases and pins on a 224-band library at P=60: after each
+    # move the forward solves are those of the new factor, and the solve
+    # equals a fresh factorization of the free set in the system's order.
+    rng = np.random.default_rng(21)
+    entries = rng.random((224, 60))
+    gram = entries.T @ entries
+    linear = entries.T @ rng.random(224)
+    free = list(rng.permutation(60)[:20])
+    system = _kept(gram, free, linear)
+    for _ in range(60):
+        pinned = np.setdiff1d(np.arange(60), free)
+        if len(free) > 1 and (rng.random() < 0.5 or len(free) == 40):
+            position = int(rng.integers(len(free)))
+            system.delete(position)
+            del free[position]
+        else:
+            new = int(rng.choice(pinned))
+            system.append(free, new)
+            free.append(new)
+        _assert_factors_block(system, gram, free)
+        _assert_forward_solves(system, gram, linear, free)
+        budget = float(rng.uniform(0.1, 1.0))
+        kept = system.solve(budget)
+        fresh = solve_subproblem(gram, linear, budget, free, factor=factorize(gram, free))
+        np.testing.assert_allclose(kept.free_values, fresh.free_values, rtol=0, atol=1e-9)
+        assert kept.multiplier == pytest.approx(fresh.multiplier, abs=1e-9)
+        top, bottom = _bordered_residual(gram, linear, budget, free, kept)
+        assert top <= 1e-9 * np.abs(linear).max() and bottom <= 1e-12

@@ -142,10 +142,14 @@ def test_lockstep_batch_equals_per_pixel_solves(batch):
 
 def test_lockstep_breaks_exact_ties_like_the_per_pixel_path():
     # ``tied`` keeps the uniform start and meets an exact tie whose choice
-    # changes the path: one tied index takes 3 iterations, the other 4.
-    library = SpectralLibrary([[0.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
-                               [0.0, 2.0, 2.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
-    tied = np.array([3.0, -2.0, -1.0, 2.0])
+    # changes the path: one tied index takes 3 iterations, the other 4. The
+    # library is L^T for an integer lower-triangular L with pivots 1 and 2,
+    # so L is the exact Cholesky factor of the Gram matrix and the forward
+    # solves divide only by 1 and 2. Coordinates 2 and 3 of the first two
+    # candidates come out equal to the last bit, and tie on the second step.
+    library = SpectralLibrary([[2.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+                               [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, 2.0]])
+    tied = np.array([-2.0, 0.0, 0.0, 0.0])
     pixels = np.column_stack([tied, [1.0, 0.5, 2.0, 0.0], tied])
     paths = set()
     for tie_seed in range(4):
