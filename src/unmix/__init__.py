@@ -20,7 +20,7 @@ from .errors import (
     RankDeficientLibrary,
     UnmixError,
 )
-from .kkt import SpdFactorization, SubproblemSolution, factorize, solve_subproblem
+from .kkt import SubproblemSolution, factorize, solve_subproblem
 from .model import (
     ShiftedProblem,
     SolverConfig,
@@ -49,7 +49,6 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "SolverConfig",
-    "SpdFactorization",
     "SpectralLibrary",
     "SubproblemSolution",
     "UnmixError",

@@ -23,14 +23,15 @@ vertex is priced without a solve and grows its free set one release at a
 time. A library with more endmembers than bands always starts at the vertex,
 because the uniform start's block cannot be full rank there.
 
-The loop keeps one :class:`unmix.kkt.KeptSystem` per solve: the Cholesky
-factor of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so that
-each subproblem costs two dot products and one back-substitution. It
-factorizes at the uniform start, or at the first two-column block of a
-vertex start, and after that only modifies the system: step 2 deletes the
-pinned column where it sits and step 3 appends the released column last,
-each ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a refactorization. Each
-problem's free set is kept in the factor's column order;
+The loop keeps one :class:`unmix.kkt.KeptSystem` per solve, which owns the
+free set in its factor's column order and makes every factor event: the
+Cholesky factor of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so
+that each subproblem costs two dot products and one back-substitution. The
+uniform start adopts the full-Gram factor, computed once for all problems;
+a vertex start's system factorizes its two-column block at its first solve.
+After that the system is only modified: step 2 removes the pinned variable's
+column where it sits and step 3 adds the released one last, each
+``O(|F|^2)`` instead of the ``O(|F|^3)`` of a refactorization.
 :attr:`Solution.final_free` is sorted.
 
 Step 3 forms ``G x`` once at the accepted, clipped iterate ``x``, and takes
@@ -287,8 +288,9 @@ def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
     ``0.5 s^2 G_ii - s g_i`` (ties to the smallest index), and is priced
     without a solve: ``lam = g_i - s G_ii``, and ``mu`` from ``G x = s G_i``.
     Returns the :class:`Solution` when it is optimal, else
-    ``(free, iterate, trace)``: the free set ``[i, r]`` with ``r`` the most
-    negative multiplier's variable released, the vertex and the trace there.
+    ``(system, iterate, trace)``: the :class:`KeptSystem` of the free set
+    ``[i, r]``, with ``r`` the most negative multiplier's variable released,
+    which factorizes at its first solve, then the vertex and the trace there.
     """
     p = shifted.size
     if probe is None:
@@ -310,7 +312,7 @@ def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
     released = int(mu.argmin())
     if mu[released] >= -config.dual_tol:
         return _optimal_solution(iterate, sub, mu, free, 0, trace)
-    return np.array([i, released], dtype=np.intp), iterate, trace
+    return KeptSystem(shifted.gram, shifted.linear, [i, released]), iterate, trace
 
 
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
@@ -339,27 +341,24 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
 class _Pixel:
     """Where one problem of :func:`_solve_lockstep` stands between rounds.
 
-    ``free`` lists the free variables in the column order of ``factor``: a
-    pin deletes its entry where it sits and a release appends one last.
-    ``factor`` is the :class:`KeptSystem` of ``free``, except that after a
-    release it lacks the last column until the next round appends it, and
-    that a vertex start has none until its first round factorizes ``free``.
-    A uniform start's system wraps the start factor that all problems
-    share. ``probing`` marks a uniform start whose first candidate has not
-    been seen yet.
+    ``system`` is the problem's :class:`KeptSystem`, which owns its free set;
+    a uniform start's system adopts the start factor that all problems
+    share. ``iterate`` is the current feasible point and ``trace`` its
+    objective trace. ``probing`` marks a uniform start whose first candidate
+    has not been seen yet.
     """
 
-    __slots__ = ("index", "shifted", "rng", "free", "factor", "trace", "iteration", "probing")
+    __slots__ = ("index", "shifted", "rng", "system", "iterate", "trace", "iteration", "probing")
 
-    def __init__(self, index, shifted, rng, free, trace, factor):
+    def __init__(self, index, shifted, rng, system, iterate, trace, probing):
         self.index = index
         self.shifted = shifted
         self.rng = rng
-        self.free = free
-        self.factor = factor
+        self.system = system
+        self.iterate = iterate
         self.trace = trace
         self.iteration = 0
-        self.probing = factor is not None  # only the uniform start comes factorized
+        self.probing = probing
 
 
 def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> list:
@@ -376,7 +375,7 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
     problem's probe.
     """
     results = [None] * len(problems)
-    live, iterates = [], []
+    live = []
     start_factor = None
     for index, shifted in enumerate(problems):
         if shifted.budget == 0.0:
@@ -386,47 +385,38 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
         if isinstance(start, Solution):
             results[index] = start
             continue
-        rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
-        if start is not None:
-            (free, iterate, trace), factor = start, None
-        else:
+        probing = start is None
+        if probing:
             state = initialize_state(shifted)
-            free, iterate = state.free, state.iterate
             try:
                 if start_factor is None:
-                    start_factor = factorize(shifted.gram, free)
+                    start_factor = factorize(shifted.gram, state.free)
             except RankDeficientLibrary as exc:
-                results[index] = _band_deficit(exc, shifted, free.size)
+                results[index] = _band_deficit(exc, shifted, state.free.size)
                 continue
-            trace = [objective_value(shifted, iterate)]
-            factor = KeptSystem(start_factor, shifted.gram, shifted.linear, free)
-        live.append(_Pixel(index, shifted, rng, free, trace, factor))
-        iterates.append(iterate)
+            system = KeptSystem(shifted.gram, shifted.linear, state.free, start_factor)
+            start = system, state.iterate, [objective_value(shifted, state.iterate)]
+        rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
+        live.append(_Pixel(index, shifted, rng, *start, probing))
+
     if not live:
         return results
-
     gram = live[0].shifted.gram
     p = gram.shape[0]
     cap = config.iteration_cap(p)
-    iterate = np.array(iterates)  # row j is the iterate of live[j]
-    while True:
-        blocked, candidates = [], []  # rows whose candidate is infeasible, and those candidates
-        for j, px in enumerate(live):
-            shifted = px.shifted
+    while live:
+        blocked, candidates = [], []  # pixels whose candidate is infeasible, and those candidates
+        for px in live:
+            shifted, system = px.shifted, px.system
             if px.iteration == cap:
-                results[px.index] = _capped_solution(iterate[j], px.free, cap, px.trace)
+                results[px.index] = _capped_solution(px.iterate, system.free, cap, px.trace)
                 continue
             px.iteration += 1
             try:
-                if px.factor is None:
-                    px.factor = KeptSystem(factorize(gram, px.free), gram, shifted.linear,
-                                           px.free)
-                elif px.factor.size < px.free.size:
-                    px.factor.append(px.free[:-1], px.free[-1])
-                sub = solve_subproblem(gram, shifted.linear, shifted.budget, px.free,
-                                       factor=px.factor)
+                sub = solve_subproblem(gram, shifted.linear, shifted.budget, system.free,
+                                       factor=system)
             except UnmixError as exc:
-                results[px.index] = _band_deficit(exc, shifted, px.free.size)
+                results[px.index] = _band_deficit(exc, shifted, system.free.size)
                 continue
             if px.probing:
                 px.probing = False
@@ -435,76 +425,62 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
                     results[px.index] = start
                     continue
                 if start is not None:
-                    px.free, iterate[j], px.trace = start
-                    px.factor, px.iteration = None, 0
+                    px.system, px.iterate, px.trace = start
+                    px.iteration = 0
                     continue
             if sub.free_values.min() >= -config.primal_tol:
                 # Feasible candidate: accept it (zeroing boundary roundoff),
                 # then trace it and price the pinned variables from one G x.
-                row = iterate[j]
-                row.fill(0.0)
-                row[px.free] = np.maximum(sub.free_values, 0.0)
-                gx = gram @ row
-                px.trace.append(objective_from_product(shifted, row, gx))
-                mu = _multipliers(shifted, px.free, gx, sub.multiplier)
+                x = px.iterate  # no other pixel reads it
+                x.fill(0.0)
+                x[system.free] = np.maximum(sub.free_values, 0.0)
+                gx = gram @ x
+                px.trace.append(objective_from_product(shifted, x, gx))
+                mu = _multipliers(shifted, system.free, gx, sub.multiplier)
                 released = int(mu.argmin())  # ties to the smallest index
                 if mu[released] >= -config.dual_tol:
-                    results[px.index] = _optimal_solution(row.copy(), sub, mu, px.free,
+                    results[px.index] = _optimal_solution(x.copy(), sub, mu, system.free,
                                                           px.iteration, px.trace)
                 else:
-                    px.free = np.concatenate((px.free, [released]))
+                    system.add(released)
             else:
-                blocked.append(j)
+                blocked.append(px)
                 candidates.append(sub.free_values)
 
         if blocked:
             # The ratio test, the tie-break and the iterate update, stacked
-            # over the blocked rows. Pinned coordinates hold 0 in both the
+            # over the blocked pixels. Pinned coordinates hold 0 in both the
             # candidate and the iterate, so they never move or block. ``gap``
             # is the iterate minus the candidate, positive where a coordinate
             # falls; it is exactly the negated step direction.
-            n = len(blocked)
-            every = n == len(live)
-            current = iterate if every else iterate[blocked]
-            stacked = np.zeros((n, p))
-            for k, j in enumerate(blocked):
-                stacked[k][live[j].free] = candidates[k]
+            current = np.array([px.iterate for px in blocked])
+            stacked = np.zeros_like(current)
+            for k, px in enumerate(blocked):
+                stacked[k][px.system.free] = candidates[k]
             gap = current - stacked
             falling = gap > 0.0
-            ratios = np.divide(current, gap, out=np.full((n, p), np.inf), where=falling)
+            ratios = np.divide(current, gap, out=np.full(gap.shape, np.inf), where=falling)
             step = ratios.min(axis=1, keepdims=True)
             tied = falling & (ratios == step)
             blocking = tied.argmax(axis=1).tolist()
             can_block = falling.any(axis=1)
             advanced = current - step * gap
             # Coordinates tied with the blocking one can land at -1e-17 level;
-            # the blocking one itself is pinned at exactly zero below. Rows
-            # of pixels that fail here are dropped at the end of the round.
+            # the blocking one itself is pinned at exactly zero below.
             np.maximum(advanced, 0.0, out=advanced)
-            for k, j in enumerate(blocked):
-                px = live[j]
+            for k, px in enumerate(blocked):
                 try:
                     if not can_block[k]:
                         raise NoBlockingIndex(_NO_BLOCKING)
                     if px.rng is not None:
                         blocking[k] = int(px.rng.choice(np.flatnonzero(tied[k])))
-                    kept = px.free != blocking[k]
-                    px.factor.delete(kept.argmin())  # the blocking position
+                    px.system.remove(blocking[k])
                 except UnmixError as exc:
                     results[px.index] = exc
                     continue
-                px.free = px.free[kept]
-                row = advanced[k]
-                row[blocking[k]] = 0.0
-                px.trace.append(objective_value(px.shifted, row))
-            if every:
-                iterate = advanced
-            else:
-                iterate[blocked] = advanced
+                px.iterate = advanced[k]
+                px.iterate[blocking[k]] = 0.0
+                px.trace.append(objective_value(px.shifted, px.iterate))
 
-        if results.count(None) < len(live):
-            keep = [j for j, px in enumerate(live) if results[px.index] is None]
-            if not keep:
-                return results
-            live = [live[j] for j in keep]
-            iterate = iterate[keep]
+        live = [px for px in live if results[px.index] is None]
+    return results

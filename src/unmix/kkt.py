@@ -16,17 +16,19 @@ multiplier is ``lam = (z_1 . z_g - s) / (z_1 . z_1)``, and ``x_F`` takes one
 back-substitution, ``L^T x_F = z_g - lam z_1``.
 
 The active-set loop keeps one such system per solve, a :class:`KeptSystem`
-holding ``L`` and ``Z``, and modifies both in place of refactorizing (Gill,
-Golub, Murray & Saunders, *Methods for modifying matrix factorizations*,
-Math. Comp. 1974). When a variable is pinned, :meth:`KeptSystem.delete`
-removes its column by Givens re-triangularization of the trailing block and
-rotates ``Z`` with the same rotations; when one is released,
-:meth:`KeptSystem.append` adds its column last with one triangular solve,
-which also gives the new row of ``Z``. Each costs ``O(|F|^2)`` instead of
-the ``O(|F|^3)`` of a fresh :func:`factorize`, which the loop calls only
-for the uniform start and for the first block of a solve that starts at a
-vertex. The factor's columns therefore follow the loop's own order, not the
-sorted free set. All three routes apply the same rank test.
+that owns the free set and holds ``L`` and ``Z``, and modifies both in
+place of refactorizing (Gill, Golub, Murray & Saunders, *Methods for
+modifying matrix factorizations*, Math. Comp. 1974). Every factor event of
+a solve happens here. The system's first solve factorizes its free set,
+unless it adopted a factor, as every uniform start adopts the one full-Gram
+factor. When a variable is pinned, :meth:`KeptSystem.remove` deletes its
+column by Givens re-triangularization of the trailing block and rotates
+``Z`` with the same rotations; when one is released, :meth:`KeptSystem.add`
+puts it last, and the next solve appends its column with one triangular
+solve, which also gives the new row of ``Z``. Each costs ``O(|F|^2)``
+instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The factor's
+columns therefore follow the order of the moves, not the sorted free set.
+All three routes apply the same rank test.
 """
 
 from __future__ import annotations
@@ -55,26 +57,6 @@ class SubproblemSolution:
     multiplier: float
 
 
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Lower-triangular Cholesky factor of a restricted Gram block.
-
-    Its columns follow the order of the free set it was built for.
-    ``diagonal`` is the diagonal of the factorized block and ``order`` the
-    size P of the full Gram matrix; together they set the rank test's pivot
-    floor ``P * eps * max(diagonal)``, which :class:`KeptSystem` applies
-    again on every modification.
-    """
-
-    lower: np.ndarray
-    diagonal: np.ndarray
-    order: int
-
-    @property
-    def size(self) -> int:
-        return self.lower.shape[0]
-
-
 def _checked_indices(free, n):
     free = np.asarray(free, dtype=np.intp).ravel()
     if free.size == 0:
@@ -83,7 +65,7 @@ def _checked_indices(free, n):
         raise IndexError(f"free indices must lie in [0, {n}), got {free}")
     return free
 
-def factorize(gram, free) -> SpdFactorization:
+def factorize(gram, free) -> np.ndarray:
     """Cholesky-factorize the Gram matrix restricted to the free columns.
 
     Parameters
@@ -95,8 +77,9 @@ def factorize(gram, free) -> SpdFactorization:
 
     Returns
     -------
-    SpdFactorization
-        Factor ``L`` with ``L @ L.T`` equal to the restricted block.
+    numpy.ndarray
+        Lower-triangular factor ``L`` with ``L @ L.T`` equal to the
+        restricted block, its columns in the order of ``free``.
 
     Raises
     ------
@@ -112,7 +95,6 @@ def factorize(gram, free) -> SpdFactorization:
     n = gram.shape[0]
     free = _checked_indices(free, n)
     block = gram.take(free, axis=0).take(free, axis=1)
-    diagonal = block.diagonal().copy()
     lower, info = dpotrf(block, lower=1, clean=1)
     if info < 0:
         raise ValueError(f"LAPACK dpotrf rejected argument {-info}")
@@ -122,8 +104,8 @@ def factorize(gram, free) -> SpdFactorization:
             f"(leading minor of order {info} is not positive); the free columns "
             f"of the library are linearly dependent"
         )
-    _check_rank(lower, diagonal.max(), n)
-    return SpdFactorization(lower=lower, diagonal=diagonal, order=n)
+    _check_rank(lower, block.diagonal().max(), n)
+    return lower
 
 
 def _check_rank(lower, top, order):
@@ -142,55 +124,91 @@ def _rank_error(size, pivot, pivot_floor) -> RankDeficientLibrary:
 
 
 class KeptSystem:
-    """The factor ``L`` of ``G_FF`` and the forward solves ``Z = L^{-1} [g_F, 1]``.
+    """One solve's free set ``F``, the factor ``L`` of ``G_FF`` and its forward solves.
 
-    Built from a :class:`SpdFactorization` of the block on ``free`` plus the
-    full ``gram`` and ``linear`` term; its columns follow the order of
-    ``free``. :meth:`append` and :meth:`delete` modify it, and
-    :meth:`solve` solves the subproblem on it for any budget.
+    ``free`` lists the free variables in the column order of ``L``: it is
+    the order given, then :meth:`add` puts a variable last and
+    :meth:`remove` takes one out where it sits. Without ``lower`` the
+    first :meth:`solve` factorizes ``free``; a given ``lower``, the factor
+    of the block on ``free``, is adopted without a copy. A column added
+    since the last solve joins ``L`` and ``Z`` at the next one, so a solve
+    that is never made never pays for it.
 
     ``lower`` is replaced on each modification and never written in place,
-    so systems built from one factorization share it without a copy.
-    ``forward`` is ``Z``, of shape ``(|F|, 2)``. ``diagonal`` lists the
-    diagonal of the block and ``top`` is its maximum, which sets the pivot
-    floor ``P * eps * top`` of the rank test.
+    so systems built on one factor share it. ``forward`` is
+    ``Z = L^{-1} [g_F, 1]``, of shape ``(|F|, 2)``. ``diagonal`` lists the
+    diagonal of the factorized block and ``top`` is its maximum, which sets
+    the pivot floor ``P * eps * top`` of the rank test.
     """
 
-    __slots__ = ("gram", "linear", "order", "lower", "forward", "diagonal", "top")
+    __slots__ = ("gram", "linear", "order", "free", "lower", "forward", "diagonal", "top")
 
-    def __init__(self, factor: SpdFactorization, gram, linear, free):
+    def __init__(self, gram, linear, free, lower=None):
         self.gram = np.asarray(gram, dtype=float)
         self.linear = np.asarray(linear, dtype=float)
-        self.order = factor.order
-        self.lower = factor.lower
-        self.diagonal = factor.diagonal.tolist()
+        self.order = self.gram.shape[0]
+        self.free = np.asarray(free, dtype=np.intp)
+        self.lower = None
+        if lower is not None:
+            self._adopt(lower)
+
+    def _adopt(self, lower) -> None:
+        self.lower = lower
+        self.diagonal = self.gram.diagonal().take(self.free).tolist()
         self.top = max(self.diagonal)
-        self.forward = np.empty((factor.size, 2), order="F")
-        self.forward[:, 0] = dtrsv(self.lower, self.linear.take(free), lower=1)
-        self.forward[:, 1] = dtrsv(self.lower, np.ones(factor.size), lower=1)
+        self.forward = np.empty((self.free.size, 2), order="F")
+        self.forward[:, 0] = dtrsv(lower, self.linear.take(self.free), lower=1)
+        self.forward[:, 1] = dtrsv(lower, np.ones(self.free.size), lower=1)
 
-    @property
-    def size(self) -> int:
-        return len(self.diagonal)
+    def _catch_up(self) -> None:
+        """Factorize ``free`` on first use, then append the columns added since."""
+        if self.lower is None:
+            self._adopt(factorize(self.gram, self.free))
+        while self.lower.shape[0] < self.free.size:
+            self._append(self.free[self.lower.shape[0]])
 
-    def append(self, free, new) -> None:
-        """Add the column of variable ``new`` last, without refactorizing.
+    def add(self, index) -> None:
+        """Free variable ``index``: it becomes the last column at the next solve."""
+        self.free = np.concatenate((self.free, [index]))
 
-        ``free`` is the free set the system was built for, in its column
-        order. The old rows of ``L`` and ``Z`` stay; the new row of ``L`` is
-        ``l = L^{-1} G[free, new]`` with pivot ``sqrt(G[new, new] - l.l)``,
-        and the new row of ``Z`` is ``([g_new, 1] - l Z) / pivot``.
+    def remove(self, index) -> None:
+        """Pin variable ``index``: delete its column wherever it sits.
 
         Raises
         ------
         RankDeficientLibrary
-            If the new pivot is nonpositive or falls at or below the pivot
-            floor of the grown block, or a larger ``G[new, new]`` raises that
-            floor above an old pivot, exactly as :func:`factorize` would
-            report. The system is then left as it was.
+            If the reduced factor fails the rank test, as :func:`factorize`
+            would report, or a column added since the last solve does. The
+            system then keeps ``index``.
+        EmptyFreeSet
+            If ``index`` is the only free variable.
+        IndexError
+            If ``index`` is not free.
         """
+        kept = self.free != index
+        position = int(kept.argmin())
+        if kept[position]:
+            raise IndexError(f"variable {index} is not free")
+        if kept.size == 1:
+            raise EmptyFreeSet("removing the only free variable would leave an empty free set")
+        self._catch_up()
+        self._delete(position)
+        self.free = self.free[kept]
+
+    def _append(self, new) -> None:
+        """Add the column of variable ``new`` last, without refactorizing.
+
+        The old rows of ``L`` and ``Z`` stay; the new row of ``L`` is
+        ``l = L^{-1} G[F, new]`` with pivot ``sqrt(G[new, new] - l.l)``, and
+        the new row of ``Z`` is ``([g_new, 1] - l Z) / pivot``. The rank test
+        fails when the new pivot is nonpositive or falls at or below the
+        pivot floor of the grown block, or a larger ``G[new, new]`` raises
+        that floor above an old pivot, exactly as :func:`factorize` would
+        report; the factor is then left as it was.
+        """
+        size = self.lower.shape[0]
         row = self.gram[new]
-        cross = dtrsv(self.lower, row.take(free), lower=1, overwrite_x=1)
+        cross = dtrsv(self.lower, row.take(self.free[:size]), lower=1, overwrite_x=1)
         corner = row.item(new)
         pivot = corner - ddot(cross, cross)
         pivot_floor = self.order * _EPS * max(self.top, corner, 0.0)
@@ -198,7 +216,6 @@ class KeptSystem:
         smallest = pivot
         if corner > self.top:
             smallest = min(pivot, float((self.lower.diagonal() ** 2).min()))
-        size = cross.size
         if smallest <= pivot_floor:
             raise _rank_error(size + 1, smallest, pivot_floor)
         root = math.sqrt(pivot)
@@ -214,29 +231,17 @@ class KeptSystem:
         self.diagonal.append(corner)
         self.top = max(self.top, corner)
 
-    def delete(self, position) -> None:
-        """Remove the column at ``position`` (not the variable index).
+    def _delete(self, k) -> None:
+        """Remove the column at position ``k`` of the factor.
 
-        Columns before ``position`` keep their rows of ``L``; the trailing
-        block is re-triangularized by Givens rotations, ``L_{-k}^T = Q R``,
-        and with ``D`` the signs that make the new diagonal positive,
-        ``L' = (D R)^T`` and ``Z' = D (Q^T Z)`` without the last row.
-
-        Raises
-        ------
-        RankDeficientLibrary
-            If a pivot of the new factor falls at or below the pivot floor
-            of the reduced block, exactly as :func:`factorize` would report.
-            The system is then left as it was.
-        EmptyFreeSet
-            If the system has a single column.
+        Columns before ``k`` keep their rows of ``L``; the trailing block is
+        re-triangularized by Givens rotations, ``L_{-k}^T = Q R``, and with
+        ``D`` the signs that make the new diagonal positive,
+        ``L' = (D R)^T`` and ``Z' = D (Q^T Z)`` without the last row. The
+        new factor passes the rank test of the reduced block, or the factor
+        is left as it was.
         """
-        size = self.size
-        k = int(position)
-        if size == 1:
-            raise EmptyFreeSet("deleting the only column would leave an empty free set")
-        if not 0 <= k < size:
-            raise IndexError(f"position must lie in [0, {size}), got {k}")
+        size = self.lower.shape[0]
         # The upper factor L^T minus its column k is upper Hessenberg from row k
         # on; its QR factor, less the zero last row, is the new upper factor.
         rotation, upper = _qr_delete(np.eye(size), self.lower.T, k, which="col",
@@ -255,7 +260,14 @@ class KeptSystem:
 
         ``1^T G_FF^{-1} 1`` is the sum of squares ``z_1 . z_1``, positive
         for any factor that passed the rank test.
+
+        Raises
+        ------
+        RankDeficientLibrary
+            If factorizing ``free``, or appending a column added since the
+            last solve, fails the rank test.
         """
+        self._catch_up()
         forward_linear, forward_ones = self.forward[:, 0], self.forward[:, 1]
         lam = ((ddot(forward_ones, forward_linear) - float(budget))
                / ddot(forward_ones, forward_ones))
@@ -278,12 +290,11 @@ def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSo
     free : array_like of int
         Indices of the free variables; the remaining variables are pinned
         at zero and do not enter the system.
-    factor : KeptSystem or SpdFactorization, optional
+    factor : KeptSystem, optional
         The kept system of ``free``, such as the one the active-set loop
-        keeps, in which case ``gram``, ``linear`` and ``free`` are not read;
-        or a factor of the block restricted to ``free``, in the order of
-        ``free``, in which case no factorization is made. Either way the
-        solve runs through :meth:`KeptSystem.solve`.
+        keeps, in which case ``gram``, ``linear`` and ``free`` are not read.
+        Without it a fresh system factorizes ``free``. Either way the solve
+        runs through :meth:`KeptSystem.solve`.
 
     Returns
     -------
@@ -299,8 +310,6 @@ def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSo
     denominator ``sum(v)`` is positive for any positive definite block, which
     is what makes the bordered system uniquely solvable.
     """
-    if not isinstance(factor, KeptSystem):
-        if factor is None:
-            factor = factorize(gram, free)
-        factor = KeptSystem(factor, gram, linear, free)
+    if factor is None:
+        factor = KeptSystem(gram, linear, free)
     return factor.solve(budget)

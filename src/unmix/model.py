@@ -11,6 +11,7 @@ term, budget) is held by :class:`ShiftedProblem`.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,15 +250,27 @@ class SolverConfig:
             raise ValueError(f"primal_tol must be positive, got {self.primal_tol}")
         if not self.dual_tol > 0.0:
             raise ValueError(f"dual_tol must be positive, got {self.dual_tol}")
-        if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be at least 1")
+        if self.max_outer_iterations is not None:
+            _require_integer("max_outer_iterations", self.max_outer_iterations)
+            if self.max_outer_iterations < 1:
+                raise ValueError("max_outer_iterations must be at least 1")
         if self.tie_break not in ("smallest", "random"):
             raise ValueError(f"tie_break must be 'smallest' or 'random', got {self.tie_break!r}")
+        _require_integer("tie_seed", self.tie_seed)
+        if self.tie_seed < 0:
+            raise ValueError(f"tie_seed must be nonnegative, got {self.tie_seed}")
 
     def iteration_cap(self, n_endmembers: int) -> int:
         if self.max_outer_iterations is not None:
             return self.max_outer_iterations
         return 10 * n_endmembers
+
+
+def _require_integer(name, value):
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def objective_value(shifted: ShiftedProblem, x) -> float:

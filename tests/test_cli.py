@@ -240,6 +240,14 @@ def test_random_tie_break_flag_parses(workspace):
     assert code == 0
 
 
+def test_negative_tie_seed_is_an_input_error(workspace, capsys):
+    code = main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+                 "--output", str(workspace["out"]), "--tie-break", "random:-1"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: tie_seed must be nonnegative, got -1"]
+    assert not workspace["out"].exists()
+
+
 @pytest.mark.parametrize("case, code", [("solved", 0), ("missing input", 2),
                                         ("nan pixel", 3)])
 def test_exit_codes_reach_the_shell(workspace, case, code):

@@ -4,7 +4,6 @@ import pytest
 from unmix import (
     EmptyFreeSet,
     RankDeficientLibrary,
-    SpdFactorization,
     factorize,
     solve_subproblem,
 )
@@ -15,8 +14,11 @@ from instances import random_spd_system
 
 
 def _kept(gram, free, linear=None):
+    # A system that has factorized its free set at its first solve.
     linear = np.zeros(gram.shape[0]) if linear is None else linear
-    return KeptSystem(factorize(gram, free), gram, linear, free)
+    system = KeptSystem(gram, linear, free)
+    system.solve(1.0)
+    return system
 
 
 def _assert_forward_solves(system, gram, linear, free):
@@ -35,8 +37,7 @@ def _assert_factors_block(factor, gram, free):
 
 
 def test_identity_restriction_factors_to_identity():
-    factor = factorize(np.eye(3), [0, 2])
-    np.testing.assert_array_equal(factor.lower, np.eye(2))
+    np.testing.assert_array_equal(factorize(np.eye(3), [0, 2]), np.eye(2))
 
 
 def test_duplicated_columns_are_rank_deficient():
@@ -53,10 +54,10 @@ def test_factor_reconstructs_restricted_block():
         gram, _, _ = random_spd_system(rng)
         k = gram.shape[0]
         free = np.sort(rng.choice(k, size=rng.integers(1, k + 1), replace=False))
-        factor = factorize(gram, free)
+        lower = factorize(gram, free)
         block = gram[np.ix_(free, free)]
         scale = max(1.0, np.abs(block).max())
-        reconstruction = factor.lower @ factor.lower.T
+        reconstruction = lower @ lower.T
         assert np.abs(reconstruction - block).max() <= 1e-12 * scale
 
 
@@ -146,8 +147,9 @@ def test_downdate_at_every_position_factors_the_reduced_block():
         free = np.sort(rng.choice(k, size=rng.integers(2, k + 1), replace=False))
         for position in range(free.size):
             system = _kept(gram, free, linear)
-            system.delete(position)
+            system.remove(free[position])
             reduced = np.delete(free, position)
+            np.testing.assert_array_equal(system.free, reduced)
             _assert_factors_block(system, gram, reduced)
             _assert_forward_solves(system, gram, linear, reduced)
             np.testing.assert_array_equal(system.diagonal, gram.diagonal()[reduced])
@@ -161,13 +163,13 @@ def test_chain_of_downdates_down_to_one_column():
         system = _kept(gram, free, linear)
         while free.size > 1:
             position = int(rng.integers(free.size))
-            system.delete(position)
+            system.remove(free[position])
             free = np.delete(free, position)
             _assert_factors_block(system, gram, free)
             _assert_forward_solves(system, gram, linear, free)
             assert system.top == gram.diagonal()[free].max()
         with pytest.raises(EmptyFreeSet):
-            system.delete(0)
+            system.remove(free[0])
 
 
 def test_downdated_factor_gives_the_fresh_subproblem_solution():
@@ -176,7 +178,7 @@ def test_downdated_factor_gives_the_fresh_subproblem_solution():
         gram, linear, budget = random_spd_system(rng, size=10)
         free = np.arange(10)
         system = _kept(gram, free, linear)
-        system.delete(4)
+        system.remove(4)
         free = np.delete(free, 4)
         kept = solve_subproblem(gram, linear, budget, free, factor=system)
         fresh = solve_subproblem(gram, linear, budget, free)
@@ -187,15 +189,15 @@ def test_downdated_factor_gives_the_fresh_subproblem_solution():
 def test_near_dependent_pair_is_rank_deficient_on_both_paths():
     # Library columns a0 = (1, 0, 0) and a2 = (1, 0, 1e-9) are near-dependent;
     # a1 sits between them. The factor is built by hand because factorize
-    # rejects the block, so deleting a1 exercises the deletion's own rank test.
+    # rejects the block, so removing a1 exercises the deletion's own rank test.
     lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1e-9]])
     gram = lower @ lower.T
-    factor = SpdFactorization(lower=lower, diagonal=gram.diagonal().copy(), order=3)
-    system = KeptSystem(factor, gram, np.zeros(3), [0, 1, 2])
+    system = KeptSystem(gram, np.zeros(3), [0, 1, 2], lower)
     forward = system.forward
     with pytest.raises(RankDeficientLibrary):
-        system.delete(1)
-    assert system.lower is lower and system.forward is forward and system.size == 3
+        system.remove(1)
+    assert system.lower is lower and system.forward is forward
+    np.testing.assert_array_equal(system.free, [0, 1, 2])
     with pytest.raises(RankDeficientLibrary):
         factorize(gram, [0, 2])
     with pytest.raises(RankDeficientLibrary):
@@ -203,9 +205,10 @@ def test_near_dependent_pair_is_rank_deficient_on_both_paths():
 
 
 def test_downdate_position_out_of_range_is_rejected():
-    system = _kept(np.eye(3), [0, 1, 2])
-    with pytest.raises(IndexError):
-        system.delete(3)
+    system = _kept(np.eye(4), [0, 1, 2])
+    with pytest.raises(IndexError):  # variable 3 is not free
+        system.remove(3)
+    np.testing.assert_array_equal(system.free, [0, 1, 2])
 
 
 @pytest.mark.parametrize("n_bands, n_endmembers", [(60, 50), (30, 45)])
@@ -218,7 +221,9 @@ def test_appends_reproduce_the_block_in_factor_order(n_bands, n_endmembers):
     order = rng.permutation(n_endmembers)[:min(40, n_bands)]
     system = _kept(gram, order[:1], linear)
     for size in range(1, order.size):
-        system.append(order[:size], order[size])
+        system.add(order[size])
+        system.solve(1.0)
+        np.testing.assert_array_equal(system.free, order[:size + 1])
         _assert_factors_block(system, gram, order[:size + 1])
         _assert_forward_solves(system, gram, linear, order[:size + 1])
         assert system.order == n_endmembers
@@ -234,7 +239,7 @@ def test_appended_factor_gives_the_fresh_subproblem_solution():
     for size in (1, 2, 10, 40):
         order = rng.permutation(100)[:size + 1]
         system = _kept(gram, order[:size], linear)
-        system.append(order[:size], order[size])
+        system.add(order[size])
         kept = solve_subproblem(gram, linear, 0.7, order, factor=system)
         fresh = solve_subproblem(gram, linear, 0.7, np.sort(order))
         restored = kept.free_values[np.argsort(order)]
@@ -249,23 +254,30 @@ def test_appending_a_duplicate_or_an_excess_column_is_rank_deficient():
         entries[:, -1] = entries[:, 0]
         gram = entries.T @ entries
         full = _kept(gram, np.arange(n_bands))
+        full.add(n_bands)
         with pytest.raises(RankDeficientLibrary):  # the (N+1)-th column
-            full.append(np.arange(n_bands), n_bands)
-        assert full.size == n_bands and full.lower.shape == (n_bands, n_bands)
+            full.solve(1.0)
+        assert len(full.diagonal) == n_bands and full.lower.shape == (n_bands, n_bands)
+        duplicate = _kept(gram, [0])
+        duplicate.add(n_bands + 1)
         with pytest.raises(RankDeficientLibrary):  # a duplicate of column 0
-            _kept(gram, [0]).append([0], n_bands + 1)
+            duplicate.solve(1.0)
     # Exact arithmetic: a2 = a0 + a1 leaves a pivot of exactly 0.
     gram = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    dependent = _kept(gram, [1, 0])
+    dependent.add(2)
     with pytest.raises(RankDeficientLibrary):
-        _kept(gram, [1, 0]).append([1, 0], 2)
+        dependent.solve(1.0)
 
 
 def test_a_larger_diagonal_raises_the_floor_above_an_old_pivot():
     # Columns (1, 0, 0), (0, 1e-7, 0) and (0, 0, 100): the first two pass the
     # floor 3 eps; the third lifts it to 3 eps 1e4, above the pivot 1e-14.
     gram = np.diag([1.0, 1e-14, 1e4])
+    system = _kept(gram, [0, 1])
+    system.add(2)
     with pytest.raises(RankDeficientLibrary):
-        _kept(gram, [0, 1]).append([0, 1], 2)
+        system.solve(1.0)
     with pytest.raises(RankDeficientLibrary):
         factorize(gram, [0, 1, 2])
 
@@ -284,18 +296,72 @@ def test_kept_system_follows_a_chain_of_appends_and_deletes():
         pinned = np.setdiff1d(np.arange(60), free)
         if len(free) > 1 and (rng.random() < 0.5 or len(free) == 40):
             position = int(rng.integers(len(free)))
-            system.delete(position)
+            system.remove(free[position])
             del free[position]
         else:
             new = int(rng.choice(pinned))
-            system.append(free, new)
+            system.add(new)
             free.append(new)
-        _assert_factors_block(system, gram, free)
-        _assert_forward_solves(system, gram, linear, free)
         budget = float(rng.uniform(0.1, 1.0))
         kept = system.solve(budget)
-        fresh = solve_subproblem(gram, linear, budget, free, factor=factorize(gram, free))
+        np.testing.assert_array_equal(system.free, free)
+        _assert_factors_block(system, gram, free)
+        _assert_forward_solves(system, gram, linear, free)
+        fresh_system = KeptSystem(gram, linear, free, factorize(gram, free))
+        fresh = solve_subproblem(gram, linear, budget, free, factor=fresh_system)
         np.testing.assert_allclose(kept.free_values, fresh.free_values, rtol=0, atol=1e-9)
         assert kept.multiplier == pytest.approx(fresh.multiplier, abs=1e-9)
         top, bottom = _bordered_residual(gram, linear, budget, free, kept)
         assert top <= 1e-9 * np.abs(linear).max() and bottom <= 1e-12
+
+
+def test_remove_deletes_the_variables_column_wherever_it_sits():
+    # free is not sorted, so a variable's index is not its column's position.
+    rng = np.random.default_rng(22)
+    entries = rng.random((30, 12))
+    gram = entries.T @ entries
+    linear = entries.T @ rng.random(30)
+    free = np.array([7, 2, 11, 0, 5])
+    for variable in free:
+        system = _kept(gram, free, linear)
+        system.remove(variable)
+        reduced = free[free != variable]
+        np.testing.assert_array_equal(system.free, reduced)
+        _assert_factors_block(system, gram, reduced)
+        _assert_forward_solves(system, gram, linear, reduced)
+
+
+def test_an_added_column_joins_the_factor_at_the_next_solve():
+    rng = np.random.default_rng(23)
+    entries = rng.random((30, 12))
+    gram = entries.T @ entries
+    linear = entries.T @ rng.random(30)
+    system = _kept(gram, [4, 9], linear)
+    lower, forward = system.lower, system.forward
+    system.add(1)
+    np.testing.assert_array_equal(system.free, [4, 9, 1])
+    assert system.lower is lower and system.forward is forward
+    system.solve(0.5)
+    _assert_factors_block(system, gram, [4, 9, 1])
+    _assert_forward_solves(system, gram, linear, [4, 9, 1])
+    # A remove between an add and the next solve keeps the added column.
+    system.add(6)
+    system.remove(9)
+    np.testing.assert_array_equal(system.free, [4, 1, 6])
+    _assert_factors_block(system, gram, [4, 1, 6])
+    _assert_forward_solves(system, gram, linear, [4, 1, 6])
+
+
+def test_a_given_factor_is_adopted_as_the_first_solve_would_build_it():
+    rng = np.random.default_rng(24)
+    entries = rng.random((30, 12))
+    gram = entries.T @ entries
+    linear = entries.T @ rng.random(30)
+    free = [3, 8, 0, 6]
+    lower = factorize(gram, free)
+    adopted = KeptSystem(gram, linear, free, lower)
+    assert adopted.lower is lower
+    lazy = _kept(gram, free, linear)
+    np.testing.assert_array_equal(adopted.lower, lazy.lower)
+    np.testing.assert_array_equal(adopted.forward, lazy.forward)
+    assert adopted.diagonal == lazy.diagonal and adopted.top == lazy.top

@@ -149,6 +149,10 @@ def test_shifted_problem_checks_const_term_against_target():
     {"dual_tol": -1e-3},
     {"max_outer_iterations": 0},
     {"tie_break": "alphabetical"},
+    {"max_outer_iterations": 2.5},
+    {"max_outer_iterations": 3.0},
+    {"tie_seed": -1},
+    {"tie_seed": 1.5},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -158,3 +162,13 @@ def test_config_rejects_bad_values(kwargs):
 def test_config_iteration_cap_defaults_to_ten_per_endmember():
     assert SolverConfig().iteration_cap(7) == 70
     assert SolverConfig(max_outer_iterations=3).iteration_cap(7) == 3
+    assert SolverConfig(max_outer_iterations=np.int64(3)).iteration_cap(7) == 3
+
+
+def test_config_names_the_setting_it_rejects():
+    # The loop stops when its count equals the cap, which a fractional cap
+    # never does; an unchecked seed would fail only inside the solve.
+    with pytest.raises(ValueError, match="max_outer_iterations must be an integer, got 2.5"):
+        SolverConfig(max_outer_iterations=2.5)
+    with pytest.raises(ValueError, match="tie_seed must be an integer, got 1.5"):
+        SolverConfig(tie_break="random", tie_seed=1.5)

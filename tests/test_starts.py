@@ -15,6 +15,7 @@ import pytest
 
 from unmix import (
     BatchJob,
+    RankDeficientLibrary,
     SolverConfig,
     SolveStatus,
     SpectralLibrary,
@@ -125,3 +126,24 @@ def test_every_solve_strictly_decreases_the_objective_on_wide_libraries():
         bounds = rng.dirichlet(np.ones(60)) * 0.2
         shifted = shift_problem(UnmixingProblem(library, pixels[:, column], bounds))
         _assert_trace_describes_every_iterate(shifted)
+
+
+def test_a_capped_solve_never_pays_for_its_last_release():
+    # Column 2 is twice column 0 and P = 3 > N = 2, so the solve starts at the
+    # vertex e_1 and frees [1, 2]. Iteration 1 accepts that candidate and
+    # releases 0, whose column would fail the rank test; the cap stops the
+    # solve before the column joins the factor.
+    library = SpectralLibrary(np.array([[2.0, 0.5, 4.0], [1.0, 1.5, 2.0]]))
+    pixel = np.array([1.0, 1.5])
+    capped = SolverConfig(max_outer_iterations=1)
+    for solution in (unmix(UnmixingProblem(library, pixel), capped),
+                     unmix_batch(BatchJob(library, pixel[:, None], config=capped))[0]):
+        assert solution.status is SolveStatus.MAX_ITERATIONS
+        np.testing.assert_array_equal(solution.final_free, [0, 1, 2])
+        np.testing.assert_allclose(solution.abundances, [0.0, 0.86, 0.14], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(solution.objective_trace, (0.125, 0.0025), rtol=0, atol=1e-12)
+    suffix = "(3 free variables exceed the 2 spectral bands, so the block cannot be full rank)"
+    with pytest.raises(RankDeficientLibrary, match=r"exceed the 2 spectral bands"):
+        unmix(UnmixingProblem(library, pixel))
+    [failed] = unmix_batch(BatchJob(library, pixel[:, None]))
+    assert failed.status is SolveStatus.FAILED and failed.message.endswith(suffix)
