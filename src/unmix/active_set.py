@@ -19,9 +19,12 @@ The loop has two starting points. The uniform start frees every variable at
 that candidate's entries are negative, the optimum is likely sparse, and the
 solve starts over at the best vertex ``s e_i``, the primal order of Lawson &
 Hanson (1974) and FNNLS (Bro & De Jong 1997) applied on the simplex. The
-vertex is priced without a solve and grows its free set one release at a
+vertex is a feasible candidate on the free set ``[i]``, accepted and priced
+by step 3 as iteration 0, and the free set grows from it one release at a
 time. A library with more endmembers than bands always starts at the vertex,
-because the uniform start's block cannot be full rank there.
+because the uniform start's block cannot be full rank there. A zero budget
+starts at the origin, the empty candidate with ``lam = max(g)``, which the
+same step certifies.
 
 The loop keeps one :class:`unmix.kkt.KeptSystem` per solve, which owns the
 free set in its factor's column order and makes every factor event: the
@@ -34,7 +37,8 @@ column where it sits and step 3 adds the released one last, each
 ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a refactorization.
 :attr:`Solution.final_free` is sorted.
 
-Step 3 forms ``G x`` once at the accepted, clipped iterate ``x``, and takes
+Step 3, the one accept step of every feasible candidate and every start,
+forms ``G x`` once at the accepted, clipped iterate ``x``, and takes
 both the objective trace and the prices of the pinned variables from it:
 ``mu = G x - g + lam``, zero on the free set. That is the certificate the
 returned iterate carries. Ties go to the smallest index, both in the
@@ -106,12 +110,13 @@ class Solution:
     ``objective_trace`` records the objective at the start the solve used
     and after every iterate update, in order, so it holds
     ``outer_iterations + 1`` entries. A solve that starts over at the best
-    vertex does not count the uniform start's probe solve, and pricing the
-    vertex is not an iteration: a vertex that is already optimal returns
-    after 0 iterations. ``final_free`` is sorted, although the solve keeps
-    its free set in the order of its factor's columns. An ``OPTIMAL``
-    solution's ``ineq_multipliers`` are ``G x - g + eq_multiplier`` at the
-    returned ``shifted_abundances`` ``x``, zero on ``final_free``. A
+    vertex does not count the uniform start's probe solve, and it accepts
+    and prices the vertex as iteration 0: a vertex that is already optimal,
+    like the origin of a zero budget, returns after 0 iterations.
+    ``final_free`` is sorted, although the solve keeps its free set in the
+    order of its factor's columns. An ``OPTIMAL`` solution's
+    ``ineq_multipliers`` are ``G x - g + eq_multiplier`` at the returned
+    ``shifted_abundances`` ``x``, zero on ``final_free``. A
     ``MAX_ITERATIONS`` solution carries no certificate: its
     ``eq_multiplier`` and ``ineq_multipliers`` are NaN.
     """
@@ -201,52 +206,6 @@ def release_from_active(state: ActiveSetState, multipliers, dual_tol) -> ActiveS
     )
 
 
-def _pinned_solution(shifted: ShiftedProblem) -> Solution:
-    # Zero budget: the origin is the only feasible point. Any multiplier
-    # lam >= max(linear) certifies it; the smallest choice leaves min(mu) = 0.
-    p = shifted.size
-    lam = float(shifted.linear.max()) if p else 0.0
-    mu = lam - shifted.linear
-    x = np.zeros(p)
-    return Solution(
-        abundances=x,
-        shifted_abundances=x.copy(),
-        eq_multiplier=lam,
-        ineq_multipliers=np.maximum(mu, 0.0),
-        objective=objective_value(shifted, x),
-        outer_iterations=0,
-        final_free=np.empty(0, dtype=np.intp),
-        status=SolveStatus.OPTIMAL,
-        objective_trace=(objective_value(shifted, x),),
-    )
-
-
-def _multipliers(shifted: ShiftedProblem, free, gx, lam) -> np.ndarray:
-    """Bound multipliers ``G x - g + lam`` from ``gx = G x``.
-
-    On ``free`` the same expression is the stationarity residual, not a
-    multiplier, so it is set to zero there.
-    """
-    mu = gx - shifted.linear
-    mu += lam
-    mu[free] = 0.0
-    return mu
-
-
-def _optimal_solution(iterate, sub, mu, free, iteration, trace) -> Solution:
-    return Solution(
-        abundances=iterate.copy(),
-        shifted_abundances=iterate,
-        eq_multiplier=sub.multiplier,
-        ineq_multipliers=mu,
-        objective=trace[-1],
-        outer_iterations=iteration,
-        final_free=np.sort(free),
-        status=SolveStatus.OPTIMAL,
-        objective_trace=tuple(trace),
-    )
-
-
 def _capped_solution(iterate, free, cap, trace) -> Solution:
     # No multipliers were computed at the returned iterate: when the last
     # move was a pin, the last priced candidate is not the iterate.
@@ -275,44 +234,17 @@ def _band_deficit(exc: UnmixError, shifted: ShiftedProblem, n_free: int) -> Unmi
     )
 
 
-def _vertex_start(shifted: ShiftedProblem, config: SolverConfig, probe=None):
-    """The best vertex as the start of a solve, or None to keep the uniform start.
+def _vertex(shifted: ShiftedProblem):
+    """The best vertex ``s e_i`` as a feasible candidate on the free set ``[i]``.
 
-    Without ``probe`` the vertex is taken when the library has more
-    endmembers than bands, where the uniform start's block is singular.
-    ``probe`` is the uniform start's first candidate, and the vertex is taken
-    when more than ``_VERTEX_START_SHARE`` of the P entries fall below
-    ``-primal_tol``.
-
-    The vertex is ``s e_i``, with ``i`` the argmin of
-    ``0.5 s^2 G_ii - s g_i`` (ties to the smallest index), and is priced
-    without a solve: ``lam = g_i - s G_ii``, and ``mu`` from ``G x = s G_i``.
-    Returns the :class:`Solution` when it is optimal, else
-    ``(system, iterate, trace)``: the :class:`KeptSystem` of the free set
-    ``[i, r]``, with ``r`` the most negative multiplier's variable released,
-    which factorizes at its first solve, then the vertex and the trace there.
+    ``i`` is the argmin of ``0.5 s^2 G_ii - s g_i`` (ties to the smallest
+    index), and ``lam = g_i - s G_ii`` solves the subproblem on ``[i]``.
     """
-    p = shifted.size
-    if probe is None:
-        target = shifted.shifted_target
-        if target is None or p <= target.size:
-            return None
-    elif np.count_nonzero(probe.free_values < -config.primal_tol) <= _VERTEX_START_SHARE * p:
-        return None
     s = shifted.budget
     diagonal = shifted.gram.diagonal()
     i = int(np.argmin(0.5 * s * s * diagonal - s * shifted.linear))
-    free = np.array([i], dtype=np.intp)
-    iterate = np.zeros(p)
-    iterate[i] = s
-    sub = SubproblemSolution(free_values=np.array([s]),
-                             multiplier=float(shifted.linear[i] - s * diagonal[i]))
-    mu = _multipliers(shifted, free, s * shifted.gram[i], sub.multiplier)
-    trace = [objective_value(shifted, iterate)]
-    released = int(mu.argmin())
-    if mu[released] >= -config.dual_tol:
-        return _optimal_solution(iterate, sub, mu, free, 0, trace)
-    return KeptSystem(shifted.gram, shifted.linear, [i, released]), iterate, trace
+    return [i], SubproblemSolution(free_values=np.array([s]),
+                                   multiplier=float(shifted.linear[i] - s * diagonal[i]))
 
 
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
@@ -341,24 +273,72 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
 class _Pixel:
     """Where one problem of :func:`_solve_lockstep` stands between rounds.
 
-    ``system`` is the problem's :class:`KeptSystem`, which owns its free set;
-    a uniform start's system adopts the start factor that all problems
-    share. ``iterate`` is the current feasible point and ``trace`` its
-    objective trace. ``probing`` marks a uniform start whose first candidate
-    has not been seen yet.
+    ``system`` is the problem's :class:`KeptSystem`, which owns its free set.
+    ``iterate`` is the current feasible point and ``trace`` its objective
+    trace. ``probing`` marks a uniform start whose first candidate has not
+    been seen yet: its system adopts the start factor that all problems
+    share, and its trace is begun at the probe.
     """
 
     __slots__ = ("index", "shifted", "rng", "system", "iterate", "trace", "iteration", "probing")
 
-    def __init__(self, index, shifted, rng, system, iterate, trace, probing):
+    def __init__(self, index, shifted, rng):
         self.index = index
         self.shifted = shifted
         self.rng = rng
-        self.system = system
-        self.iterate = iterate
-        self.trace = trace
+        self.system = self.iterate = None
+        self.trace = []
         self.iteration = 0
-        self.probing = probing
+        self.probing = False
+
+    def start(self, free, sub: SubproblemSolution, config: SolverConfig):
+        """Start the solve over at the feasible candidate ``sub`` on ``free``.
+
+        The pixel gets a fresh system on ``free``, which factorizes at its
+        first solve, a zero iterate and an empty trace, and accepts ``sub``
+        as iteration 0. Returns what :meth:`accept` returns.
+        """
+        self.system = KeptSystem(self.shifted.gram, self.shifted.linear, free)
+        self.iterate = np.zeros(self.shifted.size)
+        self.trace = []
+        self.iteration = 0
+        return self.accept(sub, config)
+
+    def accept(self, sub: SubproblemSolution, config: SolverConfig) -> Solution | None:
+        """Accept the feasible candidate ``sub`` and price the pinned variables.
+
+        Boundary roundoff is zeroed, and one ``G x`` at the accepted iterate
+        gives both its objective and the multipliers. Returns the
+        ``OPTIMAL`` :class:`Solution` when none is below ``-dual_tol``;
+        otherwise frees the most negative one's variable (ties to the
+        smallest index) and returns None.
+        """
+        shifted, system = self.shifted, self.system
+        x = self.iterate  # no other pixel reads it
+        x.fill(0.0)
+        x[system.free] = np.maximum(sub.free_values, 0.0)
+        gx = shifted.gram @ x
+        self.trace.append(objective_from_product(shifted, x, gx))
+        # mu = G x - g + lam; on the free set that is the stationarity
+        # residual, not a multiplier, so it is set to zero there.
+        mu = gx - shifted.linear
+        mu += sub.multiplier
+        mu[system.free] = 0.0
+        released = int(mu.argmin())
+        if mu[released] >= -config.dual_tol:
+            return Solution(
+                abundances=x.copy(),
+                shifted_abundances=x.copy(),
+                eq_multiplier=sub.multiplier,
+                ineq_multipliers=mu,
+                objective=self.trace[-1],
+                outer_iterations=self.iteration,
+                final_free=np.sort(system.free),
+                status=SolveStatus.OPTIMAL,
+                objective_trace=tuple(self.trace),
+            )
+        system.add(released)
+        return None
 
 
 def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> list:
@@ -370,34 +350,40 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
     subproblem on its own kept system, then either prices a feasible
     candidate or takes the blocking step; the ratio test, the tie-break and
     the iterate update of all blocked problems are stacked numpy calls,
-    which keep each row's arithmetic. From the uniform start, the full-Gram
-    factor is computed once for every problem, and the first round is every
-    problem's probe.
+    which keep each row's arithmetic. The uniform start's full-Gram factor is
+    attempted once for all problems, so a singular one fails each of them
+    with the same error; the first round is every problem's probe.
     """
     results = [None] * len(problems)
     live = []
-    start_factor = None
+    start_factor = None  # the full-Gram factor, or the error its attempt raised
     for index, shifted in enumerate(problems):
-        if shifted.budget == 0.0:
-            results[index] = _pinned_solution(shifted)
-            continue
-        start = _vertex_start(shifted, config)
-        if isinstance(start, Solution):
-            results[index] = start
-            continue
-        probing = start is None
-        if probing:
-            state = initialize_state(shifted)
-            try:
-                if start_factor is None:
-                    start_factor = factorize(shifted.gram, state.free)
-            except RankDeficientLibrary as exc:
-                results[index] = _band_deficit(exc, shifted, state.free.size)
-                continue
-            system = KeptSystem(shifted.gram, shifted.linear, state.free, start_factor)
-            start = system, state.iterate, [objective_value(shifted, state.iterate)]
         rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
-        live.append(_Pixel(index, shifted, rng, *start, probing))
+        px = _Pixel(index, shifted, rng)
+        target = shifted.shifted_target
+        if shifted.budget == 0.0:
+            # The origin is the only feasible point; lam = max(g) is the
+            # smallest multiplier that certifies it.
+            origin = SubproblemSolution(np.empty(0), float(shifted.linear.max()))
+            results[index] = px.start([], origin, config)
+        elif target is not None and shifted.size > target.size:
+            # More endmembers than bands: the uniform block cannot be full rank.
+            results[index] = px.start(*_vertex(shifted), config)
+        else:
+            state = initialize_state(shifted)
+            if start_factor is None:
+                try:
+                    start_factor = factorize(shifted.gram, state.free)
+                except RankDeficientLibrary as exc:
+                    start_factor = exc
+            if isinstance(start_factor, UnmixError):
+                results[index] = start_factor
+            else:
+                px.system = KeptSystem(shifted.gram, shifted.linear, state.free, start_factor)
+                px.iterate = state.iterate
+                px.probing = True
+        if results[index] is None:
+            live.append(px)
 
     if not live:
         return results
@@ -420,29 +406,13 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
                 continue
             if px.probing:
                 px.probing = False
-                start = _vertex_start(shifted, config, sub)
-                if isinstance(start, Solution):
-                    results[px.index] = start
+                negative = np.count_nonzero(sub.free_values < -config.primal_tol)
+                if negative > _VERTEX_START_SHARE * p:
+                    results[px.index] = px.start(*_vertex(shifted), config)
                     continue
-                if start is not None:
-                    px.system, px.iterate, px.trace = start
-                    px.iteration = 0
-                    continue
+                px.trace.append(objective_value(shifted, px.iterate))
             if sub.free_values.min() >= -config.primal_tol:
-                # Feasible candidate: accept it (zeroing boundary roundoff),
-                # then trace it and price the pinned variables from one G x.
-                x = px.iterate  # no other pixel reads it
-                x.fill(0.0)
-                x[system.free] = np.maximum(sub.free_values, 0.0)
-                gx = gram @ x
-                px.trace.append(objective_from_product(shifted, x, gx))
-                mu = _multipliers(shifted, system.free, gx, sub.multiplier)
-                released = int(mu.argmin())  # ties to the smallest index
-                if mu[released] >= -config.dual_tol:
-                    results[px.index] = _optimal_solution(x.copy(), sub, mu, system.free,
-                                                          px.iteration, px.trace)
-                else:
-                    system.add(released)
+                results[px.index] = px.accept(sub, config)
             else:
                 blocked.append(px)
                 candidates.append(sub.free_values)

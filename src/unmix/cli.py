@@ -82,13 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_tie_break(text):
-    if text == "smallest":
-        return "smallest", 0
-    if text == "random":
-        return "random", 0
-    if text.startswith("random:"):
-        return "random", int(text.split(":", 1)[1])
-    raise ValueError(f"unrecognized tie-break policy {text!r}")
+    if text in ("smallest", "random"):
+        return text, 0
+    policy, colon, seed = text.partition(":")
+    if policy == "random" and colon:
+        try:
+            return "random", int(seed)
+        except ValueError:
+            pass
+    raise ValueError(f"--tie-break (or {_ENV_PREFIX}TIE_BREAK) must be 'smallest', 'random' "
+                     f"or 'random:SEED' with an integer SEED, got {text!r}")
 
 
 def _load_matrix(path, header):

@@ -11,6 +11,7 @@ term, budget) is held by :class:`ShiftedProblem`.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -246,10 +247,10 @@ class SolverConfig:
     tie_seed: int = 0
 
     def __post_init__(self):
-        if not self.primal_tol > 0.0:
-            raise ValueError(f"primal_tol must be positive, got {self.primal_tol}")
-        if not self.dual_tol > 0.0:
-            raise ValueError(f"dual_tol must be positive, got {self.dual_tol}")
+        for name in ("primal_tol", "dual_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_outer_iterations is not None:
             _require_integer("max_outer_iterations", self.max_outer_iterations)
             if self.max_outer_iterations < 1:

@@ -1,3 +1,7 @@
+import importlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from unmix import (
     BatchJob,
     DimensionMismatch,
     InfeasibleLowerBounds,
+    RankDeficientLibrary,
     SolveStatus,
     batch_summary,
     precompute_gram,
@@ -13,6 +18,9 @@ from unmix import (
 )
 from unmix.model import UnmixingProblem
 from instances import random_problem
+
+active_set = importlib.import_module("unmix.active_set")
+batch = importlib.import_module("unmix.batch")
 
 
 def test_gram_of_identity_library():
@@ -112,6 +120,23 @@ def test_failed_pixel_is_recorded_without_aborting():
     assert results[2].status is SolveStatus.OPTIMAL
     summary = batch_summary(results)
     assert summary == {"pixels": 3, "optimal": 2, "max_iterations": 0, "failed": 1}
+
+
+def test_a_singular_start_factor_fails_every_pixel_from_one_attempt():
+    # P = 31 <= N with one duplicated column: the uniform start's full-Gram
+    # factor is singular for every pixel, so a slice attempts it once.
+    rng = np.random.default_rng(60)
+    entries = rng.random((224, 30))
+    library = np.column_stack([entries, entries[:, 7]])
+    pixels = entries @ rng.dirichlet(np.ones(30), size=500).T
+    with pytest.raises(RankDeficientLibrary) as raised:
+        unmix(UnmixingProblem(library, pixels[:, 0]))
+    message = f"RankDeficientLibrary: {raised.value}"
+    with mock.patch.object(active_set, "factorize", wraps=active_set.factorize) as factorize:
+        results = unmix_batch(BatchJob(library, pixels))
+    assert all(r.status is SolveStatus.FAILED and r.message == message for r in results)
+    width = batch._SLICE_FACTOR_BYTES // (8 * 31**2)
+    assert factorize.call_count == math.ceil(500 / width)
 
 
 def test_batch_rejects_mismatched_pixel_rows():

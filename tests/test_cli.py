@@ -102,6 +102,41 @@ def test_invalid_tie_break(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("policy", ["random:1.5", "random:"])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_malformed_tie_seed_names_the_setting(workspace, capsys, monkeypatch, policy, source):
+    argv = ["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+            "--output", str(workspace["out"])]
+    if source == "flag":
+        argv += ["--tie-break", policy]
+    else:
+        monkeypatch.setenv("UNMIX_TIE_BREAK", policy)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--tie-break" in err and "'random:SEED'" in err and repr(policy) in err
+    assert not workspace["out"].exists()
+
+
+@pytest.mark.parametrize("setting, argv, variable", [
+    ("primal_tol", ["--tol", "inf"], None),
+    ("dual_tol", ["--dual-tol", "inf"], None),
+    ("primal_tol", [], "UNMIX_TOL"),
+    ("dual_tol", [], "UNMIX_DUAL_TOL"),
+])
+def test_infinite_tolerance_is_an_input_error(workspace, capsys, monkeypatch, setting, argv,
+                                              variable):
+    # An infinite dual tolerance would report every pixel optimal whatever
+    # its multipliers; an infinite primal one would accept any bounds.
+    if variable is not None:
+        monkeypatch.setenv(variable, "inf")
+    code = main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+                 "--output", str(workspace["out"]), *argv])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {setting} must be positive and finite, got inf"]
+    assert not workspace["out"].exists()
+
+
 def test_nan_pixel_fails_numerically(workspace, capsys):
     bad = workspace["dir"] / "bad_pixels.csv"
     pixels = PIXELS.copy()

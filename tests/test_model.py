@@ -153,6 +153,9 @@ def test_shifted_problem_checks_const_term_against_target():
     {"max_outer_iterations": 3.0},
     {"tie_seed": -1},
     {"tie_seed": 1.5},
+    {"primal_tol": np.inf},
+    {"dual_tol": np.inf},
+    {"dual_tol": np.nan},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -167,8 +170,14 @@ def test_config_iteration_cap_defaults_to_ten_per_endmember():
 
 def test_config_names_the_setting_it_rejects():
     # The loop stops when its count equals the cap, which a fractional cap
-    # never does; an unchecked seed would fail only inside the solve.
+    # never does; an unchecked seed would fail only inside the solve. An
+    # infinite primal tolerance accepts bounds that sum past 1, and an
+    # infinite dual one certifies any multipliers.
     with pytest.raises(ValueError, match="max_outer_iterations must be an integer, got 2.5"):
         SolverConfig(max_outer_iterations=2.5)
     with pytest.raises(ValueError, match="tie_seed must be an integer, got 1.5"):
         SolverConfig(tie_break="random", tie_seed=1.5)
+    with pytest.raises(ValueError, match="primal_tol must be positive and finite, got inf"):
+        SolverConfig(primal_tol=np.inf)
+    with pytest.raises(ValueError, match="dual_tol must be positive and finite, got inf"):
+        SolverConfig(dual_tol=np.inf)

@@ -51,19 +51,21 @@ def _dense_scene(rng, n_endmembers, n_pixels):
 def _counted_starts(solve):
     """Run ``solve()`` and count the start each pixel took."""
     counts = Counter()
-    choose = active_set._vertex_start
+    start = active_set._Pixel.start
 
-    def counted(shifted, config, probe=None):
-        start = choose(shifted, config, probe)
-        if probe is not None:
-            counts["restart" if start is not None else "uniform"] += 1
-        elif start is not None:
-            counts["vertex"] += 1
-        return start
+    def counted(px, free, sub, config):
+        # A pixel whose probe shows a sparse optimum already holds the
+        # uniform start's system; one that starts at the vertex outright
+        # holds none yet.
+        counts["restart" if px.system is not None else "vertex"] += 1
+        return start(px, free, sub, config)
 
-    with mock.patch.object(active_set, "_vertex_start", counted):
+    with mock.patch.object(active_set._Pixel, "start", counted):
         solutions = solve()
     assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
+    uniform = len(solutions) - sum(counts.values())
+    if uniform:
+        counts["uniform"] = uniform
     return counts
 
 
