@@ -50,10 +50,17 @@ for step_number in range(1, 30):
     print(f"\nsolve {step_number}: candidate on free set {state.free}")
     print("  candidate:", np.round(sub.free_values, 4), " lambda = %.4f" % sub.multiplier)
     if step_number == 1:
-        negative = np.count_nonzero(sub.free_values < -1e-10)
-        verdict = ("more than a third: the solver starts over at the best vertex"
-                   if 3 * negative > shifted.size else "the solver keeps this start")
-        verdict += " (this walk-through stays on the uniform start)"
+        probe = sub.free_values
+        negative = np.count_nonzero(probe < -1e-10)
+        if 3 * negative > shifted.size:
+            verdict = "more than a third: the solver starts over at the best vertex"
+        elif negative:
+            verdict = ("the solver starts over at this candidate clipped to its positive"
+                       " support and scaled back onto the budget")
+        else:
+            verdict = "the solver accepts it"
+        if negative:
+            verdict += " (this walk-through stays on the uniform start)"
         print(f"  {negative} of {shifted.size} entries negative; {verdict}")
     if sub.free_values.min() >= -1e-10:
         iterate = np.zeros(shifted.size)
@@ -99,11 +106,21 @@ print("its solve == solve_subproblem on [0, 4]:",
       np.allclose(sub.free_values, fresh.free_values, rtol=0, atol=1e-12)
       and abs(sub.multiplier - fresh.multiplier) <= 1e-12)
 
+# The solver's trace begins at the start it actually took: the uniform point,
+# the probe clipped to its positive support and scaled back onto the budget,
+# or the best vertex.
 solution = active_set_solve(shifted)
 s = shifted.budget
 vertex = int(np.argmin(0.5 * s * s * np.diag(shifted.gram) - s * shifted.linear))
-uniform = objective_value(shifted, np.full(shifted.size, s / shifted.size))
-start = "uniform" if solution.objective_trace[0] == uniform else f"vertex {s:g} * e_{vertex}"
+clipped = np.maximum(probe, 0.0)
+clipped *= s / clipped.sum()
+starts = {
+    "uniform point": np.full(shifted.size, s / shifted.size),
+    f"probe's positive support {np.flatnonzero(clipped)}": clipped,
+    f"vertex {s:g} * e_{vertex}": s * np.eye(shifted.size)[vertex],
+}
+start = next(name for name, point in starts.items()
+             if objective_value(shifted, point) == solution.objective_trace[0])
 print(f"\nthe solver started at the {start} and took {solution.outer_iterations} iteration(s)")
 print("full solver result:", np.round(solution.shifted_abundances, 4))
 print("objective trace:", np.round(solution.objective_trace, 6))

@@ -14,14 +14,24 @@ Every iterate stays primal feasible, pinned variables are exactly zero, and
 the objective never increases, so the loop terminates on nondegenerate data
 long before the ``10 * P`` default iteration cap.
 
-The loop has two starting points. The uniform start frees every variable at
-``s / P``, and its first solve doubles as a probe: when more than a third of
-that candidate's entries are negative, the optimum is likely sparse, and the
-solve starts over at the best vertex ``s e_i``, the primal order of Lawson &
-Hanson (1974) and FNNLS (Bro & De Jong 1997) applied on the simplex. The
-vertex is a feasible candidate on the free set ``[i]``, accepted and priced
-by step 3 as iteration 0, and the free set grows from it one release at a
-time. A library with more endmembers than bands always starts at the vertex,
+The uniform start frees every variable at ``s / P``, and its first solve
+doubles as a probe, which decides where the solve goes on:
+
+- a feasible probe is accepted by step 3;
+- when more than a third of its entries are negative, the optimum is likely
+  sparse, and the solve starts over at the best vertex ``s e_i``, the primal
+  order of Lawson & Hanson (1974) and FNNLS (Bro & De Jong 1997) applied on
+  the simplex. The vertex is a feasible candidate on the free set ``[i]``,
+  accepted and priced by step 3 as iteration 0, and the free set grows from
+  it one release at a time;
+- otherwise the solve starts over at the feasible point
+  ``max(probe, 0) * s / sum(max(probe, 0))``, free on the probe's strictly
+  positive support and zero elsewhere, as iteration 0. From there the loop
+  runs as from any feasible iterate, so it pins only the support's own
+  blockers instead of walking from ``s / P`` and pinning every negative
+  entry of the probe one round at a time.
+
+A library with more endmembers than bands always starts at the vertex,
 because the uniform start's block cannot be full rank there. A zero budget
 starts at the origin, the empty candidate with ``lam = max(g)``, which the
 same step certifies.
@@ -31,7 +41,8 @@ free set in its factor's column order and makes every factor event: the
 Cholesky factor of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so
 that each subproblem costs two dot products and one back-substitution. The
 uniform start adopts the full-Gram factor, computed once for all problems;
-a vertex start's system factorizes its two-column block at its first solve.
+the system of a start over factorizes its free set at its first solve: the
+probe's support, or the vertex's two-column block after its first release.
 After that the system is only modified: step 2 removes the pinned variable's
 column where it sits and step 3 adds the released one last, each
 ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a refactorization.
@@ -74,10 +85,12 @@ from .model import ShiftedProblem, SolverConfig, objective_from_product, objecti
 _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
 # A uniform start whose first candidate has more than this share of its P
 # entries below -primal_tol starts over at the best vertex. Timed per pixel
-# against the uniform path on 224-band scenes with 1..P-sparse abundances,
-# the vertex ran at 1.54x / 0.96x / 0.82x of its time for shares 0.25-0.30 /
-# 0.30-0.35 / 0.35-0.40 at P=30, 1.35x / 0.96x / 0.73x at P=100, and 1.01x
-# at 0.3 and 0.75x at 0.4 at P=10: the two break even near a third.
+# on 224-band scenes with 1..P-sparse abundances, against the walk from
+# s / P that the uniform path made before it started over on the probe's
+# support, the vertex ran at 1.54x / 0.96x / 0.82x of its time for shares
+# 0.25-0.30 / 0.30-0.35 / 0.35-0.40 at P=30, 1.35x / 0.96x / 0.73x at
+# P=100, and 1.01x at 0.3 and 0.75x at 0.4 at P=10: the two broke even near
+# a third. The break-even against the support start is not re-measured.
 _VERTEX_START_SHARE = 1 / 3
 
 
@@ -109,10 +122,12 @@ class Solution:
     equal until :func:`unmix.batch.unmix` performs the unshift).
     ``objective_trace`` records the objective at the start the solve used
     and after every iterate update, in order, so it holds
-    ``outer_iterations + 1`` entries. A solve that starts over at the best
-    vertex does not count the uniform start's probe solve, and it accepts
-    and prices the vertex as iteration 0: a vertex that is already optimal,
-    like the origin of a zero budget, returns after 0 iterations.
+    ``outer_iterations + 1`` entries. A solve that starts over, on the
+    uniform start's probe's positive support or at the best vertex, does not
+    count the probe solve, and its trace begins at the point it starts over
+    from. It accepts and prices the vertex as iteration 0: a vertex that is
+    already optimal, like the origin of a zero budget, returns after 0
+    iterations.
     ``final_free`` is sorted, although the solve keeps its free set in the
     order of its factor's columns. An ``OPTIMAL`` solution's
     ``ineq_multipliers`` are ``G x - g + eq_multiplier`` at the returned
@@ -250,12 +265,13 @@ def _vertex(shifted: ShiftedProblem):
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
     """Minimize the shifted quadratic over the scaled simplex.
 
-    Runs the three-step loop from the uniform start, or from the best vertex
+    Runs the three-step loop from the uniform start, from the best vertex
     when the library has more endmembers than bands or the first solve
-    shows a sparse optimum, until the KKT conditions hold within ``config``
-    tolerances. Returns a :class:`Solution` whose status is ``OPTIMAL``, or
-    ``MAX_ITERATIONS`` if the iteration cap was reached (degenerate or
-    numerically broken data).
+    shows a sparse optimum, or from the first solve's positive support when
+    a few of its entries are negative, until the KKT conditions hold within
+    ``config`` tolerances. Returns a :class:`Solution` whose status is
+    ``OPTIMAL``, or ``MAX_ITERATIONS`` if the iteration cap was reached
+    (degenerate or numerically broken data).
 
     Raises
     ------
@@ -275,9 +291,12 @@ class _Pixel:
 
     ``system`` is the problem's :class:`KeptSystem`, which owns its free set.
     ``iterate`` is the current feasible point and ``trace`` its objective
-    trace. ``probing`` marks a uniform start whose first candidate has not
-    been seen yet: its system adopts the start factor that all problems
-    share, and its trace is begun at the probe.
+    trace. Every start goes through :meth:`begin`, which puts the pixel at
+    a feasible point on a free set: the uniform start, the probe's support
+    and, through :meth:`start`, the vertex and the origin. ``probing`` marks
+    a uniform start whose first candidate has not been seen yet: its system
+    adopts the start factor that all problems share, and its trace is begun
+    at the probe, once the pixel keeps that start.
     """
 
     __slots__ = ("index", "shifted", "rng", "system", "iterate", "trace", "iteration", "probing")
@@ -291,17 +310,25 @@ class _Pixel:
         self.iteration = 0
         self.probing = False
 
+    def begin(self, free, iterate, lower=None) -> None:
+        """Start the solve (over) at the feasible point ``iterate``, free on ``free``.
+
+        ``iterate`` must be zero off ``free``. The pixel gets a fresh system
+        on ``free``, which adopts ``lower`` or factorizes at its first solve,
+        an empty trace and iteration 0.
+        """
+        self.system = KeptSystem(self.shifted.gram, self.shifted.linear, free, lower)
+        self.iterate = iterate
+        self.trace = []
+        self.iteration = 0
+
     def start(self, free, sub: SubproblemSolution, config: SolverConfig):
         """Start the solve over at the feasible candidate ``sub`` on ``free``.
 
-        The pixel gets a fresh system on ``free``, which factorizes at its
-        first solve, a zero iterate and an empty trace, and accepts ``sub``
-        as iteration 0. Returns what :meth:`accept` returns.
+        Begins at the origin and accepts ``sub`` as iteration 0. Returns
+        what :meth:`accept` returns.
         """
-        self.system = KeptSystem(self.shifted.gram, self.shifted.linear, free)
-        self.iterate = np.zeros(self.shifted.size)
-        self.trace = []
-        self.iteration = 0
+        self.begin(free, np.zeros(self.shifted.size))
         return self.accept(sub, config)
 
     def accept(self, sub: SubproblemSolution, config: SolverConfig) -> Solution | None:
@@ -352,7 +379,9 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
     the iterate update of all blocked problems are stacked numpy calls,
     which keep each row's arithmetic. The uniform start's full-Gram factor is
     attempted once for all problems, so a singular one fails each of them
-    with the same error; the first round is every problem's probe.
+    with the same error; the first round is every problem's probe, and one
+    that starts over on its probe's support takes its first step in the
+    next round.
     """
     results = [None] * len(problems)
     live = []
@@ -379,8 +408,7 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             if isinstance(start_factor, UnmixError):
                 results[index] = start_factor
             else:
-                px.system = KeptSystem(shifted.gram, shifted.linear, state.free, start_factor)
-                px.iterate = state.iterate
+                px.begin(state.free, state.iterate, start_factor)
                 px.probing = True
         if results[index] is None:
             live.append(px)
@@ -409,6 +437,14 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
                 negative = np.count_nonzero(sub.free_values < -config.primal_tol)
                 if negative > _VERTEX_START_SHARE * p:
                     results[px.index] = px.start(*_vertex(shifted), config)
+                    continue
+                if negative:
+                    # Start over at the probe clipped to its strictly positive
+                    # support and scaled back onto the budget.
+                    clipped = np.maximum(sub.free_values, 0.0)
+                    clipped *= shifted.budget / clipped.sum()
+                    px.begin(np.flatnonzero(clipped), clipped)
+                    px.trace.append(objective_value(shifted, clipped))
                     continue
                 px.trace.append(objective_value(shifted, px.iterate))
             if sub.free_values.min() >= -config.primal_tol:

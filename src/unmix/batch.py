@@ -15,8 +15,10 @@ from .model import SolverConfig, SpectralLibrary, UnmixingProblem, validate_lowe
 from .model import precompute_gram  # noqa: F401  (re-exported)
 from .shift import shift_problem, unshift_solution
 
-# Each pixel solved in lockstep keeps a P x P Cholesky factor of 8 P^2
-# bytes; a slice holds as many pixels as fit in this many bytes of factors.
+# Each pixel solved in lockstep keeps a Cholesky factor of at most P x P,
+# 8 P^2 bytes: the uniform start's shared factor until its first change, or
+# its own factor of the probe's support or of the free set grown from the
+# vertex. A slice holds as many pixels as fit in this many bytes of factors.
 _SLICE_FACTOR_BYTES = 1 << 19
 
 

@@ -1,4 +1,4 @@
-"""Seeded random instance generators shared by the test modules.
+"""Seeded random instance generators and reference points shared by the test modules.
 
 The recipe matches the randomized acceptance suite: nonnegative library
 entries, a ground-truth abundance vector on the simplex, additive Gaussian
@@ -34,3 +34,15 @@ def random_spd_system(rng, size=None):
     linear = rng.standard_normal(k)
     budget = float(rng.uniform(0.1, 1.5))
     return gram, linear, budget
+
+
+def support_start(shifted, probe):
+    """Where a solve restarts when its probe has a few negative entries.
+
+    Returns the strictly positive support of ``probe`` and the point that
+    is ``probe`` clipped at zero and scaled back onto the budget.
+    """
+    positive = probe > 0.0
+    iterate = np.where(positive, probe, 0.0)
+    iterate *= shifted.budget / iterate.sum()
+    return np.flatnonzero(positive), iterate

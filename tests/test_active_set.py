@@ -26,7 +26,7 @@ from unmix.active_set import (
     transfer_to_active,
 )
 from unmix.errors import NoBlockingIndex
-from instances import random_problem
+from instances import random_problem, support_start
 
 
 def _state(free, active, iterate):
@@ -40,6 +40,12 @@ def _state(free, active, iterate):
 def _shifted(gram, linear, budget):
     return ShiftedProblem(gram=np.asarray(gram, float), linear=np.asarray(linear, float),
                           budget=budget)
+
+
+def _support_start(shifted, probe):
+    """The state a probe with a few negative entries restarts from."""
+    free, iterate = support_start(shifted, probe)
+    return _state(free, np.setdiff1d(np.arange(shifted.size), free), iterate)
 
 
 # ---------------------------------------------------------------- start point
@@ -220,28 +226,35 @@ def test_release_ties_go_to_the_smallest_index_from_the_uniform_start():
     # Endmembers 1 and 2 share every band but one of their own, where the
     # pixel is 0: their Gram rows agree off the (1, 2) block and their
     # linear terms agree, so while both are pinned their multipliers are
-    # bitwise equal. The solve keeps the uniform start, pins both, and after
-    # five iterations prices them at an exact tie on free set {0, 3, 4}.
-    entries = np.array([[0, 3, 3, 3, 3, 0], [2, 3, 3, 0, 0, 3], [3, 3, 3, 2, 3, 0],
-                        [1, 3, 3, 1, 1, 3], [3, 0, 0, 1, 2, 0], [0, 1, 0, 0, 0, 0],
-                        [0, 0, 1, 0, 0, 0]], dtype=float)
-    shifted = shift_problem(UnmixingProblem(entries, np.array([2.0, 0, 3, 1, 1, 0, 0])))
+    # bitwise equal. The probe has 3 of 9 entries negative, 1 and 2 among
+    # them, so the solve restarts on the probe's positive support
+    # {0, 3, 4, 5, 7, 8}, pins 5 and then 3, and after these two iterations
+    # prices 1 and 2 at an exact tie on free set {0, 4, 7, 8}.
+    entries = np.array([[4, 5, 5, 2, 0, 5, 4, 1, 5], [4, 2, 2, 3, 4, 4, 4, 3, 3],
+                        [3, 1, 1, 0, 4, 1, 2, 4, 3], [2, 2, 2, 0, 3, 3, 1, 4, 0],
+                        [0, 3, 3, 4, 5, 4, 1, 0, 1], [2, 1, 1, 0, 4, 5, 5, 4, 1],
+                        [1, 0, 0, 5, 2, 1, 3, 0, 1], [0, 1, 0, 0, 0, 0, 0, 0, 0],
+                        [0, 0, 1, 0, 0, 0, 0, 0, 0]], dtype=float)
+    shifted = shift_problem(UnmixingProblem(entries, np.array([2.0, 4, 4, 3, 1, 1, 0, 0, 0])))
     rows = np.delete(shifted.gram[[1, 2]], [1, 2], axis=1)
     np.testing.assert_array_equal(rows[0], rows[1])
     assert shifted.linear[1] == shifted.linear[2]
+    probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(9))
+    start = _support_start(shifted, probe.free_values)
+    np.testing.assert_array_equal(start.free, [0, 3, 4, 5, 7, 8])
     solution = active_set_solve(shifted)
-    assert solution.objective_trace[0] == objective_value(shifted, np.full(6, 1 / 6))
-    before = active_set_solve(shifted, SolverConfig(max_outer_iterations=5))
-    np.testing.assert_array_equal(before.final_free, [0, 3, 4])
+    assert solution.objective_trace[0] == objective_value(shifted, start.iterate)
+    before = active_set_solve(shifted, SolverConfig(max_outer_iterations=2))
+    np.testing.assert_array_equal(before.final_free, [0, 4, 7, 8])
     x = before.shifted_abundances
-    sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, [0, 3, 4])
-    mu = lagrange_multipliers(shifted, sub, np.array([0, 3, 4]), np.array([1, 2, 5]))
-    assert mu[0] == mu[1] < min(-1e-3, mu[2])
+    sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, [0, 4, 7, 8])
+    mu = lagrange_multipliers(shifted, sub, np.array([0, 4, 7, 8]), np.array([1, 2, 3, 5, 6]))
+    assert mu[0] == mu[1] < min(-1e-3, *mu[2:])
     assert x[1] == x[2] == 0.0
-    after = active_set_solve(shifted, SolverConfig(max_outer_iterations=6))
-    np.testing.assert_array_equal(after.final_free, [0, 1, 3, 4])
-    released = release_from_active(_state([0, 3, 4], [1, 2, 5], x), mu, 1e-10)
-    np.testing.assert_array_equal(released.free, [0, 1, 3, 4])
+    after = active_set_solve(shifted, SolverConfig(max_outer_iterations=3))
+    np.testing.assert_array_equal(after.final_free, [0, 1, 4, 7, 8])
+    released = release_from_active(_state([0, 4, 7, 8], [1, 2, 3, 5, 6], x), mu, 1e-10)
+    np.testing.assert_array_equal(released.free, [0, 1, 4, 7, 8])
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.shifted_abundances[1] == pytest.approx(solution.shifted_abundances[2])
 
@@ -416,9 +429,11 @@ def _reference_solve(shifted, config):
     # The loop of demos/04_solver_anatomy.py: the public step helpers with a
     # fresh factorization in every solve_subproblem call, and the solver's
     # start. A library wider than its bands starts at the best vertex; else
-    # the uniform start's first solve is a probe, and a candidate with more
-    # than a third of its entries negative restarts at that vertex. The vertex
-    # is priced as a feasible candidate that costs no iteration.
+    # the uniform start's first solve is a probe. A candidate with more than
+    # a third of its entries negative restarts at that vertex, which is
+    # priced as a feasible candidate that costs no iteration; one with fewer,
+    # but some, restarts at the probe clipped to its strictly positive
+    # support and scaled back onto the budget, with no iteration spent.
     p, s = shifted.size, shifted.budget
     state = initialize_state(shifted)
     best = int(np.argmin(0.5 * s * s * np.diag(shifted.gram) - s * shifted.linear))
@@ -439,6 +454,10 @@ def _reference_solve(shifted, config):
                 negative = np.count_nonzero(sub.free_values < -config.primal_tol)
                 if negative > _VERTEX_START_SHARE * p:
                     vertex = best
+                    continue
+                if negative:
+                    state = _support_start(shifted, sub.free_values)
+                    iteration = 0
                     continue
         if sub.free_values.min() >= -config.primal_tol:
             iterate = np.zeros(p)

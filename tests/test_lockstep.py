@@ -141,16 +141,21 @@ def test_lockstep_batch_equals_per_pixel_solves(batch):
 
 
 def test_lockstep_breaks_exact_ties_like_the_per_pixel_path():
-    # ``tied`` keeps the uniform start and meets an exact tie whose choice
-    # changes the path: one tied index takes 3 iterations, the other 4. The
-    # library is L^T for an integer lower-triangular L with pivots 1 and 2,
-    # so L is the exact Cholesky factor of the Gram matrix and the forward
-    # solves divide only by 1 and 2. Coordinates 2 and 3 of the first two
-    # candidates come out equal to the last bit, and tie on the second step.
-    library = SpectralLibrary([[2.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
-                               [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, 2.0]])
-    tied = np.array([-2.0, 0.0, 0.0, 0.0])
-    pixels = np.column_stack([tied, [1.0, 0.5, 2.0, 0.0], tied])
+    # ``tied`` restarts on its probe's positive support and meets an exact
+    # tie whose choice changes the path: one tied index takes 3 iterations,
+    # the other 4. The library is L^T for an integer lower-triangular L with
+    # pivots 1 and 2, so L is the exact Cholesky factor of the Gram matrix
+    # and the forward solves divide only by 1 and 2. The probe is
+    # (1.25, 1.625, 0.375, -0.5, 0.75, -2.5), whose positive part sums to 4,
+    # so the restart point is exact too. The first candidate on the support
+    # {0, 1, 2, 4} is (0.5, 0.5, 0, 0); once 3 is released, the next one
+    # takes coordinates 2 and 4 below zero from exactly 0, and they tie at a
+    # step of 0.
+    library = SpectralLibrary([[1.0, 1.0, 1.0, 0.0, -1.0, 1.0], [0.0, 2.0, 0.0, 1.0, 1.0, 1.0],
+                               [0.0, 0.0, 2.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 2.0, 0.0, -1.0],
+                               [0.0, 0.0, 0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    tied = np.array([-1.0, 1.0, 0.0, 1.0, -2.0, -2.0])
+    pixels = np.column_stack([tied, [1.0, 0.5, 2.0, 0.0, 1.0, 0.5], tied])
     paths = set()
     for tie_seed in range(4):
         config = SolverConfig(tie_break="random", tie_seed=tie_seed)
@@ -174,16 +179,16 @@ def test_lockstep_equals_per_pixel_solves_on_a_224_band_library():
 
 
 def test_tied_coordinate_that_lands_below_zero_is_clipped():
-    # ``tied`` keeps the uniform start. Coordinates 1 and 8 reach zero on
-    # the second step up to roundoff: 1 blocks, and 8 lands at -1.4e-17
-    # before the clip. With a cap of 2 that iterate is the answer, so it must
-    # read exactly 0 on both paths.
+    # ``tied`` restarts on its probe's positive support {2, 4, 5, 6, 7, 8}.
+    # Coordinates 5 and 8 reach zero on the second step up to roundoff: 5
+    # blocks, and 8 lands at -6.9e-18 before the clip. With a cap of 2 that
+    # iterate is the answer, so it must read exactly 0 on both paths.
     library = SpectralLibrary(np.eye(9))
-    tied = np.array([0.9, 0.2, 0.7, -0.8, 0.4, 0.5, 0.8, 0.7, 0.2])
+    tied = np.array([-0.7, -0.6, 0.1, -0.2, 0.6, 0.2, 0.7, 0.5, 0.2])
     config = SolverConfig(max_outer_iterations=2)
     single = unmix(UnmixingProblem(library, tied), config)
     assert single.status is SolveStatus.MAX_ITERATIONS
-    assert list(single.final_free) == [0, 2, 4, 5, 6, 7, 8]
+    assert list(single.final_free) == [4, 6, 7, 8]
     assert single.shifted_abundances[8] == 0.0
     assert single.shifted_abundances.min() >= 0.0
     pixels = np.column_stack([tied, -tied[::-1], tied])
@@ -210,7 +215,7 @@ def test_multipliers_are_priced_at_the_returned_iterate():
     # The clip instance above, solved to the end.
     library = SpectralLibrary(np.eye(9))
     _assert_certified_at_the_iterate(
-        library, np.array([0.9, 0.2, 0.7, -0.8, 0.4, 0.5, 0.8, 0.7, 0.2]))
+        library, np.array([-0.7, -0.6, 0.1, -0.2, 0.6, 0.2, 0.7, 0.5, 0.2]))
     # The optimum on {0, 1, 2} has x_2 = -5e-11, inside primal_tol, so the
     # accepted candidate is clipped to 0 there; endmember 3 is pinned with a
     # positive multiplier. Priced at the unclipped candidate, that multiplier

@@ -1,9 +1,12 @@
 """Which start a solve takes, and what its objective trace records.
 
-A solve starts at the uniform point ``s / P`` and keeps going from there,
-or starts over at the best vertex when its first candidate shows a sparse
-optimum, or starts at that vertex outright when the library has more
-endmembers than bands. ``unmix`` and ``unmix_batch`` must choose alike.
+A solve starts at the uniform point ``s / P``, whose first candidate is a
+probe. A feasible probe is accepted. A probe with more than a third of its
+entries negative shows a sparse optimum, and the solve starts over at the
+best vertex; one with fewer, but some, starts over at the probe clipped to
+its strictly positive support and scaled back onto the budget. A library
+with more endmembers than bands starts at the vertex outright. ``unmix``
+and ``unmix_batch`` must choose alike.
 """
 
 import importlib
@@ -21,12 +24,15 @@ from unmix import (
     SpectralLibrary,
     UnmixingProblem,
     active_set_solve,
+    brute_force_solve,
     objective_value,
     shift_problem,
+    solve_subproblem,
     unmix,
     unmix_batch,
+    verify_kkt,
 )
-from instances import random_problem
+from instances import random_problem, support_start
 
 active_set = importlib.import_module("unmix.active_set")
 
@@ -51,16 +57,24 @@ def _dense_scene(rng, n_endmembers, n_pixels):
 def _counted_starts(solve):
     """Run ``solve()`` and count the start each pixel took."""
     counts = Counter()
-    start = active_set._Pixel.start
+    start, begin = active_set._Pixel.start, active_set._Pixel.begin
 
-    def counted(px, free, sub, config):
+    def counted_start(px, free, sub, config):
         # A pixel whose probe shows a sparse optimum already holds the
         # uniform start's system; one that starts at the vertex outright
         # holds none yet.
         counts["restart" if px.system is not None else "vertex"] += 1
         return start(px, free, sub, config)
 
-    with mock.patch.object(active_set._Pixel, "start", counted):
+    def counted_begin(px, free, iterate, lower=None):
+        # Of the starts over, only the one on the probe's support begins at
+        # a nonzero point; the vertex and the origin begin at zero.
+        if px.system is not None and iterate.any():
+            counts["support"] += 1
+        return begin(px, free, iterate, lower)
+
+    with mock.patch.object(active_set._Pixel, "start", counted_start), \
+            mock.patch.object(active_set._Pixel, "begin", counted_begin):
         solutions = solve()
     assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
     uniform = len(solutions) - sum(counts.values())
@@ -70,7 +84,7 @@ def _counted_starts(solve):
 
 
 @pytest.mark.parametrize("scene, bounded, expected", [
-    ("dense P=30", False, {"uniform": 40}),
+    ("dense P=30", False, {"support": 40}),
     ("dense P=100", True, {"restart": 12}),
     ("P=60 over 40 bands", False, {"vertex": 12}),
 ])
@@ -111,14 +125,79 @@ def _assert_trace_describes_every_iterate(shifted):
 
 @pytest.mark.parametrize("share", [1.0, -1.0], ids=["uniform start", "vertex start"])
 def test_every_solve_strictly_decreases_the_objective(share):
-    # A share of 1 never restarts the uniform start; -1 always does.
+    # A share of 1 never restarts at the vertex, so each solve restarts on
+    # its probe's support; -1 always restarts at the vertex.
     rng = np.random.default_rng(607)
     with mock.patch.object(active_set, "_VERTEX_START_SHARE", share):
         for p in (50, 100, 150):
             shifted = shift_problem(random_problem(rng, n_endmembers=p, n_bands=224))
             start = _assert_trace_describes_every_iterate(shifted).objective_trace[0]
-            uniform = objective_value(shifted, np.full(p, shifted.budget / p))
-            assert (start == uniform) == (share > 0)
+            probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(p))
+            assert probe.free_values.min() < -SolverConfig().primal_tol
+            _, x0 = support_start(shifted, probe.free_values)
+            assert (start == objective_value(shifted, x0)) == (share > 0)
+
+
+def test_a_support_start_frees_only_the_strictly_positive_probe_entries():
+    # An identity library makes the probe y - lam with lam = (sum(y) - 1) / 6,
+    # here exactly (0.75, 0.5, 0, -0.25, 0, 0). One entry of six is
+    # negative, so the solve restarts on the support {0, 1} at (0.6, 0.4):
+    # the probe's exact zeros are pinned like its negative entry. The
+    # candidate on {0, 1}, (0.625, 0.375), is feasible and optimal.
+    library = SpectralLibrary(np.eye(6))
+    pixel = np.array([0.75, 0.5, 0.0, -0.25, 0.0, 0.0])
+    shifted = shift_problem(UnmixingProblem(library, pixel))
+    probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(6))
+    np.testing.assert_array_equal(probe.free_values, pixel)
+    free, x0 = support_start(shifted, probe.free_values)
+    np.testing.assert_array_equal(free, [0, 1])
+    np.testing.assert_allclose(x0, [0.6, 0.4, 0, 0, 0, 0], rtol=0, atol=1e-15)
+    for solution in (unmix(UnmixingProblem(library, pixel)),
+                     unmix_batch(BatchJob(library, pixel[:, None]))[0]):
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.outer_iterations == 1
+        np.testing.assert_array_equal(solution.final_free, [0, 1])
+        np.testing.assert_array_equal(solution.abundances, [0.625, 0.375, 0, 0, 0, 0])
+        assert solution.objective_trace == (objective_value(shifted, x0),
+                                            objective_value(shifted, solution.abundances))
+
+
+@pytest.mark.parametrize("seed", [7, 24])
+def test_a_support_start_that_blocks_at_once_reaches_the_optimum(seed):
+    # The probe has some, but at most 4 of 12, entries negative, and the
+    # subproblem on its positive support is infeasible too, so the first
+    # iteration is a blocking step from the support start x0.
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n_endmembers=12, n_bands=30)
+    shifted = shift_problem(problem)
+    tol = SolverConfig().primal_tol
+    probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(12))
+    assert 0 < np.count_nonzero(probe.free_values < -tol) <= 4
+    free, x0 = support_start(shifted, probe.free_values)
+    candidate = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, free)
+    assert candidate.free_values.min() < -tol
+    state = active_set.ActiveSetState(free, np.setdiff1d(np.arange(12), free), x0)
+    step, blocking = active_set.max_feasible_step(state, candidate)
+    direction = np.zeros(12)
+    direction[free] = candidate.free_values - x0[free]
+    expected = active_set.transfer_to_active(state, step, direction, blocking)
+    capped = SolverConfig(max_outer_iterations=1)
+    job = BatchJob(problem.library, problem.measurement[:, None], problem.lower_bounds, capped)
+    for solution in (unmix(problem, capped), unmix_batch(job)[0]):
+        assert solution.status is SolveStatus.MAX_ITERATIONS
+        np.testing.assert_array_equal(solution.final_free, expected.free)
+        x = solution.shifted_abundances
+        np.testing.assert_allclose(x, expected.iterate, rtol=0, atol=1e-12)
+        assert x.min() >= 0.0 and x.sum() == pytest.approx(shifted.budget, abs=1e-12)
+        assert solution.objective_trace == (objective_value(shifted, x0),
+                                            objective_value(shifted, x))
+    solution = _assert_trace_describes_every_iterate(shifted)
+    oracle = brute_force_solve(shifted)
+    assert abs(solution.objective - oracle.objective) <= 1e-9 * max(1.0, abs(oracle.objective))
+    np.testing.assert_allclose(solution.shifted_abundances, oracle.shifted_abundances,
+                               rtol=0, atol=1e-7)
+    assert verify_kkt(shifted, solution.shifted_abundances, solution.eq_multiplier,
+                      solution.ineq_multipliers).satisfied
 
 
 def test_every_solve_strictly_decreases_the_objective_on_wide_libraries():
