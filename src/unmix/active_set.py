@@ -40,9 +40,11 @@ The loop keeps one :class:`unmix.kkt.KeptSystem` per solve, which owns the
 free set in its factor's column order and makes every factor event: the
 Cholesky factor of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so
 that each subproblem costs two dot products and one back-substitution. The
-uniform start adopts the full-Gram factor, computed once for all problems;
-the system of a start over factorizes its free set at its first solve: the
-probe's support, or the vertex's two-column block after its first release.
+uniform start forks the system of the full Gram matrix, which the library
+factorizes once, at the first solve that needs it; a problem stated without
+its library's Gram gets one per call of the loop. The system of a start
+over factorizes its free set at its first solve: the probe's support, or
+the vertex's two-column block after its first release.
 After that the system is only modified: step 2 removes the pinned variable's
 column where it sits and step 3 adds the released one last, each
 ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a refactorization.
@@ -78,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBlockingIndex, RankDeficientLibrary, UnmixError
-from .kkt import KeptSystem, SubproblemSolution, factorize, solve_subproblem
+from .kkt import KeptSystem, SubproblemSolution, solve_subproblem
 from .model import ShiftedProblem, SolverConfig, objective_from_product, objective_value
 
 
@@ -295,8 +297,8 @@ class _Pixel:
     a feasible point on a free set: the uniform start, the probe's support
     and, through :meth:`start`, the vertex and the origin. ``probing`` marks
     a uniform start whose first candidate has not been seen yet: its system
-    adopts the start factor that all problems share, and its trace is begun
-    at the probe, once the pixel keeps that start.
+    is forked from the uniform start's system that all problems share, and
+    its trace is begun at the probe, once the pixel keeps that start.
     """
 
     __slots__ = ("index", "shifted", "rng", "system", "iterate", "trace", "iteration", "probing")
@@ -310,14 +312,16 @@ class _Pixel:
         self.iteration = 0
         self.probing = False
 
-    def begin(self, free, iterate, lower=None) -> None:
+    def begin(self, free, iterate, start=None) -> None:
         """Start the solve (over) at the feasible point ``iterate``, free on ``free``.
 
         ``iterate`` must be zero off ``free``. The pixel gets a fresh system
-        on ``free``, which adopts ``lower`` or factorizes at its first solve,
-        an empty trace and iteration 0.
+        on ``free``, forked from ``start``, a factorized system on ``free``,
+        or factorized at its first solve, an empty trace and iteration 0.
         """
-        self.system = KeptSystem(self.shifted.gram, self.shifted.linear, free, lower)
+        shifted = self.shifted
+        self.system = (KeptSystem(shifted.gram, shifted.linear, free) if start is None
+                       else start.fork(shifted.linear))
         self.iterate = iterate
         self.trace = []
         self.iteration = 0
@@ -377,15 +381,16 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
     subproblem on its own kept system, then either prices a feasible
     candidate or takes the blocking step; the ratio test, the tie-break and
     the iterate update of all blocked problems are stacked numpy calls,
-    which keep each row's arithmetic. The uniform start's full-Gram factor is
-    attempted once for all problems, so a singular one fails each of them
-    with the same error; the first round is every problem's probe, and one
+    which keep each row's arithmetic. The uniform start's system is taken
+    from the library, or made once for all problems when they do not use
+    their library's Gram, so a singular full Gram fails each of them with
+    the same message; the first round is every problem's probe, and one
     that starts over on its probe's support takes its first step in the
     next round.
     """
     results = [None] * len(problems)
     live = []
-    start_factor = None  # the full-Gram factor, or the error its attempt raised
+    start = None  # the uniform start's system, or the message of its rank failure
     for index, shifted in enumerate(problems):
         rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
         px = _Pixel(index, shifted, rng)
@@ -399,16 +404,12 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             # More endmembers than bands: the uniform block cannot be full rank.
             results[index] = px.start(*_vertex(shifted), config)
         else:
-            state = initialize_state(shifted)
-            if start_factor is None:
-                try:
-                    start_factor = factorize(shifted.gram, state.free)
-                except RankDeficientLibrary as exc:
-                    start_factor = exc
-            if isinstance(start_factor, UnmixError):
-                results[index] = start_factor
+            if start is None:
+                start = shifted._start_system()
+            if isinstance(start, str):
+                results[index] = RankDeficientLibrary(start)
             else:
-                px.begin(state.free, state.iterate, start_factor)
+                px.begin(start.free, np.full(shifted.size, shifted.budget / shifted.size), start)
                 px.probing = True
         if results[index] is None:
             live.append(px)

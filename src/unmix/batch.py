@@ -1,24 +1,28 @@
 """Shift, solve and unshift: one pixel at a time for :func:`unmix`, and in
 slices of pixels solved in lockstep for :func:`unmix_batch` and the CLI.
-Both run the one active-set loop, so a pixel gets the same answer either
-way."""
+Both shift each pixel through one core and run the one active-set loop, so
+a pixel gets the same answer either way. A batch validates its bounds and
+computes their offset and budget once; per pixel it only checks the
+measurement and forms its own target, linear term and constant."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .active_set import Solution, SolveStatus, _solve_lockstep, active_set_solve
 from .errors import DimensionMismatch, UnmixError
-from .model import SolverConfig, SpectralLibrary, UnmixingProblem, validate_lower_bounds
+from .model import SolverConfig, SpectralLibrary, UnmixingProblem, _require_finite
+from .model import validate_lower_bounds
 from .model import precompute_gram  # noqa: F401  (re-exported)
-from .shift import shift_problem, unshift_solution
+from .shift import _shift_measurement, _shift_terms, shift_problem, unshift_solution
 
-# Each pixel solved in lockstep keeps a Cholesky factor of at most P x P,
-# 8 P^2 bytes: the uniform start's shared factor until its first change, or
-# its own factor of the probe's support or of the free set grown from the
-# vertex. A slice holds as many pixels as fit in this many bytes of factors.
+# A slice bounds what its pixels own at once: their shifted problems, and the
+# factors they make themselves, each at most P x P, 8 P^2 bytes, of the
+# probe's support or of the free set grown from the vertex. (The uniform
+# start's factor is the library's, shared until a pixel first changes it.)
+# A slice holds as many pixels as fit in this many bytes of such factors.
 _SLICE_FACTOR_BYTES = 1 << 19
 
 
@@ -60,8 +64,11 @@ class BatchJob:
 
 
 def _unshifted(solution: Solution, lower_bounds) -> Solution:
+    # The loop made ``solution`` for this pixel alone, so its abundances are
+    # set in place rather than copied with every other field by ``replace``.
     abundances = unshift_solution(solution.shifted_abundances, lower_bounds)
-    return replace(solution, abundances=abundances)
+    object.__setattr__(solution, "abundances", abundances)
+    return solution
 
 
 def unmix(problem: UnmixingProblem, config: SolverConfig | None = None) -> Solution:
@@ -100,14 +107,16 @@ def _solve_pixels(job: BatchJob):
     config = job.config
     lib = job.library
     validate_lower_bounds(job.lower_bounds, lib.n_endmembers, config.primal_tol)
+    offset, budget = _shift_terms(lib, job.lower_bounds)
     width = max(1, _SLICE_FACTOR_BYTES // (8 * lib.n_endmembers**2))
     n_pixels = job.pixels.shape[1]
     for begin in range(0, n_pixels, width):
         shifted = []
         for column in range(begin, min(begin + width, n_pixels)):
-            problem = UnmixingProblem(lib, job.pixels[:, column], job.lower_bounds)
+            measurement = job.pixels[:, column]
             try:
-                shifted.append(shift_problem(problem, primal_tol=config.primal_tol))
+                _require_finite(measurement, "measurement")  # its length is the job's
+                shifted.append(_shift_measurement(lib, measurement, offset, budget))
             except UnmixError as exc:
                 shifted.append(exc)
         problems = [item for item in shifted if not isinstance(item, UnmixError)]

@@ -20,9 +20,10 @@ that owns the free set and holds ``L`` and ``Z``, and modifies both in
 place of refactorizing (Gill, Golub, Murray & Saunders, *Methods for
 modifying matrix factorizations*, Math. Comp. 1974). Every factor event of
 a solve happens here. The system's first solve factorizes its free set,
-unless it adopted a factor, as every uniform start adopts the one full-Gram
-factor. When a variable is pinned, :meth:`KeptSystem.remove` deletes its
-column by Givens re-triangularization of the trailing block and rotates
+unless it adopted a factor or was forked from the one system of the full
+Gram matrix that :func:`uniform_start` factorizes for every uniform start.
+When a variable is pinned, :meth:`KeptSystem.remove` deletes its column by
+Givens re-triangularization of the trailing block and rotates
 ``Z`` with the same rotations; when one is released, :meth:`KeptSystem.add`
 puts it last, and the next solve appends its column with one triangular
 solve, which also gives the new row of ``Z``. Each costs ``O(|F|^2)``
@@ -160,6 +161,23 @@ class KeptSystem:
         self.forward[:, 0] = dtrsv(lower, self.linear.take(self.free), lower=1)
         self.forward[:, 1] = dtrsv(lower, np.ones(self.free.size), lower=1)
 
+    def fork(self, linear) -> KeptSystem:
+        """A system on this one's free set and factor, for the linear term ``linear``.
+
+        The factor, its diagonal and ``L^{-1} 1`` are shared, not
+        recomputed; only ``L^{-1} g_F`` is solved. This system must be
+        factorized, with no column added since.
+        """
+        system = object.__new__(KeptSystem)
+        system.gram, system.order, system.free = self.gram, self.order, self.free
+        system.lower, system.top = self.lower, self.top
+        system.linear = linear
+        system.diagonal = list(self.diagonal)  # an append extends it in place
+        system.forward = np.empty_like(self.forward)
+        system.forward[:, 0] = dtrsv(self.lower, linear.take(self.free), lower=1)
+        system.forward[:, 1] = self.forward[:, 1]
+        return system
+
     def _catch_up(self) -> None:
         """Factorize ``free`` on first use, then append the columns added since."""
         if self.lower is None:
@@ -274,6 +292,19 @@ class KeptSystem:
         rhs = daxpy(forward_ones, forward_linear.copy(), a=-lam)
         free_values = dtrsv(self.lower, rhs, lower=1, trans=1, overwrite_x=1)
         return SubproblemSolution(free_values=free_values, multiplier=lam)
+
+
+def uniform_start(gram) -> KeptSystem | str:
+    """The factorized system, every variable free, that uniform starts on
+    ``gram`` fork; or, when it fails the rank test, the error's message, so
+    that each solve raises its own (one instance re-raised would lengthen
+    its traceback every time)."""
+    free = np.arange(gram.shape[0], dtype=np.intp)
+    try:
+        lower = factorize(gram, free)
+    except RankDeficientLibrary as exc:
+        return str(exc)
+    return KeptSystem(gram, np.zeros(free.size), free, lower)
 
 
 def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSolution:

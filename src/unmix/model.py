@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleLowerBounds, NonFiniteInput
+from .kkt import uniform_start
 
 _GRAM_SYMMETRY_RTOL = 1e-12
 
@@ -30,13 +31,19 @@ def _frozen_array(values, ndim, name):
     return arr
 
 
+def _require_finite(values, name):
+    if not np.isfinite(values).all():
+        raise NonFiniteInput(f"{name} contains NaN or infinite values")
+
+
 @dataclass(frozen=True)
 class SpectralLibrary:
     """Dense endmember library: one spectrum of length ``n_bands`` per column.
 
     All entries must be finite and both dimensions nonzero. The stored array
-    is read-only, and the Gram matrix is computed on first use and kept with
-    the library, so every solve that shares an instance shares its Gram.
+    is read-only. The Gram matrix and the uniform start's factor are each
+    computed on first use and kept with the library, so every solve that
+    shares an instance shares them.
     """
 
     entries: np.ndarray
@@ -62,6 +69,12 @@ class SpectralLibrary:
         """Read-only symmetrized ``A^T A``, computed on first use."""
         return precompute_gram(self)
 
+    @functools.cached_property
+    def _uniform_start(self):
+        """The uniform start's system on :attr:`gram`, or the message of its
+        rank failure; see :func:`unmix.kkt.uniform_start`."""
+        return uniform_start(self.gram)
+
 
 def precompute_gram(library: SpectralLibrary) -> np.ndarray:
     """Read-only symmetrized ``A^T A`` of a library (or of a raw N x P array)."""
@@ -77,8 +90,7 @@ def _symmetrized(gram) -> np.ndarray:
     Finite entries can still overflow, in ``A^T A`` or in the sum here.
     """
     gram = _frozen_array(0.5 * (gram + gram.T), 2, "gram")
-    if not np.isfinite(gram).all():
-        raise NonFiniteInput("gram contains NaN or infinite values")
+    _require_finite(gram, "gram")
     return gram
 
 
@@ -135,8 +147,7 @@ def validate_problem(problem: UnmixingProblem, primal_tol=1e-10) -> None:
             f"measurement has length {problem.measurement.size}, "
             f"expected {lib.n_bands} (library rows)"
         )
-    if not np.isfinite(problem.measurement).all():
-        raise NonFiniteInput("measurement contains NaN or infinite values")
+    _require_finite(problem.measurement, "measurement")
     validate_lower_bounds(problem.lower_bounds, lib.n_endmembers, primal_tol)
 
 
@@ -146,8 +157,7 @@ def _checked_gram(values) -> np.ndarray:
     p = gram.shape[0]
     if gram.shape != (p, p) or p < 1:
         raise DimensionMismatch(f"gram must be square and nonempty, got shape {gram.shape}")
-    if not np.isfinite(gram).all():
-        raise NonFiniteInput("gram contains NaN or infinite values")
+    _require_finite(gram, "gram")
     scale = max(1.0, float(np.abs(gram).max()))
     if np.abs(gram - gram.T).max() > _GRAM_SYMMETRY_RTOL * scale:
         raise ValueError("gram matrix is asymmetric beyond the 1e-12 relative tolerance")
@@ -159,16 +169,18 @@ class ShiftedProblem:
     """Quadratic form of the nonnegativity-constrained problem.
 
     Holds the Gram matrix ``A^T A``, the linear term ``A^T target``, and the
-    remaining simplex ``budget`` (one minus the sum of the lower bounds). A
-    Gram matrix given by hand is checked and symmetrized into a copy; the
-    library's own :attr:`SpectralLibrary.gram`, already checked, symmetric
-    and read-only, is kept as it is. Positive semidefiniteness is not checked
-    eagerly and surfaces as a factorization error instead.
+    remaining simplex ``budget`` (one minus the sum of the lower bounds).
+    Construction checks the Gram matrix and symmetrizes it into a copy.
+    Positive semidefiniteness is not checked eagerly and surfaces as a
+    factorization error instead.
 
     ``shifted_target`` and ``library`` are optional: they are filled in by
     :func:`unmix.shift.shift_problem` and let the test oracle evaluate
     objectives directly from residual norms, but a problem stated purely as
-    (gram, linear, budget) is accepted as well.
+    (gram, linear, budget) is accepted as well. The shift builds its
+    problems without construction's checks and copies, from the library's
+    own :attr:`SpectralLibrary.gram` and arrays it has just made and
+    checked; only such a problem uses the uniform start the library keeps.
     """
 
     gram: np.ndarray
@@ -181,17 +193,14 @@ class ShiftedProblem:
     def __post_init__(self):
         if self.library is not None and not isinstance(self.library, SpectralLibrary):
             object.__setattr__(self, "library", SpectralLibrary(self.library))
-        gram = self.gram
-        if self.library is None or gram is not vars(self.library).get("gram"):
-            gram = _checked_gram(gram)
-            object.__setattr__(self, "gram", gram)
+        gram = _checked_gram(self.gram)
+        object.__setattr__(self, "gram", gram)
         p = gram.shape[0]
 
         linear = _frozen_array(self.linear, 1, "linear")
         if linear.size != p:
             raise DimensionMismatch(f"linear has length {linear.size}, expected {p}")
-        if not np.isfinite(linear).all():
-            raise NonFiniteInput("linear contains NaN or infinite values")
+        _require_finite(linear, "linear")
         object.__setattr__(self, "linear", linear)
 
         budget = float(self.budget)
@@ -202,8 +211,7 @@ class ShiftedProblem:
         target = self.shifted_target
         if target is not None:
             target = _frozen_array(target, 1, "shifted_target")
-            if not np.isfinite(target).all():
-                raise NonFiniteInput("shifted_target contains NaN or infinite values")
+            _require_finite(target, "shifted_target")
             object.__setattr__(self, "shifted_target", target)
 
         const = self.const_term
@@ -221,6 +229,25 @@ class ShiftedProblem:
                         f"norm of shifted_target ({expected})"
                     )
         object.__setattr__(self, "const_term", const)
+
+    @classmethod
+    def _of_checked(cls, gram, linear, budget, shifted_target, const_term, library):
+        """A problem from fields that already hold what construction would
+        make of them: the library's own Gram, read-only finite arrays of
+        matching sizes, a float budget and the target's ``const_term``."""
+        problem = object.__new__(cls)
+        vars(problem).update(gram=gram, linear=linear, budget=budget,
+                             shifted_target=shifted_target, const_term=const_term,
+                             library=library)
+        return problem
+
+    def _start_system(self):
+        """:func:`unmix.kkt.uniform_start` of this Gram: the library's own,
+        made once, when the shift built this problem on the library's Gram."""
+        library = self.library
+        if library is not None and self.gram is vars(library).get("gram"):
+            return library._uniform_start
+        return uniform_start(self.gram)
 
     @property
     def size(self) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import ShiftedProblem, UnmixingProblem, validate_problem
+from .model import ShiftedProblem, UnmixingProblem, _require_finite, validate_problem
 
 
 def shift_problem(problem: UnmixingProblem, primal_tol=1e-10) -> ShiftedProblem:
@@ -15,19 +15,34 @@ def shift_problem(problem: UnmixingProblem, primal_tol=1e-10) -> ShiftedProblem:
     ``1 - sum(lower_bounds)``; with zero bounds this is the plain fully
     constrained least-squares setup. The Gram matrix is the library's own
     :attr:`~unmix.model.SpectralLibrary.gram`, computed once per library.
+    The linear term and the target are read-only.
     """
     validate_problem(problem, primal_tol)
-    library = problem.library
-    shifted_target = problem.measurement - library.entries @ problem.lower_bounds
+    offset, budget = _shift_terms(problem.library, problem.lower_bounds)
+    return _shift_measurement(problem.library, problem.measurement, offset, budget)
+
+
+def _shift_terms(library, lower_bounds) -> tuple[np.ndarray, float]:
+    """The target offset ``A @ lower_bounds`` and the budget of valid bounds,
+    shared by every measurement solved under them."""
     # A -1e-17 budget from float summation must not fail construction.
-    budget = max(0.0, 1.0 - float(problem.lower_bounds.sum()))
-    return ShiftedProblem(
-        gram=library.gram,
-        linear=library.entries.T @ shifted_target,
-        budget=budget,
-        shifted_target=shifted_target,
-        library=library,
-    )
+    budget = max(0.0, 1.0 - float(lower_bounds.sum()))
+    return library.entries @ lower_bounds, budget
+
+
+def _shift_measurement(library, measurement, offset, budget) -> ShiftedProblem:
+    """The nonnegativity form of one validated measurement under the terms
+    of :func:`_shift_terms`: the per-pixel part of :func:`shift_problem`."""
+    shifted_target = measurement - offset
+    gram = library.gram  # an overflowing Gram is reported before the linear term
+    linear = library.entries.T @ shifted_target
+    # A non-finite target entry makes every entry of A^T target NaN or
+    # infinite, so this check also covers the target.
+    _require_finite(linear, "linear")
+    linear.setflags(write=False)
+    shifted_target.setflags(write=False)
+    return ShiftedProblem._of_checked(gram, linear, budget, shifted_target,
+                                      0.5 * float(shifted_target @ shifted_target), library)
 
 
 def unshift_solution(shifted_abundances, lower_bounds) -> np.ndarray:

@@ -1,5 +1,5 @@
 import importlib
-import math
+import traceback
 from unittest import mock
 
 import numpy as np
@@ -11,6 +11,7 @@ from unmix import (
     InfeasibleLowerBounds,
     RankDeficientLibrary,
     SolveStatus,
+    SpectralLibrary,
     batch_summary,
     precompute_gram,
     unmix,
@@ -19,8 +20,8 @@ from unmix import (
 from unmix.model import UnmixingProblem
 from instances import random_problem
 
-active_set = importlib.import_module("unmix.active_set")
 batch = importlib.import_module("unmix.batch")
+kkt = importlib.import_module("unmix.kkt")
 
 
 def test_gram_of_identity_library():
@@ -124,7 +125,7 @@ def test_failed_pixel_is_recorded_without_aborting():
 
 def test_a_singular_start_factor_fails_every_pixel_from_one_attempt():
     # P = 31 <= N with one duplicated column: the uniform start's full-Gram
-    # factor is singular for every pixel, so a slice attempts it once.
+    # factor is singular for every pixel, so the library attempts it once.
     rng = np.random.default_rng(60)
     entries = rng.random((224, 30))
     library = np.column_stack([entries, entries[:, 7]])
@@ -132,11 +133,30 @@ def test_a_singular_start_factor_fails_every_pixel_from_one_attempt():
     with pytest.raises(RankDeficientLibrary) as raised:
         unmix(UnmixingProblem(library, pixels[:, 0]))
     message = f"RankDeficientLibrary: {raised.value}"
-    with mock.patch.object(active_set, "factorize", wraps=active_set.factorize) as factorize:
+    with mock.patch.object(kkt, "factorize", wraps=kkt.factorize) as factorize:
         results = unmix_batch(BatchJob(library, pixels))
     assert all(r.status is SolveStatus.FAILED and r.message == message for r in results)
-    width = batch._SLICE_FACTOR_BYTES // (8 * 31**2)
-    assert factorize.call_count == math.ceil(500 / width)
+    assert batch._SLICE_FACTOR_BYTES // (8 * 31**2) < 500  # more than one slice
+    assert factorize.call_count == 1
+
+
+def test_a_singular_start_raises_a_fresh_error_on_every_call():
+    # The library keeps the singular start's message, not the exception: one
+    # instance raised again would grow its traceback by two frames each time.
+    rng = np.random.default_rng(60)
+    entries = rng.random((224, 30))
+    library = SpectralLibrary(np.column_stack([entries, entries[:, 7]]))
+    pixel = entries @ rng.dirichlet(np.ones(30))
+    with pytest.raises(RankDeficientLibrary) as first:
+        unmix(UnmixingProblem(np.array(library.entries), pixel))
+    raised = []
+    for _ in range(200):
+        with pytest.raises(RankDeficientLibrary) as caught:
+            unmix(UnmixingProblem(library, pixel))
+        raised.append(caught.value)
+        assert str(caught.value) == str(first.value)
+    assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised}) == 1
+    assert len({id(exc) for exc in raised}) == 200
 
 
 def test_batch_rejects_mismatched_pixel_rows():

@@ -196,6 +196,43 @@ def test_tied_coordinate_that_lands_below_zero_is_clipped():
     _assert_matches_unmix(solutions, library, pixels, None, config)
 
 
+_MAX = np.finfo(float).max
+_GRAM = "NonFiniteInput: gram contains NaN or infinite values"
+
+
+@pytest.mark.parametrize("entries, pixel, bounds, failures", [
+    # A NaN pixel fails the measurement check.
+    (np.eye(3) + 0.5, np.array([0.2, np.nan, 0.3]), None,
+     [None, "NonFiniteInput: measurement contains NaN or infinite values", None]),
+    # A finite pixel whose linear term A^T y overflows.
+    (np.eye(3) + 0.5, np.full(3, _MAX), None,
+     [None, "NonFiniteInput: linear contains NaN or infinite values", None]),
+    # A finite pixel whose target y - A lb overflows. With |A lb| bounded by
+    # the largest entry, that takes a library whose Gram overflows too, and
+    # the Gram is reported first.
+    (np.full((2, 2), 1e300), np.full(2, -_MAX), np.array([0.5, 0.25]), [_GRAM] * 3),
+    # Bounds that sum to exactly 1: a zero budget, solved at the origin.
+    (np.eye(3) + 0.5, np.array([0.2, 0.7, 0.3]), np.array([0.25, 0.25, 0.5]), [None] * 3),
+    # Libraries whose Gram overflows, in A^T A or in the symmetrizing sum.
+    (np.full((2, 2), 1e200), np.ones(2), None, [_GRAM] * 3),
+    (np.full((2, 2), 0.8e154), np.ones(2), None, [_GRAM] * 3),
+], ids=["nan-pixel", "linear-overflows", "target-overflows", "zero-budget",
+        "gram-overflows-in-product", "gram-overflows-in-sum"])
+def test_batch_equals_unmix_at_the_edges_of_the_shift(entries, pixel, bounds, failures):
+    library = SpectralLibrary(entries)
+    finite = library.entries @ np.full(library.n_endmembers, 1.0 / library.n_endmembers)
+    pixels = np.column_stack([finite, pixel, finite])
+    with np.errstate(over="ignore"):
+        if bounds is not None and bounds.sum() < 1.0:
+            assert np.isinf(pixel - library.entries @ bounds).all()
+        solutions = unmix_batch(BatchJob(library, pixels, bounds))
+        _assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
+    assert [s.message or None for s in solutions] == failures
+    if bounds is not None and bounds.sum() == 1.0:
+        assert all(s.outer_iterations == 0 for s in solutions)
+        np.testing.assert_array_equal(solutions[1].abundances, bounds)
+
+
 def _assert_certified_at_the_iterate(library, pixel):
     shifted = shift_problem(UnmixingProblem(library, pixel))
     solution = unmix(UnmixingProblem(library, pixel))

@@ -1,8 +1,10 @@
-"""One solve pipeline: each pixel is validated and shifted once, the Gram
-matrix is computed once per library, and the CLI certifies each diagnostics
-record against the very problem its solve used."""
+"""One solve pipeline: a batch validates its bounds once and each pixel
+once, each pixel is shifted once, the Gram matrix and the uniform start's
+factor are computed once per library, and the CLI certifies each
+diagnostics record against the very problem its solve used."""
 
 import functools
+import importlib
 import json
 import sys
 
@@ -10,16 +12,21 @@ import numpy as np
 
 from unmix import (
     BatchJob,
+    ShiftedProblem,
     SpectralLibrary,
     UnmixingProblem,
+    active_set_solve,
     precompute_gram,
     shift_problem,
     unmix,
     unmix_batch,
-    validate_problem,
     verify_kkt,
 )
 from unmix.cli import main
+from unmix.model import _require_finite, validate_lower_bounds
+from unmix.shift import _shift_measurement
+
+kkt = importlib.import_module("unmix.kkt")
 
 
 def _count_calls(monkeypatch, function):
@@ -55,9 +62,14 @@ def _write_csv(path, array):
 
 def test_batch_validates_each_pixel_once(monkeypatch):
     library, pixels, bounds = _scene(np.random.default_rng(71), n_pixels=9)
-    calls = _count_calls(monkeypatch, validate_problem)
+    finite_checks = _count_calls(monkeypatch, _require_finite)
+    bound_checks = _count_calls(monkeypatch, validate_lower_bounds)
     unmix_batch(BatchJob(library, pixels, bounds))
-    assert len(calls) == pixels.shape[1]
+    measurements = [values for values, name in finite_checks if name == "measurement"]
+    assert len(measurements) == pixels.shape[1]
+    for column, measurement in enumerate(measurements):
+        np.testing.assert_array_equal(measurement, pixels[:, column])
+    assert len(bound_checks) == 1
 
 
 def test_unmix_calls_sharing_a_library_compute_the_gram_once(monkeypatch):
@@ -71,7 +83,7 @@ def test_unmix_calls_sharing_a_library_compute_the_gram_once(monkeypatch):
 
 def test_cli_with_diagnostics_shifts_each_pixel_once(monkeypatch, tmp_path):
     library, pixels, bounds = _scene(np.random.default_rng(73))
-    calls = _count_calls(monkeypatch, shift_problem)
+    calls = _count_calls(monkeypatch, _shift_measurement)
     code = main(["--library", _write_csv(tmp_path / "lib.csv", library),
                  "--input", _write_csv(tmp_path / "pix.csv", pixels),
                  "--lower-bounds", _write_csv(tmp_path / "lb.csv", bounds),
@@ -119,3 +131,45 @@ def test_diagnostics_match_an_independent_kkt_check(tmp_path):
         }
         assert record["iterations"] == solution.outer_iterations
         assert record["objective"] == solution.objective
+
+
+def _full_factorizations(monkeypatch):
+    """The factorizations of every variable, as the uniform start makes them."""
+    calls = _count_calls(monkeypatch, kkt.factorize)
+    return lambda: sum(1 for gram, free in calls if len(free) == gram.shape[0])
+
+
+def test_a_library_factorizes_its_uniform_start_once(monkeypatch):
+    library, pixels, bounds = _scene(np.random.default_rng(75))
+    full = _full_factorizations(monkeypatch)
+    shared = SpectralLibrary(library)
+    assert full() == 0  # nothing is factorized before the first solve
+    for column in range(3):
+        unmix(UnmixingProblem(shared, pixels[:, column], bounds))
+    unmix_batch(BatchJob(shared, pixels, bounds))
+    assert full() == 1
+    # Equal entries are another library, with a start of its own.
+    unmix(UnmixingProblem(SpectralLibrary(library), pixels[:, 0], bounds))
+    assert full() == 2
+
+
+def test_a_hand_built_problem_never_uses_the_library_start(monkeypatch):
+    library, pixels, bounds = _scene(np.random.default_rng(76))
+    shared = SpectralLibrary(library)
+    shifted = shift_problem(UnmixingProblem(shared, pixels[:, 0], bounds))
+    full = _full_factorizations(monkeypatch)
+    expected = unmix(UnmixingProblem(shared, pixels[:, 0], bounds))
+    assert full() == 1
+    hand_built = [
+        # no library
+        ShiftedProblem(shifted.gram, shifted.linear, shifted.budget),
+        # the library and its own Gram, which construction copies
+        ShiftedProblem(shared.gram, shifted.linear, shifted.budget,
+                       shifted.shifted_target, library=shared),
+    ]
+    for count, problem in enumerate(hand_built, start=2):
+        assert problem.gram is not shared.gram
+        solution = active_set_solve(problem)
+        assert full() == count
+        np.testing.assert_array_equal(solution.shifted_abundances,
+                                      expected.shifted_abundances)

@@ -138,3 +138,11 @@ def test_hand_built_gram_that_overflows_when_symmetrized_is_rejected():
     with np.errstate(over="ignore"), \
             pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
         ShiftedProblem(gram, np.zeros(2), 1.0)
+
+
+def test_shifted_linear_term_and_target_are_read_only():
+    shifted = shift_problem(random_problem(np.random.default_rng(7)))
+    for array in (shifted.linear, shifted.shifted_target):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
