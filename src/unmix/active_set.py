@@ -26,10 +26,8 @@ doubles as a probe, which decides where the solve goes on:
   it one release at a time;
 - otherwise the solve starts over at the feasible point
   ``max(probe, 0) * s / sum(max(probe, 0))``, free on the probe's strictly
-  positive support and zero elsewhere, as iteration 0. From there the loop
-  runs as from any feasible iterate, so it pins only the support's own
-  blockers instead of walking from ``s / P`` and pinning every negative
-  entry of the probe one round at a time.
+  positive support and zero elsewhere, as iteration 0, and the loop runs
+  from there as from any feasible iterate.
 
 A library with more endmembers than bands always starts at the vertex,
 because the uniform start's block cannot be full rank there. A zero budget
@@ -42,9 +40,9 @@ Cholesky factor of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so
 that each subproblem costs two dot products and one back-substitution. The
 uniform start forks the system of the full Gram matrix, which the library
 factorizes once, at the first solve that needs it; a problem stated without
-its library's Gram gets one per call of the loop. The system of a start
-over factorizes its free set at its first solve: the probe's support, or
-the vertex's two-column block after its first release.
+its library's Gram gets one of its own. The system of a start over
+factorizes its free set at its first solve: the probe's support, or the
+vertex's two-column block after its first release.
 After that the system is only modified: step 2 removes the pinned variable's
 column where it sits and step 3 adds the released one last, each
 ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a refactorization.
@@ -61,10 +59,12 @@ blocking coordinates only.
 There is one loop, :func:`_solve_lockstep`. It takes problems that share a
 Gram matrix through the moves together, one round at a time:
 :func:`active_set_solve` runs it on one problem and :mod:`unmix.batch` on
-slices of pixels, so a pixel gets the same answer either way. Each
-problem's factor, subproblem, objective trace, pricing and start are its
-own; only the ratio test, the tie-break and the iterate update of the
-problems whose candidate is infeasible are numpy calls over all of them.
+slices of pixels, so a pixel gets the same answer either way. Every
+problem takes its start, probe included, before the first round, and the
+rounds only solve, then accept or block. Each problem's factor,
+subproblem, objective trace, pricing and start are its own; only the ratio
+test, the tie-break and the iterate update of the problems whose candidate
+is infeasible are numpy calls over all of them.
 The step helpers (:func:`initialize_state`, :func:`max_feasible_step`,
 :func:`transfer_to_active`, :func:`lagrange_multipliers`,
 :func:`release_from_active`) spell the moves out for one problem with
@@ -85,14 +85,14 @@ from .model import ShiftedProblem, SolverConfig, objective_from_product, objecti
 
 
 _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
-# A uniform start whose first candidate has more than this share of its P
-# entries below -primal_tol starts over at the best vertex. Timed per pixel
-# on 224-band scenes with 1..P-sparse abundances, against the walk from
-# s / P that the uniform path made before it started over on the probe's
-# support, the vertex ran at 1.54x / 0.96x / 0.82x of its time for shares
-# 0.25-0.30 / 0.30-0.35 / 0.35-0.40 at P=30, 1.35x / 0.96x / 0.73x at
-# P=100, and 1.01x at 0.3 and 0.75x at 0.4 at P=10: the two broke even near
-# a third. The break-even against the support start is not re-measured.
+# A uniform start whose probe has more than this share of its P entries
+# below -primal_tol starts over at the best vertex, one with fewer, but some,
+# on the probe's positive support. The vertex takes more iterations, but
+# cheaper ones: at a share of 1, where every such probe takes the support
+# start, api-p100 (seed 101, 300 spectra) fell from 39.2 to 21.8 iterations
+# per pixel but ran at 2.49 against 2.22 ms per pixel in-process. It traded
+# 37.5 column appends for 19.7 deletes per pixel, and a delete at |F| about
+# 50 costs about twice an append.
 _VERTEX_START_SHARE = 1 / 3
 
 
@@ -251,19 +251,6 @@ def _band_deficit(exc: UnmixError, shifted: ShiftedProblem, n_free: int) -> Unmi
     )
 
 
-def _vertex(shifted: ShiftedProblem):
-    """The best vertex ``s e_i`` as a feasible candidate on the free set ``[i]``.
-
-    ``i`` is the argmin of ``0.5 s^2 G_ii - s g_i`` (ties to the smallest
-    index), and ``lam = g_i - s G_ii`` solves the subproblem on ``[i]``.
-    """
-    s = shifted.budget
-    diagonal = shifted.gram.diagonal()
-    i = int(np.argmin(0.5 * s * s * diagonal - s * shifted.linear))
-    return [i], SubproblemSolution(free_values=np.array([s]),
-                                   multiplier=float(shifted.linear[i] - s * diagonal[i]))
-
-
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
     """Minimize the shifted quadratic over the scaled simplex.
 
@@ -292,47 +279,69 @@ class _Pixel:
     """Where one problem of :func:`_solve_lockstep` stands between rounds.
 
     ``system`` is the problem's :class:`KeptSystem`, which owns its free set.
-    ``iterate`` is the current feasible point and ``trace`` its objective
-    trace. Every start goes through :meth:`begin`, which puts the pixel at
-    a feasible point on a free set: the uniform start, the probe's support
-    and, through :meth:`start`, the vertex and the origin. ``probing`` marks
-    a uniform start whose first candidate has not been seen yet: its system
-    is forked from the uniform start's system that all problems share, and
-    its trace is begun at the probe, once the pixel keeps that start.
+    ``iterate`` is the current feasible point, ``trace`` its objective trace
+    and ``iteration`` the number of subproblems solved since the start.
+    :meth:`start` chooses the start once, before the first round, and puts
+    the pixel there through :meth:`begin`.
     """
 
-    __slots__ = ("index", "shifted", "rng", "system", "iterate", "trace", "iteration", "probing")
+    __slots__ = ("index", "shifted", "rng", "system", "iterate", "trace", "iteration")
 
     def __init__(self, index, shifted, rng):
         self.index = index
         self.shifted = shifted
         self.rng = rng
-        self.system = self.iterate = None
-        self.trace = []
-        self.iteration = 0
-        self.probing = False
 
-    def begin(self, free, iterate, start=None) -> None:
-        """Start the solve (over) at the feasible point ``iterate``, free on ``free``.
-
-        ``iterate`` must be zero off ``free``. The pixel gets a fresh system
-        on ``free``, forked from ``start``, a factorized system on ``free``,
-        or factorized at its first solve, an empty trace and iteration 0.
-        """
-        shifted = self.shifted
-        self.system = (KeptSystem(shifted.gram, shifted.linear, free) if start is None
-                       else start.fork(shifted.linear))
+    def begin(self, system: KeptSystem, iterate) -> None:
+        """Start the solve (over) at ``iterate``, feasible and zero off
+        ``system.free``, with an empty trace and no iteration made."""
+        self.system = system
         self.iterate = iterate
         self.trace = []
         self.iteration = 0
 
-    def start(self, free, sub: SubproblemSolution, config: SolverConfig):
-        """Start the solve over at the feasible candidate ``sub`` on ``free``.
+    def start(self, config: SolverConfig) -> Solution | None:
+        """Choose the start and take it: the whole start policy of the loop.
 
-        Begins at the origin and accepts ``sub`` as iteration 0. Returns
-        what :meth:`accept` returns.
+        Unless the budget is zero or the library is wider than its bands,
+        the probe is solved as iteration 1 on a fork of the uniform start's
+        system. Returns what :meth:`accept` returns, or None after a start
+        over on the probe's support, whose candidate the first round solves.
+        Raises the :class:`RankDeficientLibrary` of a singular full Gram.
         """
-        self.begin(free, np.zeros(self.shifted.size))
+        shifted = self.shifted
+        s, p = shifted.budget, shifted.size
+        target = shifted.shifted_target
+        if s == 0.0:
+            # The origin is the only feasible point; lam = max(g) is the
+            # smallest multiplier that certifies it.
+            free, sub = [], SubproblemSolution(np.empty(0), float(shifted.linear.max()))
+        else:
+            if target is None or p <= target.size:  # else the uniform block is rank deficient
+                self.begin(shifted._start_system().fork(shifted.linear), np.full(p, s / p))
+                self.iteration = 1
+                probe = solve_subproblem(shifted.gram, shifted.linear, s, self.system.free,
+                                         factor=self.system)
+                negative = np.count_nonzero(probe.free_values < -config.primal_tol)
+                if not negative:
+                    self.trace.append(objective_value(shifted, self.iterate))
+                    return self.accept(probe, config)
+                if negative <= _VERTEX_START_SHARE * p:
+                    # Start over at the probe clipped to its strictly positive
+                    # support and scaled back onto the budget.
+                    clipped = np.maximum(probe.free_values, 0.0)
+                    clipped *= s / clipped.sum()
+                    self.begin(KeptSystem(shifted.gram, shifted.linear, np.flatnonzero(clipped)),
+                               clipped)
+                    self.trace.append(objective_value(shifted, clipped))
+                    return None
+            # The best vertex s e_i minimizes 0.5 s^2 G_ii - s g_i (ties to the
+            # smallest index); lam = g_i - s G_ii solves the subproblem on [i].
+            diagonal = shifted.gram.diagonal()
+            i = int(np.argmin(0.5 * s * s * diagonal - s * shifted.linear))
+            free, sub = [i], SubproblemSolution(np.array([s]),
+                                                float(shifted.linear[i] - s * diagonal[i]))
+        self.begin(KeptSystem(shifted.gram, shifted.linear, free), np.zeros(p))
         return self.accept(sub, config)
 
     def accept(self, sub: SubproblemSolution, config: SolverConfig) -> Solution | None:
@@ -377,77 +386,41 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
 
     The ``i``-th entry is the :class:`Solution` for ``problems[i]``, or the
     :class:`UnmixError` the solve of that problem raised; no problem's
-    answer depends on the others. In a round every live problem solves its
-    subproblem on its own kept system, then either prices a feasible
-    candidate or takes the blocking step; the ratio test, the tie-break and
-    the iterate update of all blocked problems are stacked numpy calls,
-    which keep each row's arithmetic. The uniform start's system is taken
-    from the library, or made once for all problems when they do not use
-    their library's Gram, so a singular full Gram fails each of them with
-    the same message; the first round is every problem's probe, and one
-    that starts over on its probe's support takes its first step in the
-    next round.
+    answer depends on the others. Every problem takes its start, probe
+    included, before the first round. In a round every live problem that
+    is below the iteration cap solves its subproblem on its own kept
+    system, then either prices a feasible candidate or takes the blocking
+    step; the ratio test, the tie-break and the iterate update of all
+    blocked problems are stacked numpy calls, which keep each row's
+    arithmetic.
     """
     results = [None] * len(problems)
     live = []
-    start = None  # the uniform start's system, or the message of its rank failure
     for index, shifted in enumerate(problems):
         rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
         px = _Pixel(index, shifted, rng)
-        target = shifted.shifted_target
-        if shifted.budget == 0.0:
-            # The origin is the only feasible point; lam = max(g) is the
-            # smallest multiplier that certifies it.
-            origin = SubproblemSolution(np.empty(0), float(shifted.linear.max()))
-            results[index] = px.start([], origin, config)
-        elif target is not None and shifted.size > target.size:
-            # More endmembers than bands: the uniform block cannot be full rank.
-            results[index] = px.start(*_vertex(shifted), config)
-        else:
-            if start is None:
-                start = shifted._start_system()
-            if isinstance(start, str):
-                results[index] = RankDeficientLibrary(start)
-            else:
-                px.begin(start.free, np.full(shifted.size, shifted.budget / shifted.size), start)
-                px.probing = True
+        try:
+            results[index] = px.start(config)
+        except UnmixError as exc:
+            results[index] = exc
         if results[index] is None:
             live.append(px)
 
-    if not live:
-        return results
-    gram = live[0].shifted.gram
-    p = gram.shape[0]
-    cap = config.iteration_cap(p)
     while live:
         blocked, candidates = [], []  # pixels whose candidate is infeasible, and those candidates
         for px in live:
             shifted, system = px.shifted, px.system
-            if px.iteration == cap:
-                results[px.index] = _capped_solution(px.iterate, system.free, cap, px.trace)
+            if px.iteration == config.iteration_cap(shifted.size):
+                results[px.index] = _capped_solution(px.iterate, system.free, px.iteration,
+                                                     px.trace)
                 continue
             px.iteration += 1
             try:
-                sub = solve_subproblem(gram, shifted.linear, shifted.budget, system.free,
+                sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, system.free,
                                        factor=system)
             except UnmixError as exc:
                 results[px.index] = _band_deficit(exc, shifted, system.free.size)
                 continue
-            if px.probing:
-                px.probing = False
-                negative = np.count_nonzero(sub.free_values < -config.primal_tol)
-                if negative > _VERTEX_START_SHARE * p:
-                    results[px.index] = px.start(*_vertex(shifted), config)
-                    continue
-                if negative:
-                    # Start over at the probe clipped to its strictly positive
-                    # support and scaled back onto the budget.
-                    clipped = np.maximum(sub.free_values, 0.0)
-                    clipped *= shifted.budget / clipped.sum()
-                    px.begin(np.flatnonzero(clipped), clipped)
-                    px.trace.append(objective_value(shifted, clipped))
-                    continue
-                px.trace.append(objective_value(shifted, px.iterate))
             if sub.free_values.min() >= -config.primal_tol:
                 results[px.index] = px.accept(sub, config)
             else:

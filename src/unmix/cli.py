@@ -45,8 +45,12 @@ def _env_number(name, convert, fallback):
 
 
 def _env_flag(name):
-    value = _env(name)
-    return value is not None and value.strip().lower() in ("1", "true", "yes", "on")
+    text = _env(name, "0")
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"{_ENV_PREFIX}{name}={text!r} is not a valid flag: use 1, true, "
+                         "yes or on, or 0, false, no or off")
+    return word in ("1", "true", "yes", "on")
 
 
 def build_parser() -> argparse.ArgumentParser:

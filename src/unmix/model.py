@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleLowerBounds, NonFiniteInput
-from .kkt import uniform_start
+from .errors import DimensionMismatch, InfeasibleLowerBounds, NonFiniteInput, RankDeficientLibrary
+from .kkt import KeptSystem, uniform_start
 
 _GRAM_SYMMETRY_RTOL = 1e-12
 
@@ -221,13 +221,14 @@ class ShiftedProblem:
             const = float(const)
             if const < 0.0:
                 raise ValueError(f"const_term must be nonnegative, got {const}")
-            if target is not None:
-                expected = 0.5 * float(target @ target)
-                if abs(const - expected) > 1e-10 * max(1.0, expected):
-                    raise ValueError(
-                        f"const_term {const} does not match half the squared "
-                        f"norm of shifted_target ({expected})"
-                    )
+        _require_finite(const, "const_term")  # a finite target can overflow it
+        if self.const_term is not None and target is not None:
+            expected = 0.5 * float(target @ target)
+            if abs(const - expected) > 1e-10 * max(1.0, expected):
+                raise ValueError(
+                    f"const_term {const} does not match half the squared "
+                    f"norm of shifted_target ({expected})"
+                )
         object.__setattr__(self, "const_term", const)
 
     @classmethod
@@ -241,13 +242,16 @@ class ShiftedProblem:
                              library=library)
         return problem
 
-    def _start_system(self):
+    def _start_system(self) -> KeptSystem:
         """:func:`unmix.kkt.uniform_start` of this Gram: the library's own,
-        made once, when the shift built this problem on the library's Gram."""
+        made once, when the shift built this problem on the library's Gram.
+        A rank failure raises a fresh :class:`RankDeficientLibrary`."""
         library = self.library
-        if library is not None and self.gram is vars(library).get("gram"):
-            return library._uniform_start
-        return uniform_start(self.gram)
+        shared = library is not None and self.gram is vars(library).get("gram")
+        start = library._uniform_start if shared else uniform_start(self.gram)
+        if isinstance(start, str):
+            raise RankDeficientLibrary(start)
+        return start
 
     @property
     def size(self) -> int:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 from .model import ShiftedProblem, UnmixingProblem, _require_finite, validate_problem
 
 
@@ -39,10 +41,12 @@ def _shift_measurement(library, measurement, offset, budget) -> ShiftedProblem:
     # A non-finite target entry makes every entry of A^T target NaN or
     # infinite, so this check also covers the target.
     _require_finite(linear, "linear")
+    const = 0.5 * float(shifted_target @ shifted_target)
+    if not math.isfinite(const):  # a finite target can still overflow it
+        raise NonFiniteInput("const_term contains NaN or infinite values")
     linear.setflags(write=False)
     shifted_target.setflags(write=False)
-    return ShiftedProblem._of_checked(gram, linear, budget, shifted_target,
-                                      0.5 * float(shifted_target @ shifted_target), library)
+    return ShiftedProblem._of_checked(gram, linear, budget, shifted_target, const, library)
 
 
 def unshift_solution(shifted_abundances, lower_bounds) -> np.ndarray:

@@ -155,6 +155,27 @@ def test_nan_pixel_fails_numerically(workspace, capsys):
     assert "NonFiniteInput" in records[1]["error"]
 
 
+def test_overflowing_residual_constant_fails_numerically(workspace):
+    # The pixel is finite and so is its linear term, but half its squared
+    # norm overflows: the pixel fails, and the diagnostics stay strict JSON.
+    pixels = PIXELS.copy()
+    pixels[:, 1] *= 1e160
+    bad = workspace["dir"] / "huge_pixels.csv"
+    _write(bad, pixels)
+    diag = workspace["dir"] / "diag.jsonl"
+    with np.errstate(over="ignore"):
+        code = main(["--library", str(workspace["lib"]), "--input", str(bad),
+                     "--output", str(workspace["out"]), "--diagnostics", str(diag)])
+    assert code == 3
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    records = [json.loads(line, parse_constant=reject) for line in diag.read_text().splitlines()]
+    assert [record["status"] for record in records] == ["optimal", "failed"]
+    assert records[1]["error"] == "NonFiniteInput: const_term contains NaN or infinite values"
+
+
 def test_diagnostics_stream(workspace):
     diag = workspace["dir"] / "diag.jsonl"
     code = main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
@@ -230,6 +251,8 @@ def test_environment_variables_supply_defaults(workspace, monkeypatch):
     ("UNMIX_TOL", "abc"),
     ("UNMIX_DUAL_TOL", "1e-10x"),
     ("UNMIX_MAX_ITER", "2.5"),
+    ("UNMIX_HEADER", "ture"),
+    ("UNMIX_HEADER", "2"),
 ])
 def test_malformed_environment_number_is_an_input_error(workspace, monkeypatch, capsys,
                                                         name, value):
@@ -241,6 +264,20 @@ def test_malformed_environment_number_is_an_input_error(workspace, monkeypatch, 
     assert len(lines) == 1
     assert lines[0].startswith("error:") and name in lines[0]
     assert not workspace["out"].exists()
+
+
+@pytest.mark.parametrize("value, header", [
+    ("1", True), ("TRUE", True), (" yes ", True), ("0", False), ("Off", False),
+])
+def test_environment_header_flag_words(workspace, monkeypatch, value, header):
+    monkeypatch.setenv("UNMIX_HEADER", value)
+    code = main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+                 "--output", str(workspace["out"])])
+    # In header mode both inputs lose their first row, which still leaves a
+    # solvable job, and the output starts with a header line.
+    assert code == 0
+    first = workspace["out"].read_text().splitlines()[0]
+    assert (first == "pixel_1,pixel_2") == header
 
 
 @pytest.mark.parametrize("environment, flags", [

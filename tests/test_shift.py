@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from unmix import (
+    BatchJob,
     DimensionMismatch,
     NonFiniteInput,
     ShiftedProblem,
+    SolveStatus,
     UnmixingProblem,
     objective_value,
     shift_problem,
     unmix,
+    unmix_batch,
     unshift_solution,
 )
 from instances import random_problem
@@ -138,6 +141,34 @@ def test_hand_built_gram_that_overflows_when_symmetrized_is_rejected():
     with np.errstate(over="ignore"), \
             pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
         ShiftedProblem(gram, np.zeros(2), 1.0)
+
+
+def _overflowing_pixel():
+    # A finite pixel whose linear term A^T y is finite but whose residual
+    # constant 0.5 * ||y||^2 overflows.
+    rng = np.random.default_rng(61)
+    library = rng.random((20, 5))
+    return library, 1e160 * (library @ rng.dirichlet(np.ones(5)))
+
+
+def test_a_residual_constant_that_overflows_is_rejected():
+    library, pixel = _overflowing_pixel()
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteInput, match="const_term contains NaN or infinite") as raised:
+            unmix(UnmixingProblem(library, pixel))
+        [failed] = unmix_batch(BatchJob(library, pixel[:, None]))
+    assert failed.status is SolveStatus.FAILED
+    assert failed.message == f"NonFiniteInput: {raised.value}"
+
+
+@pytest.mark.parametrize("const_term", [None, np.inf, np.nan])
+def test_shifted_problem_rejects_a_non_finite_const_term(const_term):
+    library, pixel = _overflowing_pixel()
+    target = pixel if const_term is None else None
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteInput, match="const_term contains NaN or infinite"):
+        ShiftedProblem(library.T @ library, library.T @ pixel, 1.0,
+                       shifted_target=target, const_term=const_term)
 
 
 def test_shifted_linear_term_and_target_are_read_only():

@@ -54,32 +54,34 @@ def _dense_scene(rng, n_endmembers, n_pixels):
     return SpectralLibrary(library), pixels
 
 
+# The points one pixel's start begins at, whether each is nonzero, name the
+# start it took: the uniform point alone, then the probe's support or the
+# vertex after it, or the vertex (or the origin) outright.
+_STARTS = {(True,): "uniform", (True, True): "support", (True, False): "restart",
+           (False,): "vertex"}
+
+
 def _counted_starts(solve):
     """Run ``solve()`` and count the start each pixel took."""
     counts = Counter()
     start, begin = active_set._Pixel.start, active_set._Pixel.begin
+    begun = []  # for the pixel being started, whether each begin was at a nonzero point
 
-    def counted_start(px, free, sub, config):
-        # A pixel whose probe shows a sparse optimum already holds the
-        # uniform start's system; one that starts at the vertex outright
-        # holds none yet.
-        counts["restart" if px.system is not None else "vertex"] += 1
-        return start(px, free, sub, config)
+    def counted_begin(px, system, iterate):
+        begun.append(bool(iterate.any()))
+        return begin(px, system, iterate)
 
-    def counted_begin(px, free, iterate, lower=None):
-        # Of the starts over, only the one on the probe's support begins at
-        # a nonzero point; the vertex and the origin begin at zero.
-        if px.system is not None and iterate.any():
-            counts["support"] += 1
-        return begin(px, free, iterate, lower)
+    def counted_start(px, config):
+        begun.clear()
+        result = start(px, config)
+        counts[_STARTS[tuple(begun)]] += 1
+        return result
 
     with mock.patch.object(active_set._Pixel, "start", counted_start), \
             mock.patch.object(active_set._Pixel, "begin", counted_begin):
         solutions = solve()
     assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
-    uniform = len(solutions) - sum(counts.values())
-    if uniform:
-        counts["uniform"] = uniform
+    assert sum(counts.values()) == len(solutions)
     return counts
 
 
@@ -160,6 +162,27 @@ def test_a_support_start_frees_only_the_strictly_positive_probe_entries():
         np.testing.assert_array_equal(solution.abundances, [0.625, 0.375, 0, 0, 0, 0])
         assert solution.objective_trace == (objective_value(shifted, x0),
                                             objective_value(shifted, solution.abundances))
+
+
+def test_a_feasible_probe_is_accepted_as_iteration_one():
+    # A noiseless pixel well inside the simplex: the probe, the candidate on
+    # every variable, is feasible and optimal. The solve keeps the uniform
+    # start, so its trace begins at s / P and its one iteration is the probe.
+    rng = np.random.default_rng(609)
+    library = SpectralLibrary(rng.random((224, 10)))
+    pixel = library.entries @ rng.dirichlet(np.full(10, 20.0))
+    bounds = np.full(10, 0.02)
+    shifted = shift_problem(UnmixingProblem(library, pixel, bounds))
+    probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(10))
+    assert probe.free_values.min() > 0.0
+    uniform = np.full(10, shifted.budget / 10)
+    for solution in (unmix(UnmixingProblem(library, pixel, bounds)),
+                     unmix_batch(BatchJob(library, pixel[:, None], bounds))[0]):
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.outer_iterations == 1
+        np.testing.assert_array_equal(solution.final_free, np.arange(10))
+        assert solution.objective_trace == (objective_value(shifted, uniform),
+                                            objective_value(shifted, solution.shifted_abundances))
 
 
 @pytest.mark.parametrize("seed", [7, 24])
