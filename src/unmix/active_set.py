@@ -34,18 +34,30 @@ because the uniform start's block cannot be full rank there. A zero budget
 starts at the origin, the empty candidate with ``lam = max(g)``, which the
 same step certifies.
 
-The loop keeps one :class:`unmix.kkt.KeptSystem` per solve, which owns the
-free set in its factor's column order and makes every factor event: the
-Cholesky factor of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so
-that each subproblem costs two dot products and one back-substitution. The
-uniform start forks the system of the full Gram matrix, which the library
-factorizes once, at the first solve that needs it; a problem stated without
-its library's Gram gets one of its own. The system of a start over
-factorizes its free set at its first solve: the probe's support, or the
-vertex's two-column block after its first release.
-After that the system is only modified: step 2 removes the pinned variable's
-column where it sits and step 3 adds the released one last, each
-``O(|F|^2)`` instead of the ``O(|F|^3)`` of a refactorization.
+The uniform start forks the system of the full Gram matrix, which the
+library factorizes once, at the first solve that needs it; a problem stated
+without its library's Gram gets one of its own. After the start, the number
+of endmembers P selects one of two linear-algebra back ends for the rounds:
+
+- at ``P >= _STACKED_BELOW`` the loop keeps one
+  :class:`unmix.kkt.KeptSystem` per solve, which owns the free set in its
+  factor's column order and makes every factor event: the Cholesky factor
+  of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so that each
+  subproblem costs two dot products and one back-substitution. The system
+  of a start over factorizes its free set at its first solve: the probe's
+  support, or the vertex's two-column block after its first release. After
+  that it is only modified: step 2 removes the pinned variable's column
+  where it sits and step 3 adds the released one last, each ``O(|F|^2)``
+  instead of the ``O(|F|^3)`` of a refactorization;
+- below it a solve keeps only a :class:`unmix.kkt.FreeMask`, and a round
+  solves the subproblems of all its problems with
+  :func:`unmix.kkt.solve_stacked`: one LAPACK call per padded ``P x P``
+  block over a stack, and single numpy calls over the stack for the rest.
+  At small P the kept back end is bound by its per-problem Python calls,
+  which the stacked one shares across a slice; at large P the stacked one
+  pays for whole blocks where the kept one updates in ``O(|F|^2)``. The
+  crossover comes from the sweep quoted at :data:`_STACKED_BELOW`.
+
 :attr:`Solution.final_free` is sorted.
 
 Step 3, the one accept step of every feasible candidate and every start,
@@ -61,10 +73,14 @@ Gram matrix through the moves together, one round at a time:
 :func:`active_set_solve` runs it on one problem and :mod:`unmix.batch` on
 slices of pixels, so a pixel gets the same answer either way. Every
 problem takes its start, probe included, before the first round, and the
-rounds only solve, then accept or block. Each problem's factor,
-subproblem, objective trace, pricing and start are its own; only the ratio
-test, the tie-break and the iterate update of the problems whose candidate
-is infeasible are numpy calls over all of them.
+rounds only solve, then accept or block. The ratio test, the tie-break and
+the iterate update of the problems whose candidate is infeasible are numpy
+calls over all of them on both back ends; the stacked back end also
+solves and prices in such calls. A problem's bits do not depend on the
+others: every stacked call runs LAPACK or BLAS once per problem, a
+broadcast ``matmul`` computes each row as ``gram @ x`` does, a stacked row
+dot product as ``x @ y`` does, and every reduction runs along one
+problem's row.
 The step helpers (:func:`initialize_state`, :func:`max_feasible_step`,
 :func:`transfer_to_active`, :func:`lagrange_multipliers`,
 :func:`release_from_active`) spell the moves out for one problem with
@@ -80,8 +96,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBlockingIndex, RankDeficientLibrary, UnmixError
-from .kkt import KeptSystem, SubproblemSolution, solve_subproblem
-from .model import ShiftedProblem, SolverConfig, objective_from_product, objective_value
+from .kkt import FreeMask, KeptSystem, SubproblemSolution, solve_stacked, solve_subproblem
+from .model import ShiftedProblem, SolverConfig, objective_from_product, objective_rows
+from .model import objective_value
 
 
 _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
@@ -94,6 +111,15 @@ _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
 # 37.5 column appends for 19.7 deletes per pixel, and a delete at |F| about
 # 50 costs about twice an append.
 _VERTEX_START_SHARE = 1 / 3
+# Below this many endmembers a round solves the subproblems of all its
+# problems in stacked calls (kkt.solve_stacked), at and above it each on its
+# own KeptSystem. Measured on the batch-p30 recipe (224 bands, seed 2024,
+# 1,000 pixels, slices of _SLICE_FACTOR_BYTES), unmix_batch ran 1.03, 1.27,
+# 1.62, 1.49, 1.36, 1.03, 0.93 and 0.72 times as fast stacked as kept at
+# P = 10, 20, 30, 40, 50, 60, 70 and 100, and one-pixel unmix() 0.84, 0.89,
+# 0.85, 0.80, 0.83, 0.68, 0.84 and 0.54 times: the batch gain ends near 60,
+# and the one-pixel loss grows past 50.
+_STACKED_BELOW = 55
 
 
 class SolveStatus(enum.Enum):
@@ -278,7 +304,9 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
 class _Pixel:
     """Where one problem of :func:`_solve_lockstep` stands between rounds.
 
-    ``system`` is the problem's :class:`KeptSystem`, which owns its free set.
+    ``system`` owns the problem's free set: a :class:`KeptSystem`, or below
+    :data:`_STACKED_BELOW` endmembers a :class:`FreeMask`, except on the
+    uniform start's fork, which is a :class:`KeptSystem` either way.
     ``iterate`` is the current feasible point, ``trace`` its objective trace
     and ``iteration`` the number of subproblems solved since the start.
     :meth:`start` chooses the start once, before the first round, and puts
@@ -292,7 +320,7 @@ class _Pixel:
         self.shifted = shifted
         self.rng = rng
 
-    def begin(self, system: KeptSystem, iterate) -> None:
+    def begin(self, system, iterate) -> None:
         """Start the solve (over) at ``iterate``, feasible and zero off
         ``system.free``, with an empty trace and no iteration made."""
         self.system = system
@@ -300,18 +328,22 @@ class _Pixel:
         self.trace = []
         self.iteration = 0
 
-    def start(self, config: SolverConfig) -> Solution | None:
+    def start(self, config: SolverConfig) -> tuple | None:
         """Choose the start and take it: the whole start policy of the loop.
 
         Unless the budget is zero or the library is wider than its bands,
         the probe is solved as iteration 1 on a fork of the uniform start's
-        system. Returns what :meth:`accept` returns, or None after a start
-        over on the probe's support, whose candidate the first round solves.
-        Raises the :class:`RankDeficientLibrary` of a singular full Gram.
+        system. Returns the feasible candidate of the start, the accepted
+        probe, the vertex or the origin, as ``(x, sub)``: ``x`` zero off the
+        free set and ``sub`` its :class:`SubproblemSolution`; or None after
+        a start over on the probe's support, whose candidate the first round
+        solves. Raises the :class:`RankDeficientLibrary` of a singular full
+        Gram.
         """
         shifted = self.shifted
         s, p = shifted.budget, shifted.size
         target = shifted.shifted_target
+        candidate = np.zeros(p)
         if s == 0.0:
             # The origin is the only feasible point; lam = max(g) is the
             # smallest multiplier that certifies it.
@@ -325,14 +357,13 @@ class _Pixel:
                 negative = np.count_nonzero(probe.free_values < -config.primal_tol)
                 if not negative:
                     self.trace.append(objective_value(shifted, self.iterate))
-                    return self.accept(probe, config)
+                    return probe.free_values, probe
                 if negative <= _VERTEX_START_SHARE * p:
                     # Start over at the probe clipped to its strictly positive
                     # support and scaled back onto the budget.
                     clipped = np.maximum(probe.free_values, 0.0)
                     clipped *= s / clipped.sum()
-                    self.begin(KeptSystem(shifted.gram, shifted.linear, np.flatnonzero(clipped)),
-                               clipped)
+                    self.begin(self._system(np.flatnonzero(clipped)), clipped)
                     self.trace.append(objective_value(shifted, clipped))
                     return None
             # The best vertex s e_i minimizes 0.5 s^2 G_ii - s g_i (ties to the
@@ -341,29 +372,33 @@ class _Pixel:
             i = int(np.argmin(0.5 * s * s * diagonal - s * shifted.linear))
             free, sub = [i], SubproblemSolution(np.array([s]),
                                                 float(shifted.linear[i] - s * diagonal[i]))
-        self.begin(KeptSystem(shifted.gram, shifted.linear, free), np.zeros(p))
-        return self.accept(sub, config)
+            candidate[i] = s
+        self.begin(self._system(free), np.zeros(p))
+        return candidate, sub
 
-    def accept(self, sub: SubproblemSolution, config: SolverConfig) -> Solution | None:
-        """Accept the feasible candidate ``sub`` and price the pinned variables.
+    def _system(self, free):
+        """The system of a start over on ``free``, for the back end of P."""
+        shifted = self.shifted
+        if shifted.size < _STACKED_BELOW:
+            return FreeMask(shifted.size, free)
+        return KeptSystem(shifted.gram, shifted.linear, free)
 
-        Boundary roundoff is zeroed, and one ``G x`` at the accepted iterate
-        gives both its objective and the multipliers. Returns the
-        ``OPTIMAL`` :class:`Solution` when none is below ``-dual_tol``;
-        otherwise frees the most negative one's variable (ties to the
-        smallest index) and returns None.
+    def price(self, x, mu, objective, sub: SubproblemSolution,
+              config: SolverConfig) -> Solution | None:
+        """Accept the feasible iterate ``x``, the candidate ``sub`` clipped at
+        zero, whose objective is ``objective``, and price the pinned
+        variables from ``mu = G x - g + lam``, with ``lam = sub.multiplier``.
+
+        Returns the ``OPTIMAL`` :class:`Solution` when no multiplier is below
+        ``-dual_tol``; otherwise frees the most negative one's variable (ties
+        to the smallest index) and returns None.
         """
-        shifted, system = self.shifted, self.system
-        x = self.iterate  # no other pixel reads it
-        x.fill(0.0)
-        x[system.free] = np.maximum(sub.free_values, 0.0)
-        gx = shifted.gram @ x
-        self.trace.append(objective_from_product(shifted, x, gx))
-        # mu = G x - g + lam; on the free set that is the stationarity
-        # residual, not a multiplier, so it is set to zero there.
-        mu = gx - shifted.linear
-        mu += sub.multiplier
-        mu[system.free] = 0.0
+        self.iterate = x
+        self.trace.append(objective)
+        # On the free set mu is the stationarity residual, not a multiplier,
+        # so it is set to zero there.
+        free = self.system.free
+        mu[free] = 0.0
         released = int(mu.argmin())
         if mu[released] >= -config.dual_tol:
             return Solution(
@@ -371,14 +406,150 @@ class _Pixel:
                 shifted_abundances=x.copy(),
                 eq_multiplier=sub.multiplier,
                 ineq_multipliers=mu,
-                objective=self.trace[-1],
+                objective=objective,
                 outer_iterations=self.iteration,
-                final_free=np.sort(system.free),
+                final_free=np.sort(free),
                 status=SolveStatus.OPTIMAL,
                 objective_trace=tuple(self.trace),
             )
-        system.add(released)
+        self.system.add(released)
         return None
+
+
+def _traced(pixels: list[_Pixel], iterates):
+    """``G x`` and the objective at row ``k`` of ``iterates``, the iterate of
+    ``pixels[k]``, and the pixels' linear terms as rows.
+
+    The stacked calls compute every row as ``gram @ x`` and
+    :func:`~unmix.model.objective_value` do, bit for bit, so one row takes
+    those calls themselves, which are fewer.
+    """
+    gram = pixels[0].shifted.gram
+    if len(pixels) == 1:
+        shifted, x = pixels[0].shifted, iterates[0]
+        gx = gram @ x
+        return gx[None], [objective_from_product(shifted, x, gx)], shifted.linear[None]
+    linear = np.array([px.shifted.linear for px in pixels])
+    products = np.matmul(gram, iterates[..., None])[..., 0]
+    objectives = objective_rows(iterates, products, linear,
+                                np.array([px.shifted.const_term for px in pixels]))
+    return products, objectives.tolist(), linear
+
+
+def _accept(pixels: list[_Pixel], candidates, subs: list, config: SolverConfig,
+            results: list) -> None:
+    """:meth:`_Pixel.price` each pixel at its feasible candidate, row ``k``
+    of ``candidates`` and ``subs[k]``, with boundary roundoff zeroed; an
+    ``OPTIMAL`` :class:`Solution` goes to ``results``."""
+    iterates = np.maximum(candidates, 0.0)
+    products, objectives, linear = _traced(pixels, iterates)
+    prices = products - linear
+    prices += np.array([sub.multiplier for sub in subs])[:, None]
+    for k, sub in enumerate(subs):
+        px = pixels[k]
+        results[px.index] = px.price(iterates[k], prices[k], objectives[k], sub, config)
+
+
+def _block(pixels: list[_Pixel], candidates, results: list) -> None:
+    """Take the blocking step of each pixel whose candidate is infeasible.
+
+    The ratio test, the tie-break and the iterate update are stacked over
+    the pixels; row ``k`` of ``candidates`` belongs to ``pixels[k]`` and is
+    zero off its free set. Pinned coordinates hold 0 in both the candidate
+    and the iterate, so they never move or block. A pixel that cannot take
+    the step gets its error in ``results``.
+    """
+    current = np.array([px.iterate for px in pixels])
+    # ``gap`` is the iterate minus the candidate, positive where a coordinate
+    # falls; it is exactly the negated step direction.
+    gap = current - candidates
+    falling = gap > 0.0
+    ratios = np.divide(current, gap, out=np.full(gap.shape, np.inf), where=falling)
+    step = ratios.min(axis=1, keepdims=True)
+    tied = falling & (ratios == step)
+    blocking = tied.argmax(axis=1).tolist()
+    can_block = falling.any(axis=1)
+    advanced = current - step * gap
+    # Coordinates tied with the blocking one can land at -1e-17 level; the
+    # blocking one itself is pinned at exactly zero.
+    np.maximum(advanced, 0.0, out=advanced)
+    moved = []
+    for k, px in enumerate(pixels):
+        try:
+            if not can_block[k]:
+                raise NoBlockingIndex(_NO_BLOCKING)
+            if px.rng is not None:
+                blocking[k] = int(px.rng.choice(np.flatnonzero(tied[k])))
+            px.system.remove(blocking[k])
+        except UnmixError as exc:
+            results[px.index] = exc
+            continue
+        advanced[k, blocking[k]] = 0.0
+        moved.append(k)
+    if moved:
+        pixels, advanced = [pixels[k] for k in moved], advanced[moved]
+        _, objectives, _ = _traced(pixels, advanced)
+        for px, x, objective in zip(pixels, advanced, objectives):
+            px.iterate = x
+            px.trace.append(objective)
+
+
+def _solve_kept(pixels: list[_Pixel], config: SolverConfig, results: list) -> None:
+    """A round on the kept back end: each pixel solves its subproblem on its
+    own :class:`KeptSystem` and prices a feasible candidate at once; the
+    pixels whose candidate is infeasible take the blocking step together."""
+    blocked, candidates = [], []
+    for px in pixels:
+        shifted, system = px.shifted, px.system
+        try:
+            sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, system.free,
+                                   factor=system)
+        except UnmixError as exc:
+            results[px.index] = _band_deficit(exc, shifted, system.free.size)
+            continue
+        x = np.zeros(shifted.size)
+        if sub.free_values.min() >= -config.primal_tol:
+            x[system.free] = np.maximum(sub.free_values, 0.0)
+            gx = shifted.gram @ x
+            mu = gx - shifted.linear
+            mu += sub.multiplier
+            results[px.index] = px.price(x, mu, objective_from_product(shifted, x, gx), sub,
+                                         config)
+        else:
+            x[system.free] = sub.free_values
+            blocked.append(px)
+            candidates.append(x)
+    if blocked:
+        _block(blocked, np.array(candidates), results)
+
+
+def _solve_masked(pixels: list[_Pixel], config: SolverConfig, results: list) -> None:
+    """A round on the stacked back end: the subproblems of all the pixels,
+    on their :class:`FreeMask`, in the stacked calls of
+    :func:`unmix.kkt.solve_stacked`, then the pricing of the feasible
+    candidates and the blocking step towards the others, each stacked."""
+    candidates, multipliers, failures = solve_stacked(
+        pixels[0].shifted.gram,
+        np.array([px.system.mask for px in pixels]),
+        np.array([px.shifted.linear for px in pixels]),
+        np.array([px.shifted.budget for px in pixels]),
+    )
+    if failures:
+        for item, exc in failures.items():
+            px = pixels[item]
+            results[px.index] = _band_deficit(exc, px.shifted, px.system.free.size)
+        pixels = [px for item, px in enumerate(pixels) if item not in failures]
+    feasible = (candidates.min(axis=1) >= -config.primal_tol).tolist()
+    accepted = [k for k, ok in enumerate(feasible) if ok]
+    if accepted:
+        rows = candidates[accepted] if len(accepted) < len(pixels) else candidates
+        lams = multipliers.tolist()
+        subs = [SubproblemSolution(candidates[k][pixels[k].system.mask], lams[k])
+                for k in accepted]
+        _accept([pixels[k] for k in accepted], rows, subs, config, results)
+    if len(accepted) < len(pixels):
+        blocked = [k for k, ok in enumerate(feasible) if not ok]
+        _block([pixels[k] for k in blocked], candidates[blocked], results)
 
 
 def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> list:
@@ -387,80 +558,45 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
     The ``i``-th entry is the :class:`Solution` for ``problems[i]``, or the
     :class:`UnmixError` the solve of that problem raised; no problem's
     answer depends on the others. Every problem takes its start, probe
-    included, before the first round. In a round every live problem that
-    is below the iteration cap solves its subproblem on its own kept
-    system, then either prices a feasible candidate or takes the blocking
-    step; the ratio test, the tie-break and the iterate update of all
-    blocked problems are stacked numpy calls, which keep each row's
-    arithmetic.
+    included, before the first round, and the feasible candidates of the
+    starts are priced together. In a round every live problem that is below
+    the iteration cap solves its subproblem, then either prices a feasible
+    candidate or takes the blocking step. Below :data:`_STACKED_BELOW`
+    endmembers a round solves and prices in stacked calls, at and above it
+    each problem solves on its own kept system and prices its own
+    candidate. The ratio test, the tie-break and the iterate update are
+    stacked either way. Every stacked call keeps each row's arithmetic.
     """
     results = [None] * len(problems)
-    live = []
+    live, started, candidates, subs = [], [], [], []
     for index, shifted in enumerate(problems):
         rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
         px = _Pixel(index, shifted, rng)
         try:
-            results[index] = px.start(config)
+            start = px.start(config)
         except UnmixError as exc:
             results[index] = exc
-        if results[index] is None:
-            live.append(px)
+            continue
+        live.append(px)
+        if start is not None:
+            started.append(px)
+            candidates.append(start[0])
+            subs.append(start[1])
+    if started:  # every start's candidate is feasible
+        _accept(started, np.array(candidates), subs, config, results)
 
-    while live:
-        blocked, candidates = [], []  # pixels whose candidate is infeasible, and those candidates
-        for px in live:
-            shifted, system = px.shifted, px.system
-            if px.iteration == config.iteration_cap(shifted.size):
-                results[px.index] = _capped_solution(px.iterate, system.free, px.iteration,
-                                                     px.trace)
-                continue
-            px.iteration += 1
-            try:
-                sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, system.free,
-                                       factor=system)
-            except UnmixError as exc:
-                results[px.index] = _band_deficit(exc, shifted, system.free.size)
-                continue
-            if sub.free_values.min() >= -config.primal_tol:
-                results[px.index] = px.accept(sub, config)
-            else:
-                blocked.append(px)
-                candidates.append(sub.free_values)
-
-        if blocked:
-            # The ratio test, the tie-break and the iterate update, stacked
-            # over the blocked pixels. Pinned coordinates hold 0 in both the
-            # candidate and the iterate, so they never move or block. ``gap``
-            # is the iterate minus the candidate, positive where a coordinate
-            # falls; it is exactly the negated step direction.
-            current = np.array([px.iterate for px in blocked])
-            stacked = np.zeros_like(current)
-            for k, px in enumerate(blocked):
-                stacked[k][px.system.free] = candidates[k]
-            gap = current - stacked
-            falling = gap > 0.0
-            ratios = np.divide(current, gap, out=np.full(gap.shape, np.inf), where=falling)
-            step = ratios.min(axis=1, keepdims=True)
-            tied = falling & (ratios == step)
-            blocking = tied.argmax(axis=1).tolist()
-            can_block = falling.any(axis=1)
-            advanced = current - step * gap
-            # Coordinates tied with the blocking one can land at -1e-17 level;
-            # the blocking one itself is pinned at exactly zero below.
-            np.maximum(advanced, 0.0, out=advanced)
-            for k, px in enumerate(blocked):
-                try:
-                    if not can_block[k]:
-                        raise NoBlockingIndex(_NO_BLOCKING)
-                    if px.rng is not None:
-                        blocking[k] = int(px.rng.choice(np.flatnonzero(tied[k])))
-                    px.system.remove(blocking[k])
-                except UnmixError as exc:
-                    results[px.index] = exc
-                    continue
-                px.iterate = advanced[k]
-                px.iterate[blocking[k]] = 0.0
-                px.trace.append(objective_value(px.shifted, px.iterate))
-
+    while True:
         live = [px for px in live if results[px.index] is None]
-    return results
+        if not live:
+            return results
+        solving = []
+        for px in live:
+            if px.iteration == config.iteration_cap(px.shifted.size):
+                results[px.index] = _capped_solution(px.iterate, px.system.free, px.iteration,
+                                                     px.trace)
+            else:
+                px.iteration += 1
+                solving.append(px)
+        if solving:
+            stacked = solving[0].shifted.size < _STACKED_BELOW
+            (_solve_masked if stacked else _solve_kept)(solving, config, results)

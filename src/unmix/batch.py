@@ -18,11 +18,14 @@ from .model import validate_lower_bounds
 from .model import precompute_gram  # noqa: F401  (re-exported)
 from .shift import _shift_measurement, _shift_terms, shift_problem, unshift_solution
 
-# A slice bounds what its pixels own at once: their shifted problems, and the
-# factors they make themselves, each at most P x P, 8 P^2 bytes, of the
-# probe's support or of the free set grown from the vertex. (The uniform
-# start's factor is the library's, shared until a pixel first changes it.)
-# A slice holds as many pixels as fit in this many bytes of such factors.
+# A slice bounds what its pixels own at once: their shifted problems, and
+# P x P blocks of 8 P^2 bytes each. Below active_set._STACKED_BELOW
+# endmembers these are the stacked (k, P, P) arrays of a round: the padded
+# Grams, which LAPACK overwrites with their factors; at and above it, the
+# factors the pixels make
+# themselves, of the probe's support or of the free set grown from the
+# vertex. (The uniform start's factor is the library's, shared by every
+# probe.) A slice holds as many pixels as fit in this many bytes of blocks.
 _SLICE_FACTOR_BYTES = 1 << 19
 
 

@@ -320,3 +320,15 @@ def objective_value(shifted: ShiftedProblem, x) -> float:
 def objective_from_product(shifted: ShiftedProblem, x, gx) -> float:
     """The objective at ``x`` from ``gx = G x`` already at hand, unchecked."""
     return 0.5 * float(x @ gx) - float(shifted.linear @ x) + shifted.const_term
+
+
+def objective_rows(x, gx, linear, const) -> np.ndarray:
+    """Row ``k`` is the objective at ``x[k]`` from ``gx[k] = G x[k]``, the
+    linear term ``linear[k]`` and the constant ``const[k]``, unchecked.
+
+    A stacked ``matmul`` of a row and a column makes the dot product that
+    ``x @ y`` makes, so each row is :func:`objective_from_product`, bit for
+    bit.
+    """
+    return (0.5 * np.matmul(x[:, None], gx[..., None])[:, 0, 0]
+            - np.matmul(linear[:, None], x[..., None])[:, 0, 0] + const)

@@ -35,13 +35,16 @@ def _shift_terms(library, lower_bounds) -> tuple[np.ndarray, float]:
 def _shift_measurement(library, measurement, offset, budget) -> ShiftedProblem:
     """The nonnegativity form of one validated measurement under the terms
     of :func:`_shift_terms`: the per-pixel part of :func:`shift_problem`."""
-    shifted_target = measurement - offset
     gram = library.gram  # an overflowing Gram is reported before the linear term
-    linear = library.entries.T @ shifted_target
+    # A finite measurement can overflow the target, A^T target or the
+    # constant; the checks below report it as NonFiniteInput, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted_target = measurement - offset
+        linear = library.entries.T @ shifted_target
+        const = 0.5 * float(shifted_target @ shifted_target)
     # A non-finite target entry makes every entry of A^T target NaN or
     # infinite, so this check also covers the target.
     _require_finite(linear, "linear")
-    const = 0.5 * float(shifted_target @ shifted_target)
     if not math.isfinite(const):  # a finite target can still overflow it
         raise NonFiniteInput("const_term contains NaN or infinite values")
     linear.setflags(write=False)

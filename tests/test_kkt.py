@@ -9,7 +9,7 @@ from unmix import (
 )
 from scipy.linalg.lapack import dtrtrs
 
-from unmix.kkt import KeptSystem
+from unmix.kkt import KeptSystem, solve_stacked
 from instances import random_spd_system
 
 
@@ -365,3 +365,40 @@ def test_a_given_factor_is_adopted_as_the_first_solve_would_build_it():
     np.testing.assert_array_equal(adopted.lower, lazy.lower)
     np.testing.assert_array_equal(adopted.forward, lazy.forward)
     assert adopted.diagonal == lazy.diagonal and adopted.top == lazy.top
+
+
+def test_stacked_solves_match_the_kept_system_and_not_the_stack():
+    # Each item of the stack equals the item solved alone, bit for bit, and
+    # the kept system's solve on the same free set up to roundoff.
+    rng = np.random.default_rng(71)
+    gram, _, _ = random_spd_system(rng, size=12)
+    free = rng.random((9, 12)) < 0.6
+    free[:, 0] = True
+    free[4] = np.arange(12) == 7  # one free variable
+    linear = rng.standard_normal((9, 12))
+    budget = rng.uniform(0.1, 1.5, 9)
+    candidates, multipliers, failures = solve_stacked(gram, free, linear, budget)
+    assert failures == {} and candidates.shape == (9, 12)
+    for k in range(9):
+        alone, lam, _ = solve_stacked(gram, free[k:k + 1], linear[k:k + 1], budget[k:k + 1])
+        assert alone.tobytes() == candidates[k].tobytes() and lam[0] == multipliers[k]
+        assert not candidates[k][~free[k]].any()
+        sub = solve_subproblem(gram, linear[k], budget[k], np.flatnonzero(free[k]))
+        np.testing.assert_allclose(candidates[k][free[k]], sub.free_values, rtol=0, atol=1e-10)
+        assert multipliers[k] == pytest.approx(sub.multiplier, rel=1e-10, abs=1e-10)
+
+
+def test_a_stacked_item_that_fails_the_rank_test_carries_the_factorize_error():
+    # Columns 1 and 4 are equal, so only the item that frees both fails; the
+    # others are solved and returned in order.
+    rng = np.random.default_rng(72)
+    entries = rng.random((6, 5))
+    entries[:, 4] = entries[:, 1]
+    gram = entries.T @ entries
+    free = np.zeros((3, 5), dtype=bool)
+    free[0, [0, 1, 2]] = free[1, [1, 3, 4]] = free[2, [0, 3]] = True
+    candidates, _, failures = solve_stacked(gram, free, rng.random((3, 5)), np.ones(3))
+    assert list(failures) == [1] and candidates.shape == (2, 5)
+    with pytest.raises(RankDeficientLibrary) as raised:
+        factorize(gram, [1, 3, 4])
+    assert str(failures[1]) == str(raised.value)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from unmix import (
     BatchJob,
+    RankDeficientLibrary,
     Solution,
     SolverConfig,
     SolveStatus,
@@ -32,6 +33,8 @@ from unmix import (
 
 
 batch_module = importlib.import_module("unmix.batch")
+# Libraries with fewer endmembers solve each round in stacked calls.
+CROSSOVER = importlib.import_module("unmix.active_set")._STACKED_BELOW
 
 
 def _bytes(value):
@@ -165,17 +168,43 @@ def test_lockstep_breaks_exact_ties_like_the_per_pixel_path():
     assert paths == {3, 4}
 
 
-def test_lockstep_equals_per_pixel_solves_on_a_224_band_library():
-    # 160 pixels at P=30 span several lockstep slices; one pixel is NaN.
+@pytest.mark.parametrize("n_endmembers", [CROSSOVER - 1, CROSSOVER],
+                         ids=["stacked", "kept"])
+def test_lockstep_equals_per_pixel_solves_on_a_224_band_library(n_endmembers):
+    # 160 pixels span several lockstep slices on either back end; one pixel
+    # is NaN.
     rng = np.random.default_rng(20261018)
-    library = SpectralLibrary(rng.random((224, 30)))
-    pixels = library.entries @ rng.dirichlet(np.full(30, 0.3), size=160).T
+    library = SpectralLibrary(rng.random((224, n_endmembers)))
+    pixels = library.entries @ rng.dirichlet(np.full(n_endmembers, 0.3), size=160).T
     pixels += 0.01 * rng.standard_normal(pixels.shape)
     pixels[:, 100] = np.nan
-    bounds = rng.dirichlet(np.ones(30)) * 0.3
+    bounds = rng.dirichlet(np.ones(n_endmembers)) * 0.3
     solutions = unmix_batch(BatchJob(library, pixels, bounds))
+    assert batch_module._SLICE_FACTOR_BYTES // (8 * n_endmembers**2) < 80
     assert sum(s.status is SolveStatus.OPTIMAL for s in solutions) == 159
     _assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
+
+
+def test_a_wide_library_fails_only_the_pixel_whose_optimum_needs_more_bands():
+    # 12 endmembers over 8 bands, solved in stacked calls. The middle pixel is
+    # the library's mean, inside the hull of all 12 spectra: its solve frees
+    # a ninth variable, whose block cannot be full rank. Its neighbours fit
+    # on a few endmembers.
+    rng = np.random.default_rng(0)
+    library = SpectralLibrary(rng.random((8, 12)))
+    assert library.n_endmembers < CROSSOVER
+    inside = library.entries @ np.full(12, 1 / 12)
+    pixels = np.column_stack([library.entries[:, [0, 5]] @ np.array([0.6, 0.4]), inside,
+                              library.entries[:, 3] + 0.01])
+    solutions = unmix_batch(BatchJob(library, pixels))
+    assert [s.status for s in solutions] == [SolveStatus.OPTIMAL, SolveStatus.FAILED,
+                                             SolveStatus.OPTIMAL]
+    assert solutions[1].message.endswith(
+        "(9 free variables exceed the 8 spectral bands, so the block cannot be full rank)")
+    with pytest.raises(RankDeficientLibrary) as raised:
+        unmix(UnmixingProblem(library, inside))
+    assert solutions[1].message == f"RankDeficientLibrary: {raised.value}"
+    _assert_matches_unmix(solutions, library, pixels, None, SolverConfig())
 
 
 def test_tied_coordinate_that_lands_below_zero_is_clipped():
@@ -268,8 +297,9 @@ def test_multipliers_are_priced_at_the_returned_iterate():
 
 
 @pytest.mark.parametrize("n_endmembers, n_pixels, slices", [
-    (10, 700, [655, 45]),   # 512 KiB of 10 x 10 factors, then the rest
+    (10, 700, [655, 45]),   # 512 KiB of 10 x 10 arrays, then the rest
     (100, 13, [6, 6, 1]),   # a slice of one pixel runs the same loop
+    (CROSSOVER - 1, 50, [22, 22, 6]),  # 512 KiB of stacked 54 x 54 blocks
 ])
 def test_every_slice_is_solved_in_lockstep(monkeypatch, n_endmembers, n_pixels, slices):
     calls = []

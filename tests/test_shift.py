@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from unmix import (
     unmix_batch,
     unshift_solution,
 )
+from unmix.cli import main
 from instances import random_problem
 
 
@@ -159,6 +162,28 @@ def test_a_residual_constant_that_overflows_is_rejected():
         [failed] = unmix_batch(BatchJob(library, pixel[:, None]))
     assert failed.status is SolveStatus.FAILED
     assert failed.message == f"NonFiniteInput: {raised.value}"
+
+
+def test_an_overflowing_pixel_fails_alone_when_warnings_are_errors(tmp_path):
+    # CI runs with RuntimeWarning raised as an error. The overflow of the
+    # middle pixel's residual constant must fail that pixel alone, with
+    # NonFiniteInput, instead of raising out of the shift and aborting the
+    # job; the CLI then reports the failed pixel with exit code 3.
+    library, pixel = _overflowing_pixel()
+    fine = library @ np.full(5, 0.2)
+    pixels = np.column_stack([fine, pixel, fine])
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("library", "pixels", "out")}
+    np.savetxt(paths["library"], library, delimiter=",", fmt="%.17g")
+    np.savetxt(paths["pixels"], pixels, delimiter=",", fmt="%.17g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solutions = unmix_batch(BatchJob(library, pixels))
+        code = main(["--library", paths["library"], "--input", paths["pixels"],
+                     "--output", paths["out"]])
+    assert [s.status for s in solutions] == [SolveStatus.OPTIMAL, SolveStatus.FAILED,
+                                             SolveStatus.OPTIMAL]
+    assert solutions[1].message == "NonFiniteInput: const_term contains NaN or infinite values"
+    assert code == 3
 
 
 @pytest.mark.parametrize("const_term", [None, np.inf, np.nan])

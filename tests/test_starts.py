@@ -128,10 +128,11 @@ def _assert_trace_describes_every_iterate(shifted):
 @pytest.mark.parametrize("share", [1.0, -1.0], ids=["uniform start", "vertex start"])
 def test_every_solve_strictly_decreases_the_objective(share):
     # A share of 1 never restarts at the vertex, so each solve restarts on
-    # its probe's support; -1 always restarts at the vertex.
+    # its probe's support; -1 always restarts at the vertex. P = 50, 30 and
+    # 10 solve their rounds in stacked calls, 100 and 150 on kept systems.
     rng = np.random.default_rng(607)
     with mock.patch.object(active_set, "_VERTEX_START_SHARE", share):
-        for p in (50, 100, 150):
+        for p in (50, 100, 150, 30, 10):
             shifted = shift_problem(random_problem(rng, n_endmembers=p, n_bands=224))
             start = _assert_trace_describes_every_iterate(shifted).objective_trace[0]
             probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(p))
