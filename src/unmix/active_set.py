@@ -30,9 +30,11 @@ doubles as a probe, which decides where the solve goes on:
   from there as from any feasible iterate.
 
 A library with more endmembers than bands always starts at the vertex,
-because the uniform start's block cannot be full rank there. A zero budget
-starts at the origin, the empty candidate with ``lam = max(g)``, which the
-same step certifies.
+because the uniform start's block cannot be full rank there, and a solve
+there whose free set outgrows the bands fails before its next subproblem
+on either back end: that block is singular, though roundoff can let the
+rank test pass it. A zero budget starts at the origin, the empty candidate
+with ``lam = max(g)``, which the same step certifies.
 
 The uniform start forks the system of the full Gram matrix, which the
 library factorizes once, at the first solve that needs it; a problem stated
@@ -266,14 +268,11 @@ def _capped_solution(iterate, free, cap, trace) -> Solution:
     )
 
 
-def _band_deficit(exc: UnmixError, shifted: ShiftedProblem, n_free: int) -> UnmixError:
-    """``exc``, or a rank failure restated with the band count that explains it."""
-    target = shifted.shifted_target
-    if not isinstance(exc, RankDeficientLibrary) or target is None or n_free <= target.size:
-        return exc
+def _band_deficit(n_free: int, bands: int) -> RankDeficientLibrary:
+    """The failure of a free set of ``n_free`` variables over ``bands < n_free`` bands."""
     return RankDeficientLibrary(
-        f"{exc} ({n_free} free variables exceed the {target.size} spectral "
-        "bands, so the block cannot be full rank)"
+        f"restricted Gram block of size {n_free} is singular ({n_free} free variables "
+        f"exceed the {bands} spectral bands, so the block cannot be full rank)"
     )
 
 
@@ -309,16 +308,20 @@ class _Pixel:
     uniform start's fork, which is a :class:`KeptSystem` either way.
     ``iterate`` is the current feasible point, ``trace`` its objective trace
     and ``iteration`` the number of subproblems solved since the start.
+    ``bands`` is the number of spectral bands when it is below P, the most
+    free variables a full-rank block can have, and None otherwise.
     :meth:`start` chooses the start once, before the first round, and puts
     the pixel there through :meth:`begin`.
     """
 
-    __slots__ = ("index", "shifted", "rng", "system", "iterate", "trace", "iteration")
+    __slots__ = ("index", "shifted", "rng", "bands", "system", "iterate", "trace", "iteration")
 
     def __init__(self, index, shifted, rng):
         self.index = index
         self.shifted = shifted
         self.rng = rng
+        target = shifted.shifted_target
+        self.bands = target.size if target is not None and target.size < shifted.size else None
 
     def begin(self, system, iterate) -> None:
         """Start the solve (over) at ``iterate``, feasible and zero off
@@ -505,7 +508,7 @@ def _solve_kept(pixels: list[_Pixel], config: SolverConfig, results: list) -> No
             sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, system.free,
                                    factor=system)
         except UnmixError as exc:
-            results[px.index] = _band_deficit(exc, shifted, system.free.size)
+            results[px.index] = exc
             continue
         x = np.zeros(shifted.size)
         if sub.free_values.min() >= -config.primal_tol:
@@ -536,16 +539,14 @@ def _solve_masked(pixels: list[_Pixel], config: SolverConfig, results: list) -> 
     )
     if failures:
         for item, exc in failures.items():
-            px = pixels[item]
-            results[px.index] = _band_deficit(exc, px.shifted, px.system.free.size)
+            results[pixels[item].index] = exc
         pixels = [px for item, px in enumerate(pixels) if item not in failures]
     feasible = (candidates.min(axis=1) >= -config.primal_tol).tolist()
     accepted = [k for k, ok in enumerate(feasible) if ok]
     if accepted:
         rows = candidates[accepted] if len(accepted) < len(pixels) else candidates
         lams = multipliers.tolist()
-        subs = [SubproblemSolution(candidates[k][pixels[k].system.mask], lams[k])
-                for k in accepted]
+        subs = [SubproblemSolution(None, lams[k]) for k in accepted]
         _accept([pixels[k] for k in accepted], rows, subs, config, results)
     if len(accepted) < len(pixels):
         blocked = [k for k, ok in enumerate(feasible) if not ok]
@@ -594,6 +595,8 @@ def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> lis
             if px.iteration == config.iteration_cap(px.shifted.size):
                 results[px.index] = _capped_solution(px.iterate, px.system.free, px.iteration,
                                                      px.trace)
+            elif px.bands is not None and px.system.free.size > px.bands:
+                results[px.index] = _band_deficit(px.system.free.size, px.bands)
             else:
                 px.iteration += 1
                 solving.append(px)

@@ -63,7 +63,11 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SubproblemSolution:
-    """Free-set abundances and the sum-constraint multiplier of one solve."""
+    """Free-set abundances and the sum-constraint multiplier of one solve.
+
+    The active-set loop's stacked rounds keep each candidate as a full row
+    and leave ``free_values`` None, since they read only the multiplier.
+    """
 
     free_values: np.ndarray
     multiplier: float
@@ -98,8 +102,9 @@ def factorize(gram, free) -> np.ndarray:
     RankDeficientLibrary
         If a pivot is nonpositive or falls at or below
         ``P * eps * max(diag)``, meaning the free columns of the library are
-        not linearly independent (in particular whenever ``|F|`` exceeds the
-        number of bands).
+        not linearly independent. A block with more columns than the library
+        has bands is singular, but roundoff can let it pass this test, so
+        the active-set loop fails such a free set on its size first.
     EmptyFreeSet
         If ``free`` is empty.
     """
