@@ -42,25 +42,24 @@ without its library's Gram gets one of its own. After the start, the number
 of endmembers P selects one of two linear-algebra back ends for the rounds:
 
 - at ``P >= _STACKED_BELOW`` the loop keeps one
-  :class:`unmix.kkt.KeptSystem` per solve, which owns the free set in its
-  factor's column order and makes every factor event: the Cholesky factor
-  of ``G_FF`` with the forward solves ``L^{-1} [g_F, 1]``, so that each
-  subproblem costs two dot products and one back-substitution. The system
-  of a start over factorizes its free set at its first solve: the probe's
-  support, or the vertex's two-column block after its first release. After
-  that it is only modified: step 2 removes the pinned variable's column
-  where it sits and step 3 adds the released one last, each ``O(|F|^2)``
-  instead of the ``O(|F|^3)`` of a refactorization;
-- below it a solve keeps only a :class:`unmix.kkt.FreeMask`, and a round
-  solves the subproblems of all its problems with
-  :func:`unmix.kkt.solve_stacked`: one LAPACK call per padded ``P x P``
-  block over a stack, and single numpy calls over the stack for the rest.
-  At small P the kept back end is bound by its per-problem Python calls,
-  which the stacked one shares across a slice; at large P the stacked one
-  pays for whole blocks where the kept one updates in ``O(|F|^2)``. The
-  crossover comes from the sweep quoted at :data:`_STACKED_BELOW`.
-
-:attr:`Solution.final_free` is sorted.
+  :class:`unmix.kkt.KeptSystem` per solve, which holds the free set of its
+  row of the mask in its factor's column order and makes every factor
+  event: the Cholesky factor of ``G_FF`` with the forward solves
+  ``L^{-1} [g_F, 1]``, so that each subproblem costs two dot products and
+  one back-substitution. The system of a start over factorizes its free
+  set at its first solve: the probe's support, or the vertex's two-column
+  block after its first release. After that it is only modified: step 2
+  removes the pinned variable's column where it sits and step 3 adds the
+  released one last, each ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a
+  refactorization;
+- below it a solve keeps no factor, and a round solves the subproblems of
+  all its problems with :func:`unmix.kkt.solve_stacked` on the rows of the
+  free mask: one LAPACK call per padded ``P x P`` block over a stack, and
+  single numpy calls over the stack for the rest. At small P the kept back
+  end is bound by its per-problem Python calls, which the stacked one
+  shares; at large P the stacked one pays for whole blocks where the kept
+  one updates in ``O(|F|^2)``. The crossover comes from the sweep quoted at
+  :data:`_STACKED_BELOW`.
 
 Step 3, the one accept step of every feasible candidate and every start,
 forms ``G x`` once at the accepted, clipped iterate ``x``, and takes
@@ -73,16 +72,18 @@ blocking coordinates only.
 There is one loop, :func:`_solve_lockstep`. It takes problems that share a
 Gram matrix through the moves together, one round at a time:
 :func:`active_set_solve` runs it on one problem and :mod:`unmix.batch` on
-slices of pixels, so a pixel gets the same answer either way. Every
-problem takes its start, probe included, before the first round, and the
-rounds only solve, then accept or block. The ratio test, the tie-break and
-the iterate update of the problems whose candidate is infeasible are numpy
-calls over all of them on both back ends; the stacked back end also
-solves and prices in such calls. A problem's bits do not depend on the
-others: every stacked call runs LAPACK or BLAS once per problem, a
-broadcast ``matmul`` computes each row as ``gram @ x`` does, a stacked row
-dot product as ``x @ y`` does, and every reduction runs along one
-problem's row.
+slices of pixels, so a pixel gets the same answer either way. A
+:class:`_Slice` holds their state in rows: a ``(k, P)`` free mask and
+iterate, and the problems' linear terms, budgets and constants, stacked
+once. Every problem takes its start, probe included, before the first
+round, and the rounds only solve, then accept or block. The ratio test,
+the tie-break and the iterate update of the problems whose candidate is
+infeasible are numpy calls over their rows on both back ends; the stacked
+back end also solves and prices in such calls. A problem's bits do not
+depend on the others: every stacked call runs LAPACK or BLAS once per
+row, a broadcast ``matmul`` computes each row as ``gram @ x`` does, a
+stacked row dot product as ``x @ y`` does, and every reduction runs along
+one row.
 The step helpers (:func:`initialize_state`, :func:`max_feasible_step`,
 :func:`transfer_to_active`, :func:`lagrange_multipliers`,
 :func:`release_from_active`) spell the moves out for one problem with
@@ -98,7 +99,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBlockingIndex, RankDeficientLibrary, UnmixError
-from .kkt import FreeMask, KeptSystem, SubproblemSolution, solve_stacked, solve_subproblem
+from .kkt import KeptSystem, SubproblemSolution, solve_stacked, solve_subproblem
 from .model import ShiftedProblem, SolverConfig, objective_from_product, objective_rows
 from .model import objective_value
 
@@ -251,31 +252,6 @@ def release_from_active(state: ActiveSetState, multipliers, dual_tol) -> ActiveS
     )
 
 
-def _capped_solution(iterate, free, cap, trace) -> Solution:
-    # No multipliers were computed at the returned iterate: when the last
-    # move was a pin, the last priced candidate is not the iterate.
-    return Solution(
-        abundances=iterate.copy(),
-        shifted_abundances=iterate.copy(),
-        eq_multiplier=float("nan"),
-        ineq_multipliers=np.full(iterate.size, np.nan),
-        objective=trace[-1],
-        outer_iterations=cap,
-        final_free=np.sort(free),
-        status=SolveStatus.MAX_ITERATIONS,
-        objective_trace=tuple(trace),
-        message=f"iteration cap {cap} reached without dual feasibility",
-    )
-
-
-def _band_deficit(n_free: int, bands: int) -> RankDeficientLibrary:
-    """The failure of a free set of ``n_free`` variables over ``bands < n_free`` bands."""
-    return RankDeficientLibrary(
-        f"restricted Gram block of size {n_free} is singular ({n_free} free variables "
-        f"exceed the {bands} spectral bands, so the block cannot be full rank)"
-    )
-
-
 def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None) -> Solution:
     """Minimize the shifted quadratic over the scaled simplex.
 
@@ -300,74 +276,78 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
     return result
 
 
-class _Pixel:
-    """Where one problem of :func:`_solve_lockstep` stands between rounds.
+class _Slice:
+    """The state of one :func:`_solve_lockstep` call, row ``r`` that of
+    ``problems[r]``.
 
-    ``system`` owns the problem's free set: a :class:`KeptSystem`, or below
-    :data:`_STACKED_BELOW` endmembers a :class:`FreeMask`, except on the
-    uniform start's fork, which is a :class:`KeptSystem` either way.
-    ``iterate`` is the current feasible point, ``trace`` its objective trace
-    and ``iteration`` the number of subproblems solved since the start.
-    ``bands`` is the number of spectral bands when it is below P, the most
-    free variables a full-rank block can have, and None otherwise.
-    :meth:`start` chooses the start once, before the first round, and puts
-    the pixel there through :meth:`begin`.
+    ``free`` is the ``(k, P)`` mask of the free sets and ``iterate`` the
+    current feasible points, zero off them; ``linear``, ``budget`` and
+    ``const`` stack the problems' terms. Per row the slice keeps the number
+    of subproblems solved since the start (``iteration``), the objective
+    ``trace``, the tie-break ``rngs`` and, at and above
+    :data:`_STACKED_BELOW` endmembers, the :class:`KeptSystem` in
+    ``systems`` whose free set the mask mirrors. ``bands`` is the number of
+    spectral bands when it is below P, the most free variables a full-rank
+    block can have, and None otherwise. ``results`` receives each row's
+    :class:`Solution` or error.
     """
 
-    __slots__ = ("index", "shifted", "rng", "bands", "system", "iterate", "trace", "iteration")
+    def __init__(self, problems: list[ShiftedProblem], config: SolverConfig):
+        k, p = len(problems), problems[0].size
+        self.problems, self.config, self.gram = problems, config, problems[0].gram
+        self.kept = p >= _STACKED_BELOW
+        self.free = np.zeros((k, p), dtype=bool)
+        self.iterate = np.zeros((k, p))
+        self.linear = np.array([shifted.linear for shifted in problems])
+        self.budget = np.array([shifted.budget for shifted in problems])
+        self.const = np.array([shifted.const_term for shifted in problems])
+        self.iteration = [0] * k
+        self.trace = [[] for _ in range(k)]
+        target = problems[0].shifted_target
+        self.bands = target.size if target is not None and target.size < p else None
+        self.rngs = [np.random.default_rng(config.tie_seed) if config.tie_break == "random"
+                     else None for _ in problems]
+        self.systems, self.results = [None] * k, [None] * k
 
-    def __init__(self, index, shifted, rng):
-        self.index = index
-        self.shifted = shifted
-        self.rng = rng
-        target = shifted.shifted_target
-        self.bands = target.size if target is not None and target.size < shifted.size else None
-
-    def begin(self, system, iterate) -> None:
-        """Start the solve (over) at ``iterate``, feasible and zero off
-        ``system.free``, with an empty trace and no iteration made."""
-        self.system = system
-        self.iterate = iterate
-        self.trace = []
-        self.iteration = 0
-
-    def start(self, config: SolverConfig) -> tuple | None:
-        """Choose the start and take it: the whole start policy of the loop.
+    def start(self, r: int) -> tuple | None:
+        """Choose row ``r``'s start and write it: the whole start policy.
 
         Unless the budget is zero or the library is wider than its bands,
         the probe is solved as iteration 1 on a fork of the uniform start's
         system. Returns the feasible candidate of the start, the accepted
         probe, the vertex or the origin, as ``(x, sub)``: ``x`` zero off the
         free set and ``sub`` its :class:`SubproblemSolution`; or None after
-        a start over on the probe's support, whose candidate the first round
-        solves. Raises the :class:`RankDeficientLibrary` of a singular full
-        Gram.
+        a start over on the probe's support, which the first round solves.
+        Raises the :class:`RankDeficientLibrary` of a singular full Gram.
         """
-        shifted = self.shifted
+        shifted = self.problems[r]
         s, p = shifted.budget, shifted.size
-        target = shifted.shifted_target
         candidate = np.zeros(p)
         if s == 0.0:
             # The origin is the only feasible point; lam = max(g) is the
             # smallest multiplier that certifies it.
             free, sub = [], SubproblemSolution(np.empty(0), float(shifted.linear.max()))
         else:
-            if target is None or p <= target.size:  # else the uniform block is rank deficient
-                self.begin(shifted._start_system().fork(shifted.linear), np.full(p, s / p))
-                self.iteration = 1
-                probe = solve_subproblem(shifted.gram, shifted.linear, s, self.system.free,
-                                         factor=self.system)
-                negative = np.count_nonzero(probe.free_values < -config.primal_tol)
+            if self.bands is None:  # else the uniform block is rank deficient
+                system = shifted._start_system().fork(shifted.linear)
+                probe = solve_subproblem(shifted.gram, shifted.linear, s, system.free,
+                                         factor=system)
+                negative = np.count_nonzero(probe.free_values < -self.config.primal_tol)
                 if not negative:
-                    self.trace.append(objective_value(shifted, self.iterate))
+                    # All free: pricing finds the probe optimal; the fork goes.
+                    self.free[r] = True
+                    self.iterate[r] = s / p
+                    self.iteration[r] = 1
+                    self.trace[r].append(objective_value(shifted, self.iterate[r]))
                     return probe.free_values, probe
                 if negative <= _VERTEX_START_SHARE * p:
                     # Start over at the probe clipped to its strictly positive
                     # support and scaled back onto the budget.
                     clipped = np.maximum(probe.free_values, 0.0)
                     clipped *= s / clipped.sum()
-                    self.begin(self._system(np.flatnonzero(clipped)), clipped)
-                    self.trace.append(objective_value(shifted, clipped))
+                    self._begin(r, np.flatnonzero(clipped))
+                    self.iterate[r] = clipped
+                    self.trace[r].append(objective_value(shifted, clipped))
                     return None
             # The best vertex s e_i minimizes 0.5 s^2 G_ii - s g_i (ties to the
             # smallest index); lam = g_i - s G_ii solves the subproblem on [i].
@@ -376,230 +356,227 @@ class _Pixel:
             free, sub = [i], SubproblemSolution(np.array([s]),
                                                 float(shifted.linear[i] - s * diagonal[i]))
             candidate[i] = s
-        self.begin(self._system(free), np.zeros(p))
+        self._begin(r, free)
         return candidate, sub
 
-    def _system(self, free):
-        """The system of a start over on ``free``, for the back end of P."""
-        shifted = self.shifted
-        if shifted.size < _STACKED_BELOW:
-            return FreeMask(shifted.size, free)
-        return KeptSystem(shifted.gram, shifted.linear, free)
+    def capped(self, r: int, cap: int) -> Solution:
+        """The ``MAX_ITERATIONS`` answer of row ``r``."""
+        # No multipliers were computed at the returned iterate: when the last
+        # move was a pin, the last priced candidate is not the iterate.
+        x, trace = self.iterate[r], self.trace[r]
+        return Solution(
+            abundances=x.copy(),
+            shifted_abundances=x.copy(),
+            eq_multiplier=float("nan"),
+            ineq_multipliers=np.full(x.size, np.nan),
+            objective=trace[-1],
+            outer_iterations=cap,
+            final_free=np.flatnonzero(self.free[r]),
+            status=SolveStatus.MAX_ITERATIONS,
+            objective_trace=tuple(trace),
+            message=f"iteration cap {cap} reached without dual feasibility",
+        )
 
-    def price(self, x, mu, objective, sub: SubproblemSolution,
-              config: SolverConfig) -> Solution | None:
-        """Accept the feasible iterate ``x``, the candidate ``sub`` clipped at
-        zero, whose objective is ``objective``, and price the pinned
-        variables from ``mu = G x - g + lam``, with ``lam = sub.multiplier``.
+    def _begin(self, r, free) -> None:
+        """Start row ``r`` on the free set ``free``, in a new kept system if kept."""
+        self.free[r, free] = True
+        if self.kept:
+            self.systems[r] = KeptSystem(self.gram, self.problems[r].linear, free)
 
-        Returns the ``OPTIMAL`` :class:`Solution` when no multiplier is below
-        ``-dual_tol``; otherwise frees the most negative one's variable (ties
-        to the smallest index) and returns None.
-        """
-        self.iterate = x
-        self.trace.append(objective)
-        # On the free set mu is the stationarity residual, not a multiplier,
-        # so it is set to zero there.
-        free = self.system.free
-        mu[free] = 0.0
+    def _traced(self, rows: list, iterates):
+        """``G x`` and the objective at row ``k`` of ``iterates``, the
+        iterate of row ``rows[k]``. The stacked calls give every row the bits
+        of ``gram @ x`` and :func:`~unmix.model.objective_value`; one row
+        takes those calls themselves, which are fewer."""
+        if len(rows) == 1:
+            x = iterates[0]
+            gx = self.gram @ x
+            return gx[None], [objective_from_product(self.problems[rows[0]], x, gx)]
+        products = np.matmul(self.gram, iterates[..., None])[..., 0]
+        objectives = objective_rows(iterates, products, self.linear.take(rows, axis=0),
+                                    self.const.take(rows))
+        return products, objectives.tolist()
+
+    def accept(self, rows: list, candidates, subs: list) -> None:
+        """:meth:`price` each row ``rows[k]`` at its feasible candidate, row
+        ``k`` of ``candidates`` and ``subs[k]``, with boundary roundoff and
+        the prices on the masks zeroed in single calls."""
+        iterates = np.maximum(candidates, 0.0)
+        products, objectives = self._traced(rows, iterates)
+        prices = products - self.linear.take(rows, axis=0)
+        prices += np.array([sub.multiplier for sub in subs])[:, None]
+        prices[self.free.take(rows, axis=0)] = 0.0
+        for k, sub in enumerate(subs):
+            self.price(rows[k], iterates[k], prices[k], objectives[k], sub)
+
+    def price(self, r: int, x, mu, objective, sub: SubproblemSolution) -> None:
+        """Accept the feasible iterate ``x`` of row ``r``, the candidate
+        ``sub`` clipped at zero, whose objective is ``objective``, and price
+        the pinned variables from ``mu = G x - g + lam``, ``lam`` that of
+        ``sub``, which the caller zeroed on the free set, where it is the
+        stationarity residual, not a multiplier: the ``OPTIMAL``
+        :class:`Solution` when no multiplier is below ``-dual_tol``, else
+        free the most negative one's variable (ties to the smallest index)."""
+        self.trace[r].append(objective)
         released = int(mu.argmin())
-        if mu[released] >= -config.dual_tol:
-            return Solution(
+        if mu[released] >= -self.config.dual_tol:
+            self.results[r] = Solution(
                 abundances=x.copy(),
                 shifted_abundances=x.copy(),
                 eq_multiplier=sub.multiplier,
                 ineq_multipliers=mu,
                 objective=objective,
-                outer_iterations=self.iteration,
-                final_free=np.sort(free),
+                outer_iterations=self.iteration[r],
+                final_free=np.flatnonzero(self.free[r]),
                 status=SolveStatus.OPTIMAL,
-                objective_trace=tuple(self.trace),
+                objective_trace=tuple(self.trace[r]),
             )
-        self.system.add(released)
-        return None
+            return
+        self.iterate[r] = x
+        self.free[r, released] = True
+        if self.kept:
+            self.systems[r].add(released)
 
+    def block(self, rows: list, candidates) -> None:
+        """Take the blocking step of each row ``rows[k]`` towards its
+        infeasible candidate, row ``k`` of ``candidates``, zero off its free
+        set, with the ratio test, the tie-break and the iterate update
+        stacked. Pinned coordinates hold 0 in both the candidate and the
+        iterate, so they never move or block. A row that cannot take the
+        step gets its error."""
+        current = self.iterate.take(rows, axis=0)
+        # ``gap`` is the iterate minus the candidate, positive where a coordinate
+        # falls; it is exactly the negated step direction.
+        gap = current - candidates
+        falling = gap > 0.0
+        ratios = np.divide(current, gap, out=np.full(gap.shape, np.inf), where=falling)
+        step = ratios.min(axis=1, keepdims=True)
+        tied = falling & (ratios == step)
+        blocking = tied.argmax(axis=1).tolist()
+        can_block = falling.any(axis=1)
+        advanced = current - step * gap
+        # Coordinates tied with the blocking one can land at -1e-17 level; the
+        # blocking one itself is pinned at exactly zero.
+        np.maximum(advanced, 0.0, out=advanced)
+        moved = []
+        for k, r in enumerate(rows):
+            try:
+                if not can_block[k]:
+                    raise NoBlockingIndex(_NO_BLOCKING)
+                if self.rngs[r] is not None:
+                    blocking[k] = int(self.rngs[r].choice(np.flatnonzero(tied[k])))
+                if self.kept:
+                    self.systems[r].remove(blocking[k])
+            except UnmixError as exc:
+                self.results[r] = exc
+                continue
+            self.free[r, blocking[k]] = False
+            advanced[k, blocking[k]] = 0.0
+            moved.append(k)
+        if moved:
+            rows, advanced = [rows[k] for k in moved], advanced[moved]
+            _, objectives = self._traced(rows, advanced)
+            for r, x, objective in zip(rows, advanced, objectives):
+                self.iterate[r] = x
+                self.trace[r].append(objective)
 
-def _traced(pixels: list[_Pixel], iterates):
-    """``G x`` and the objective at row ``k`` of ``iterates``, the iterate of
-    ``pixels[k]``, and the pixels' linear terms as rows.
+    def solve_kept(self, rows: list) -> None:
+        """A round on the kept back end: each row solves its subproblem on
+        its own :class:`KeptSystem` and prices a feasible candidate at once;
+        the rows whose candidate is infeasible take the blocking step
+        together."""
+        blocked, candidates = [], []
+        for r in rows:
+            shifted, system = self.problems[r], self.systems[r]
+            try:
+                sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, system.free,
+                                       factor=system)
+            except UnmixError as exc:
+                self.results[r] = exc
+                continue
+            x = np.zeros(shifted.size)
+            if sub.free_values.min() >= -self.config.primal_tol:
+                x[system.free] = np.maximum(sub.free_values, 0.0)
+                gx = shifted.gram @ x
+                mu = gx - shifted.linear
+                mu += sub.multiplier
+                mu[system.free] = 0.0
+                self.price(r, x, mu, objective_from_product(shifted, x, gx), sub)
+            else:
+                x[system.free] = sub.free_values
+                blocked.append(r)
+                candidates.append(x)
+        if blocked:
+            self.block(blocked, np.array(candidates))
 
-    The stacked calls compute every row as ``gram @ x`` and
-    :func:`~unmix.model.objective_value` do, bit for bit, so one row takes
-    those calls themselves, which are fewer.
-    """
-    gram = pixels[0].shifted.gram
-    if len(pixels) == 1:
-        shifted, x = pixels[0].shifted, iterates[0]
-        gx = gram @ x
-        return gx[None], [objective_from_product(shifted, x, gx)], shifted.linear[None]
-    linear = np.array([px.shifted.linear for px in pixels])
-    products = np.matmul(gram, iterates[..., None])[..., 0]
-    objectives = objective_rows(iterates, products, linear,
-                                np.array([px.shifted.const_term for px in pixels]))
-    return products, objectives.tolist(), linear
-
-
-def _accept(pixels: list[_Pixel], candidates, subs: list, config: SolverConfig,
-            results: list) -> None:
-    """:meth:`_Pixel.price` each pixel at its feasible candidate, row ``k``
-    of ``candidates`` and ``subs[k]``, with boundary roundoff zeroed; an
-    ``OPTIMAL`` :class:`Solution` goes to ``results``."""
-    iterates = np.maximum(candidates, 0.0)
-    products, objectives, linear = _traced(pixels, iterates)
-    prices = products - linear
-    prices += np.array([sub.multiplier for sub in subs])[:, None]
-    for k, sub in enumerate(subs):
-        px = pixels[k]
-        results[px.index] = px.price(iterates[k], prices[k], objectives[k], sub, config)
-
-
-def _block(pixels: list[_Pixel], candidates, results: list) -> None:
-    """Take the blocking step of each pixel whose candidate is infeasible.
-
-    The ratio test, the tie-break and the iterate update are stacked over
-    the pixels; row ``k`` of ``candidates`` belongs to ``pixels[k]`` and is
-    zero off its free set. Pinned coordinates hold 0 in both the candidate
-    and the iterate, so they never move or block. A pixel that cannot take
-    the step gets its error in ``results``.
-    """
-    current = np.array([px.iterate for px in pixels])
-    # ``gap`` is the iterate minus the candidate, positive where a coordinate
-    # falls; it is exactly the negated step direction.
-    gap = current - candidates
-    falling = gap > 0.0
-    ratios = np.divide(current, gap, out=np.full(gap.shape, np.inf), where=falling)
-    step = ratios.min(axis=1, keepdims=True)
-    tied = falling & (ratios == step)
-    blocking = tied.argmax(axis=1).tolist()
-    can_block = falling.any(axis=1)
-    advanced = current - step * gap
-    # Coordinates tied with the blocking one can land at -1e-17 level; the
-    # blocking one itself is pinned at exactly zero.
-    np.maximum(advanced, 0.0, out=advanced)
-    moved = []
-    for k, px in enumerate(pixels):
-        try:
-            if not can_block[k]:
-                raise NoBlockingIndex(_NO_BLOCKING)
-            if px.rng is not None:
-                blocking[k] = int(px.rng.choice(np.flatnonzero(tied[k])))
-            px.system.remove(blocking[k])
-        except UnmixError as exc:
-            results[px.index] = exc
-            continue
-        advanced[k, blocking[k]] = 0.0
-        moved.append(k)
-    if moved:
-        pixels, advanced = [pixels[k] for k in moved], advanced[moved]
-        _, objectives, _ = _traced(pixels, advanced)
-        for px, x, objective in zip(pixels, advanced, objectives):
-            px.iterate = x
-            px.trace.append(objective)
-
-
-def _solve_kept(pixels: list[_Pixel], config: SolverConfig, results: list) -> None:
-    """A round on the kept back end: each pixel solves its subproblem on its
-    own :class:`KeptSystem` and prices a feasible candidate at once; the
-    pixels whose candidate is infeasible take the blocking step together."""
-    blocked, candidates = [], []
-    for px in pixels:
-        shifted, system = px.shifted, px.system
-        try:
-            sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, system.free,
-                                   factor=system)
-        except UnmixError as exc:
-            results[px.index] = exc
-            continue
-        x = np.zeros(shifted.size)
-        if sub.free_values.min() >= -config.primal_tol:
-            x[system.free] = np.maximum(sub.free_values, 0.0)
-            gx = shifted.gram @ x
-            mu = gx - shifted.linear
-            mu += sub.multiplier
-            results[px.index] = px.price(x, mu, objective_from_product(shifted, x, gx), sub,
-                                         config)
-        else:
-            x[system.free] = sub.free_values
-            blocked.append(px)
-            candidates.append(x)
-    if blocked:
-        _block(blocked, np.array(candidates), results)
-
-
-def _solve_masked(pixels: list[_Pixel], config: SolverConfig, results: list) -> None:
-    """A round on the stacked back end: the subproblems of all the pixels,
-    on their :class:`FreeMask`, in the stacked calls of
-    :func:`unmix.kkt.solve_stacked`, then the pricing of the feasible
-    candidates and the blocking step towards the others, each stacked."""
-    candidates, multipliers, failures = solve_stacked(
-        pixels[0].shifted.gram,
-        np.array([px.system.mask for px in pixels]),
-        np.array([px.shifted.linear for px in pixels]),
-        np.array([px.shifted.budget for px in pixels]),
-    )
-    if failures:
-        for item, exc in failures.items():
-            results[pixels[item].index] = exc
-        pixels = [px for item, px in enumerate(pixels) if item not in failures]
-    feasible = (candidates.min(axis=1) >= -config.primal_tol).tolist()
-    accepted = [k for k, ok in enumerate(feasible) if ok]
-    if accepted:
-        rows = candidates[accepted] if len(accepted) < len(pixels) else candidates
-        lams = multipliers.tolist()
-        subs = [SubproblemSolution(None, lams[k]) for k in accepted]
-        _accept([pixels[k] for k in accepted], rows, subs, config, results)
-    if len(accepted) < len(pixels):
-        blocked = [k for k, ok in enumerate(feasible) if not ok]
-        _block([pixels[k] for k in blocked], candidates[blocked], results)
+    def solve_stacked(self, rows: list) -> None:
+        """A round on the stacked back end: the subproblems of all the rows
+        in the stacked calls of :func:`unmix.kkt.solve_stacked`, then the
+        pricing of the feasible candidates and the blocking step towards the
+        others, each stacked."""
+        candidates, multipliers, failures = solve_stacked(
+            self.gram, self.free.take(rows, axis=0), self.linear.take(rows, axis=0),
+            self.budget.take(rows))
+        if failures:
+            for item, exc in failures.items():
+                self.results[rows[item]] = exc
+            rows = [r for item, r in enumerate(rows) if item not in failures]
+        feasible = candidates.min(axis=1) >= -self.config.primal_tol
+        accepted, blocked = np.flatnonzero(feasible).tolist(), np.flatnonzero(~feasible).tolist()
+        if accepted:
+            lams = multipliers.tolist()
+            self.accept([rows[k] for k in accepted],
+                        candidates[accepted] if blocked else candidates,
+                        [SubproblemSolution(None, lams[k]) for k in accepted])
+        if blocked:
+            self.block([rows[k] for k in blocked], candidates[blocked])
 
 
 def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> list:
     """Solve problems that share one Gram matrix together, one round at a time.
 
+    The problems also share their number of bands, if they have a target.
     The ``i``-th entry is the :class:`Solution` for ``problems[i]``, or the
     :class:`UnmixError` the solve of that problem raised; no problem's
-    answer depends on the others. Every problem takes its start, probe
-    included, before the first round, and the feasible candidates of the
-    starts are priced together. In a round every live problem that is below
-    the iteration cap solves its subproblem, then either prices a feasible
-    candidate or takes the blocking step. Below :data:`_STACKED_BELOW`
-    endmembers a round solves and prices in stacked calls, at and above it
-    each problem solves on its own kept system and prices its own
-    candidate. The ratio test, the tie-break and the iterate update are
-    stacked either way. Every stacked call keeps each row's arithmetic.
+    answer depends on the others. Every problem takes its start before the
+    first round, and the feasible candidates of the starts are priced
+    together. In a round every live problem below the iteration cap solves
+    its subproblem, then either prices a feasible candidate or takes the
+    blocking step: on the back end that P selects, with each row's
+    arithmetic kept.
     """
-    results = [None] * len(problems)
-    live, started, candidates, subs = [], [], [], []
-    for index, shifted in enumerate(problems):
-        rng = np.random.default_rng(config.tie_seed) if config.tie_break == "random" else None
-        px = _Pixel(index, shifted, rng)
+    if not problems:
+        return []
+    state = _Slice(problems, config)
+    results, started = state.results, []
+    for r in range(len(problems)):
         try:
-            start = px.start(config)
+            start = state.start(r)
         except UnmixError as exc:
-            results[index] = exc
+            results[r] = exc
             continue
-        live.append(px)
         if start is not None:
-            started.append(px)
-            candidates.append(start[0])
-            subs.append(start[1])
+            started.append((r, *start))
     if started:  # every start's candidate is feasible
-        _accept(started, np.array(candidates), subs, config, results)
+        rows, candidates, subs = zip(*started)
+        state.accept(list(rows), np.array(candidates), subs)
 
+    cap = config.iteration_cap(state.free.shape[1])
+    live = range(len(problems))
     while True:
-        live = [px for px in live if results[px.index] is None]
+        live = [r for r in live if results[r] is None]
         if not live:
             return results
         solving = []
-        for px in live:
-            if px.iteration == config.iteration_cap(px.shifted.size):
-                results[px.index] = _capped_solution(px.iterate, px.system.free, px.iteration,
-                                                     px.trace)
-            elif px.bands is not None and px.system.free.size > px.bands:
-                results[px.index] = _band_deficit(px.system.free.size, px.bands)
+        for r in live:
+            if state.iteration[r] == cap:
+                results[r] = state.capped(r, cap)
+            elif state.bands is not None and (n := np.count_nonzero(state.free[r])) > state.bands:
+                results[r] = RankDeficientLibrary(
+                    f"restricted Gram block of size {n} is singular ({n} free variables "
+                    f"exceed the {state.bands} spectral bands, so the block cannot be full rank)")
             else:
-                px.iteration += 1
-                solving.append(px)
+                state.iteration[r] += 1
+                solving.append(r)
         if solving:
-            stacked = solving[0].shifted.size < _STACKED_BELOW
-            (_solve_masked if stacked else _solve_kept)(solving, config, results)
+            (state.solve_kept if state.kept else state.solve_stacked)(solving)

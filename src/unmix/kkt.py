@@ -31,10 +31,10 @@ instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The factor's
 columns therefore follow the order of the moves, not the sorted free set.
 All three routes apply the same rank test.
 
-The loop's other back end keeps no factor. :func:`solve_stacked` solves
-the subproblems of many free sets of one Gram matrix, each a
-:class:`FreeMask`, over a stack of padded ``P x P`` blocks: the free block
-in place and the identity elsewhere. One LAPACK ``dposv`` per block
+The loop's other back end keeps no factor, only the free sets of a slice
+of solves as the rows of a ``(k, P)`` boolean mask. :func:`solve_stacked`
+solves their subproblems over a stack of padded ``P x P`` blocks: the free
+block in place and the identity elsewhere. One LAPACK ``dposv`` per block
 factorizes it and solves for ``[g_F, 1]``, the factor's pivots take the
 same rank test, and everything else is one numpy call over the stack, each
 keeping every block's arithmetic: a block's bits do not depend on the
@@ -73,8 +73,16 @@ class SubproblemSolution:
     multiplier: float
 
 
+def _integer_indices(free) -> np.ndarray:
+    """``free`` as an index array: integers, not floats or a boolean mask, unless empty."""
+    free = np.asarray(free)
+    if free.size and free.dtype.kind not in "iu":
+        raise IndexError(f"free indices must be integers, got dtype {free.dtype}")
+    return free.astype(np.intp, copy=False)
+
+
 def _checked_indices(free, n):
-    free = np.asarray(free, dtype=np.intp).ravel()
+    free = _integer_indices(free).ravel()
     if free.size == 0:
         raise EmptyFreeSet("subproblem requested on an empty free set")
     if free.min() < 0 or free.max() >= n:
@@ -164,7 +172,7 @@ class KeptSystem:
         self.gram = np.asarray(gram, dtype=float)
         self.linear = np.asarray(linear, dtype=float)
         self.order = self.gram.shape[0]
-        self.free = np.asarray(free, dtype=np.intp)
+        self.free = _integer_indices(free)
         self.lower = None
         if lower is not None:
             self._adopt(lower)
@@ -308,30 +316,6 @@ class KeptSystem:
         rhs = daxpy(forward_ones, forward_linear.copy(), a=-lam)
         free_values = dtrsv(self.lower, rhs, lower=1, trans=1, overwrite_x=1)
         return SubproblemSolution(free_values=free_values, multiplier=lam)
-
-
-class FreeMask:
-    """One solve's free set for :func:`solve_stacked`: a mask and no factor.
-
-    ``mask`` marks the free variables; :meth:`add` and :meth:`remove` set
-    and clear one entry, and ``free`` lists the marked indices in order.
-    """
-
-    __slots__ = ("mask",)
-
-    def __init__(self, size, free):
-        self.mask = np.zeros(size, dtype=bool)
-        self.mask[free] = True
-
-    @property
-    def free(self) -> np.ndarray:
-        return self.mask.nonzero()[0]
-
-    def add(self, index) -> None:
-        self.mask[index] = True
-
-    def remove(self, index) -> None:
-        self.mask[index] = False
 
 
 def solve_stacked(gram, free, linear, budget):

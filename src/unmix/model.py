@@ -300,6 +300,8 @@ class SolverConfig:
 
 def _require_integer(name, value):
     try:
+        if isinstance(value, bool):  # operator.index takes it, but it is no count or seed
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

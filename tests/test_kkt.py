@@ -139,6 +139,23 @@ def test_free_indices_out_of_range_are_rejected():
         factorize(np.eye(2), [0, 2])
 
 
+def test_free_indices_must_be_integers():
+    # Cast to integers, [0.5, 1.7] would solve on [0, 1], and a boolean mask
+    # would be read as the indices [1, 0, 1, 1] and fail as rank deficient.
+    gram = np.diag([1.0, 2.0, 3.0, 4.0])
+    for free in ([0.5, 1.7], np.array([True, False, True, True])):
+        with pytest.raises(IndexError, match="free indices must be integers"):
+            solve_subproblem(gram, np.zeros(4), 1.0, free)
+        with pytest.raises(IndexError, match="free indices must be integers"):
+            factorize(gram, free)
+        with pytest.raises(IndexError, match="free indices must be integers"):
+            KeptSystem(gram, np.zeros(4), free)
+    sub = solve_subproblem(gram, np.zeros(4), 1.0, np.array([0, 2], dtype=np.int32))
+    np.testing.assert_allclose(sub.free_values, [0.75, 0.25], rtol=0, atol=1e-15)
+    with pytest.raises(EmptyFreeSet):  # an empty list is no float array
+        KeptSystem(gram, np.zeros(4), []).solve(1.0)
+
+
 def test_downdate_at_every_position_factors_the_reduced_block():
     rng = np.random.default_rng(16)
     for _ in range(40):

@@ -153,6 +153,8 @@ def test_shifted_problem_checks_const_term_against_target():
     {"max_outer_iterations": 3.0},
     {"tie_seed": -1},
     {"tie_seed": 1.5},
+    {"max_outer_iterations": True},
+    {"tie_seed": True},
     {"primal_tol": np.inf},
     {"dual_tol": np.inf},
     {"dual_tol": np.nan},
@@ -177,6 +179,11 @@ def test_config_names_the_setting_it_rejects():
         SolverConfig(max_outer_iterations=2.5)
     with pytest.raises(ValueError, match="tie_seed must be an integer, got 1.5"):
         SolverConfig(tie_break="random", tie_seed=1.5)
+    # A bool passes operator.index as 0 or 1.
+    with pytest.raises(ValueError, match="max_outer_iterations must be an integer, got True"):
+        SolverConfig(max_outer_iterations=True)
+    with pytest.raises(ValueError, match="tie_seed must be an integer, got True"):
+        SolverConfig(tie_break="random", tie_seed=True)
     with pytest.raises(ValueError, match="primal_tol must be positive and finite, got inf"):
         SolverConfig(primal_tol=np.inf)
     with pytest.raises(ValueError, match="dual_tol must be positive and finite, got inf"):

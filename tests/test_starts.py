@@ -54,35 +54,34 @@ def _dense_scene(rng, n_endmembers, n_pixels):
     return SpectralLibrary(library), pixels
 
 
-# The points one pixel's start begins at, whether each is nonzero, name the
-# start it took: the uniform point alone, then the probe's support or the
-# vertex after it, or the vertex (or the origin) outright.
-_STARTS = {(True,): "uniform", (True, True): "support", (True, False): "restart",
-           (False,): "vertex"}
+def _start_taken(shifted, solution):
+    """The start a solve took, read from the first entry of its trace.
+
+    That entry is the objective at the uniform point ``s / P`` when the
+    probe was accepted, at the best vertex when the solve started there,
+    and otherwise at the probe's clipped support. A vertex is taken after a
+    probe (``"restart"``) unless the library is wider than its bands, when
+    it is taken outright.
+    """
+    s, p = shifted.budget, shifted.size
+    first = solution.objective_trace[0]
+    if first == objective_value(shifted, np.full(p, s / p)):
+        return "uniform"
+    vertex = np.zeros(p)
+    vertex[np.argmin(0.5 * s * s * shifted.gram.diagonal() - s * shifted.linear)] = s
+    if first == objective_value(shifted, vertex):
+        return "restart" if p <= shifted.shifted_target.size else "vertex"
+    probe = solve_subproblem(shifted.gram, shifted.linear, s, np.arange(p))
+    assert first == objective_value(shifted, support_start(shifted, probe.free_values)[1])
+    return "support"
 
 
-def _counted_starts(solve):
-    """Run ``solve()`` and count the start each pixel took."""
-    counts = Counter()
-    start, begin = active_set._Pixel.start, active_set._Pixel.begin
-    begun = []  # for the pixel being started, whether each begin was at a nonzero point
-
-    def counted_begin(px, system, iterate):
-        begun.append(bool(iterate.any()))
-        return begin(px, system, iterate)
-
-    def counted_start(px, config):
-        begun.clear()
-        result = start(px, config)
-        counts[_STARTS[tuple(begun)]] += 1
-        return result
-
-    with mock.patch.object(active_set._Pixel, "start", counted_start), \
-            mock.patch.object(active_set._Pixel, "begin", counted_begin):
-        solutions = solve()
+def _counted_starts(library, pixels, bounds, solutions):
+    """Count the start each pixel's solution took."""
     assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
-    assert sum(counts.values()) == len(solutions)
-    return counts
+    return Counter(
+        _start_taken(shift_problem(UnmixingProblem(library, pixels[:, column], bounds)), solution)
+        for column, solution in enumerate(solutions))
 
 
 @pytest.mark.parametrize("scene, bounded, expected", [
@@ -100,9 +99,11 @@ def test_each_pixel_takes_the_same_start_on_both_paths(scene, bounded, expected)
         library, pixels = _sparse_scene(rng, 40, 60, 4, 12)
     p = library.n_endmembers
     bounds = rng.dirichlet(np.ones(p)) * 0.3 if bounded else None
-    single = _counted_starts(lambda: [unmix(UnmixingProblem(library, pixels[:, column], bounds))
-                                      for column in range(pixels.shape[1])])
-    batched = _counted_starts(lambda: unmix_batch(BatchJob(library, pixels, bounds)))
+    single = _counted_starts(library, pixels, bounds,
+                             [unmix(UnmixingProblem(library, pixels[:, column], bounds))
+                              for column in range(pixels.shape[1])])
+    batched = _counted_starts(library, pixels, bounds,
+                              unmix_batch(BatchJob(library, pixels, bounds)))
     assert single == batched == expected
 
 
