@@ -36,10 +36,14 @@ on either back end: that block is singular, though roundoff can let the
 rank test pass it. A zero budget starts at the origin, the empty candidate
 with ``lam = max(g)``, which the same step certifies.
 
-The uniform start forks the system of the full Gram matrix, which the
-library factorizes once, at the first solve that needs it; a problem stated
-without its library's Gram gets one of its own. After the start, the number
-of endmembers P selects one of two linear-algebra back ends for the rounds:
+The probes of all the problems in a call are solved together, on either
+back end, by two ``dtrsm`` calls (:func:`unmix.kkt.solve_uniform`) with
+the factor of the full Gram matrix, which the library factorizes once, at
+the first solve that needs it; a problem stated without its library's Gram
+gets one of its own. The multipliers, the negative counts, the choice of
+start and the vertices are array operations over the problems. After the
+start, the number of endmembers P selects one of two linear-algebra back
+ends for the rounds:
 
 - at ``P >= _STACKED_BELOW`` the loop keeps one
   :class:`unmix.kkt.KeptSystem` per solve, which holds the free set of its
@@ -74,16 +78,17 @@ Gram matrix through the moves together, one round at a time:
 :func:`active_set_solve` runs it on one problem and :mod:`unmix.batch` on
 slices of pixels, so a pixel gets the same answer either way. A
 :class:`_Slice` holds their state in rows: a ``(k, P)`` free mask and
-iterate, and the problems' linear terms, budgets and constants, stacked
-once. Every problem takes its start, probe included, before the first
-round, and the rounds only solve, then accept or block. The ratio test,
-the tie-break and the iterate update of the problems whose candidate is
-infeasible are numpy calls over their rows on both back ends; the stacked
-back end also solves and prices in such calls. A problem's bits do not
-depend on the others: every stacked call runs LAPACK or BLAS once per
-row, a broadcast ``matmul`` computes each row as ``gram @ x`` does, a
-stacked row dot product as ``x @ y`` does, and every reduction runs along
-one row.
+iterate, and the problems' linear terms, budgets and constants, as the
+shift stacked them (:class:`unmix.model.ShiftedRows`). Every problem takes
+its start before the first round, and the rounds only solve, then accept
+or block. The ratio test, the tie-break and the iterate update of the
+problems whose candidate is infeasible are numpy calls over their rows on
+both back ends; the stacked back end also solves and prices in such calls.
+A problem's bits do not depend on the others: every stacked LAPACK call
+runs once per row, a ``dtrsm`` column is solved as a one-column ``dtrsm``
+solves it, a broadcast ``matmul`` computes each row as ``gram @ x`` does,
+a stacked row dot product as ``x @ y`` does, and every reduction runs
+along one row.
 The step helpers (:func:`initialize_state`, :func:`max_feasible_step`,
 :func:`transfer_to_active`, :func:`lagrange_multipliers`,
 :func:`release_from_active`) spell the moves out for one problem with
@@ -99,9 +104,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBlockingIndex, RankDeficientLibrary, UnmixError
-from .kkt import KeptSystem, SubproblemSolution, solve_stacked, solve_subproblem
-from .model import ShiftedProblem, SolverConfig, objective_from_product, objective_rows
-from .model import objective_value
+from .kkt import KeptSystem, SubproblemSolution, solve_stacked, solve_subproblem, solve_uniform
+from .model import ShiftedProblem, ShiftedRows, SolverConfig, objective_from_product
+from .model import objective_rows
 
 
 _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
@@ -270,20 +275,20 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
         library columns inside the free set or more free variables than
         spectral bands.
     """
-    result = _solve_lockstep([shifted], config or SolverConfig())[0]
+    result = _solve_lockstep(ShiftedRows.of(shifted), config or SolverConfig())[0]
     if isinstance(result, UnmixError):
         raise result
     return result
 
 
 class _Slice:
-    """The state of one :func:`_solve_lockstep` call, row ``r`` that of
-    ``problems[r]``.
+    """The state of one :func:`_solve_lockstep` call, row ``r`` that of row
+    ``r`` of its :class:`~unmix.model.ShiftedRows`.
 
     ``free`` is the ``(k, P)`` mask of the free sets and ``iterate`` the
     current feasible points, zero off them; ``linear``, ``budget`` and
-    ``const`` stack the problems' terms. Per row the slice keeps the number
-    of subproblems solved since the start (``iteration``), the objective
+    ``const`` are the rows' terms. Per row the slice keeps the number of
+    subproblems solved since the start (``iteration``), the objective
     ``trace``, the tie-break ``rngs`` and, at and above
     :data:`_STACKED_BELOW` endmembers, the :class:`KeptSystem` in
     ``systems`` whose free set the mask mirrors. ``bands`` is the number of
@@ -292,72 +297,109 @@ class _Slice:
     :class:`Solution` or error.
     """
 
-    def __init__(self, problems: list[ShiftedProblem], config: SolverConfig):
-        k, p = len(problems), problems[0].size
-        self.problems, self.config, self.gram = problems, config, problems[0].gram
+    def __init__(self, rows: ShiftedRows, config: SolverConfig):
+        k, p = rows.linear.shape
+        self.rows, self.config, self.gram = rows, config, rows.gram
         self.kept = p >= _STACKED_BELOW
         self.free = np.zeros((k, p), dtype=bool)
         self.iterate = np.zeros((k, p))
-        self.linear = np.array([shifted.linear for shifted in problems])
-        self.budget = np.array([shifted.budget for shifted in problems])
-        self.const = np.array([shifted.const_term for shifted in problems])
+        self.linear, self.budget, self.const = rows.linear, rows.budget, rows.const_term
         self.iteration = [0] * k
         self.trace = [[] for _ in range(k)]
-        target = problems[0].shifted_target
-        self.bands = target.size if target is not None and target.size < p else None
+        self.bands = rows.bands
         self.rngs = [np.random.default_rng(config.tie_seed) if config.tie_break == "random"
-                     else None for _ in problems]
+                     else None for _ in range(k)]
         self.systems, self.results = [None] * k, [None] * k
 
-    def start(self, r: int) -> tuple | None:
-        """Choose row ``r``'s start and write it: the whole start policy.
+    def start(self) -> None:
+        """Choose every row's start and write it: the whole start policy, in
+        calls over the rows.
 
-        Unless the budget is zero or the library is wider than its bands,
-        the probe is solved as iteration 1 on a fork of the uniform start's
-        system. Returns the feasible candidate of the start, the accepted
-        probe, the vertex or the origin, as ``(x, sub)``: ``x`` zero off the
-        free set and ``sub`` its :class:`SubproblemSolution`; or None after
-        a start over on the probe's support, which the first round solves.
-        Raises the :class:`RankDeficientLibrary` of a singular full Gram.
+        A row with a zero budget starts at the origin, and one of a library
+        wider than its bands at the best vertex. Every other row solves its
+        probe as iteration 1, all in the stacked calls of
+        :func:`unmix.kkt.solve_uniform` on the library's start factor, and
+        its negative entries choose its start. The feasible candidates of
+        the starts, the accepted probes, the vertices and the origins, are
+        priced in one accept step per kind; a start over on the probe's
+        support is solved by the first round. A singular start factor fails
+        every probing row with a fresh :class:`RankDeficientLibrary`.
         """
-        shifted = self.problems[r]
-        s, p = shifted.budget, shifted.size
-        candidate = np.zeros(p)
-        if s == 0.0:
-            # The origin is the only feasible point; lam = max(g) is the
-            # smallest multiplier that certifies it.
-            free, sub = [], SubproblemSolution(np.empty(0), float(shifted.linear.max()))
-        else:
-            if self.bands is None:  # else the uniform block is rank deficient
-                system = shifted._start_system().fork(shifted.linear)
-                probe = solve_subproblem(shifted.gram, shifted.linear, s, system.free,
-                                         factor=system)
-                negative = np.count_nonzero(probe.free_values < -self.config.primal_tol)
-                if not negative:
-                    # All free: pricing finds the probe optimal; the fork goes.
-                    self.free[r] = True
-                    self.iterate[r] = s / p
-                    self.iteration[r] = 1
-                    self.trace[r].append(objective_value(shifted, self.iterate[r]))
-                    return probe.free_values, probe
-                if negative <= _VERTEX_START_SHARE * p:
-                    # Start over at the probe clipped to its strictly positive
-                    # support and scaled back onto the budget.
-                    clipped = np.maximum(probe.free_values, 0.0)
-                    clipped *= s / clipped.sum()
-                    self._begin(r, np.flatnonzero(clipped))
-                    self.iterate[r] = clipped
-                    self.trace[r].append(objective_value(shifted, clipped))
-                    return None
-            # The best vertex s e_i minimizes 0.5 s^2 G_ii - s g_i (ties to the
-            # smallest index); lam = g_i - s G_ii solves the subproblem on [i].
-            diagonal = shifted.gram.diagonal()
-            i = int(np.argmin(0.5 * s * s * diagonal - s * shifted.linear))
-            free, sub = [i], SubproblemSolution(np.array([s]),
-                                                float(shifted.linear[i] - s * diagonal[i]))
-            candidate[i] = s
-        self._begin(r, free)
-        return candidate, sub
+        budgets = self.budget.tolist()
+        vertex = [r for r, s in enumerate(budgets) if s]
+        origin = [r for r, s in enumerate(budgets) if not s]
+        if self.bands is None and vertex:  # else every uniform block is rank deficient
+            vertex = self._probe(vertex)
+        if vertex:
+            self._vertex(vertex)
+        if origin:
+            # The origin is the only feasible point of a zero budget; lam =
+            # max(g) is the smallest multiplier that certifies it.
+            lams = self.linear.take(origin, axis=0).max(axis=1).tolist()
+            self.accept(origin, np.zeros((len(origin), self.free.shape[1])),
+                        [SubproblemSolution(None, lam) for lam in lams])
+
+    def _probe(self, rows: list) -> list:
+        """Solve the probes of ``rows`` and write the starts they choose;
+        return the rows that start over at the best vertex."""
+        start = self.rows.uniform_start()
+        if isinstance(start, str):
+            for r in rows:
+                self.results[r] = RankDeficientLibrary(start)
+            return []
+        s = self.budget.take(rows)
+        probes, multipliers = solve_uniform(start, self.linear.take(rows, axis=0), s)
+        p = probes.shape[1]
+        negative = np.count_nonzero(probes < -self.config.primal_tol, axis=1).tolist()
+        # A feasible probe is accepted; one with some, but not more than the
+        # share, negative starts over on its support, the others at the vertex.
+        sparse = _VERTEX_START_SHARE * p
+        accepted = [k for k, n in enumerate(negative) if not n]
+        support = [k for k, n in enumerate(negative) if 0 < n <= sparse]
+        if accepted:  # all free at s / P
+            taken = [rows[k] for k in accepted]
+            self.free[taken] = True
+            self.iterate[taken] = (s.take(accepted) / p)[:, None]
+            for r in taken:
+                self.iteration[r] = 1
+        if support:
+            # Start over at the probe clipped to its strictly positive support
+            # and scaled back onto the budget.
+            taken = [rows[k] for k in support]
+            clipped = np.maximum(probes.take(support, axis=0), 0.0)
+            clipped *= (s.take(support) / clipped.sum(axis=1))[:, None]
+            self.free[taken] = clipped != 0.0
+            self.iterate[taken] = clipped
+            if self.kept:
+                for r in taken:
+                    self.systems[r] = KeptSystem(self.gram, self.linear[r],
+                                                 np.flatnonzero(self.free[r]))
+        traced = [rows[k] for k, n in enumerate(negative) if n <= sparse]
+        if traced:  # the trace begins at s / P or at the support start
+            _, objectives = self._traced(traced, self.iterate.take(traced, axis=0))
+            for r, objective in zip(traced, objectives):
+                self.trace[r].append(objective)
+        if accepted:  # pricing finds a feasible probe optimal
+            self.accept([rows[k] for k in accepted], probes.take(accepted, axis=0),
+                        [SubproblemSolution(None, lam)
+                         for lam in multipliers.take(accepted).tolist()])
+        return [rows[k] for k, n in enumerate(negative) if n > sparse]
+
+    def _vertex(self, rows: list) -> None:
+        """Start ``rows`` at their best vertices ``s e_i``, which minimize
+        ``0.5 s^2 G_ii - s g_i`` (ties to the smallest index), and price
+        them: ``lam = g_i - s G_ii`` solves the subproblem on ``[i]``."""
+        s = self.budget.take(rows)[:, None]
+        diagonal = self.gram.diagonal()
+        best = np.argmin(0.5 * s * s * diagonal - s * self.linear.take(rows, axis=0), axis=1)
+        candidates, subs = np.zeros((len(rows), diagonal.size)), []
+        for k, (r, i, sk) in enumerate(zip(rows, best.tolist(), s[:, 0].tolist())):
+            self.free[r, i] = True
+            candidates[k, i] = sk
+            subs.append(SubproblemSolution(None, self.linear.item(r, i) - sk * diagonal.item(i)))
+            if self.kept:
+                self.systems[r] = KeptSystem(self.gram, self.linear[r], [i])
+        self.accept(rows, candidates, subs)
 
     def capped(self, r: int, cap: int) -> Solution:
         """The ``MAX_ITERATIONS`` answer of row ``r``."""
@@ -377,21 +419,15 @@ class _Slice:
             message=f"iteration cap {cap} reached without dual feasibility",
         )
 
-    def _begin(self, r, free) -> None:
-        """Start row ``r`` on the free set ``free``, in a new kept system if kept."""
-        self.free[r, free] = True
-        if self.kept:
-            self.systems[r] = KeptSystem(self.gram, self.problems[r].linear, free)
-
     def _traced(self, rows: list, iterates):
         """``G x`` and the objective at row ``k`` of ``iterates``, the
         iterate of row ``rows[k]``. The stacked calls give every row the bits
         of ``gram @ x`` and :func:`~unmix.model.objective_value`; one row
         takes those calls themselves, which are fewer."""
         if len(rows) == 1:
-            x = iterates[0]
+            x, r = iterates[0], rows[0]
             gx = self.gram @ x
-            return gx[None], [objective_from_product(self.problems[rows[0]], x, gx)]
+            return gx[None], [objective_from_product(x, gx, self.linear[r], self.const.item(r))]
         products = np.matmul(self.gram, iterates[..., None])[..., 0]
         objectives = objective_rows(iterates, products, self.linear.take(rows, axis=0),
                                     self.const.take(rows))
@@ -474,7 +510,7 @@ class _Slice:
             advanced[k, blocking[k]] = 0.0
             moved.append(k)
         if moved:
-            rows, advanced = [rows[k] for k in moved], advanced[moved]
+            rows, advanced = [rows[k] for k in moved], advanced.take(moved, axis=0)
             _, objectives = self._traced(rows, advanced)
             for r, x, objective in zip(rows, advanced, objectives):
                 self.iterate[r] = x
@@ -487,21 +523,22 @@ class _Slice:
         together."""
         blocked, candidates = [], []
         for r in rows:
-            shifted, system = self.problems[r], self.systems[r]
+            system, linear = self.systems[r], self.linear[r]
             try:
-                sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, system.free,
+                sub = solve_subproblem(self.gram, linear, self.budget[r], system.free,
                                        factor=system)
             except UnmixError as exc:
                 self.results[r] = exc
                 continue
-            x = np.zeros(shifted.size)
+            x = np.zeros(linear.size)
             if sub.free_values.min() >= -self.config.primal_tol:
                 x[system.free] = np.maximum(sub.free_values, 0.0)
-                gx = shifted.gram @ x
-                mu = gx - shifted.linear
+                gx = self.gram @ x
+                mu = gx - linear
                 mu += sub.multiplier
                 mu[system.free] = 0.0
-                self.price(r, x, mu, objective_from_product(shifted, x, gx), sub)
+                self.price(r, x, mu, objective_from_product(x, gx, linear, self.const.item(r)),
+                           sub)
             else:
                 x[system.free] = sub.free_values
                 blocked.append(r)
@@ -526,41 +563,28 @@ class _Slice:
         if accepted:
             lams = multipliers.tolist()
             self.accept([rows[k] for k in accepted],
-                        candidates[accepted] if blocked else candidates,
+                        candidates.take(accepted, axis=0) if blocked else candidates,
                         [SubproblemSolution(None, lams[k]) for k in accepted])
         if blocked:
-            self.block([rows[k] for k in blocked], candidates[blocked])
+            self.block([rows[k] for k in blocked], candidates.take(blocked, axis=0))
 
 
-def _solve_lockstep(problems: list[ShiftedProblem], config: SolverConfig) -> list:
-    """Solve problems that share one Gram matrix together, one round at a time.
+def _solve_lockstep(problems: ShiftedRows, config: SolverConfig) -> list:
+    """Solve the rows of ``problems`` together, one round at a time.
 
-    The problems also share their number of bands, if they have a target.
-    The ``i``-th entry is the :class:`Solution` for ``problems[i]``, or the
-    :class:`UnmixError` the solve of that problem raised; no problem's
-    answer depends on the others. Every problem takes its start before the
-    first round, and the feasible candidates of the starts are priced
-    together. In a round every live problem below the iteration cap solves
-    its subproblem, then either prices a feasible candidate or takes the
+    The ``i``-th entry is the :class:`Solution` for row ``i``, or the
+    :class:`UnmixError` its solve raised; no row's answer depends on the
+    others. Every row takes its start before the first round, in calls over
+    the rows. In a round every live row below the iteration cap solves its
+    subproblem, then either prices a feasible candidate or takes the
     blocking step: on the back end that P selects, with each row's
     arithmetic kept.
     """
-    if not problems:
+    if not len(problems):
         return []
     state = _Slice(problems, config)
-    results, started = state.results, []
-    for r in range(len(problems)):
-        try:
-            start = state.start(r)
-        except UnmixError as exc:
-            results[r] = exc
-            continue
-        if start is not None:
-            started.append((r, *start))
-    if started:  # every start's candidate is feasible
-        rows, candidates, subs = zip(*started)
-        state.accept(list(rows), np.array(candidates), subs)
-
+    state.start()
+    results = state.results
     cap = config.iteration_cap(state.free.shape[1])
     live = range(len(problems))
     while True:

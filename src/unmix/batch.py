@@ -1,9 +1,10 @@
 """Shift, solve and unshift: one pixel at a time for :func:`unmix`, and in
 slices of pixels solved in lockstep for :func:`unmix_batch` and the CLI.
-Both shift each pixel through one core and run the one active-set loop, so
-a pixel gets the same answer either way. A batch validates its bounds and
-computes their offset and budget once; per pixel it only checks the
-measurement and forms its own target, linear term and constant."""
+Both shift through one core, which runs over a slice of one pixel for
+:func:`unmix`, and run the one active-set loop, so a pixel gets the same
+answer either way. A batch validates its bounds and computes their offset
+and budget once; per slice it checks the measurements and forms their
+targets, linear terms and constants in calls over the slice."""
 
 from __future__ import annotations
 
@@ -13,19 +14,20 @@ import numpy as np
 
 from .active_set import Solution, SolveStatus, _solve_lockstep, active_set_solve
 from .errors import DimensionMismatch, UnmixError
-from .model import SolverConfig, SpectralLibrary, UnmixingProblem, _require_finite
+from .model import ShiftedRows, SolverConfig, SpectralLibrary, UnmixingProblem, _nonfinite_rows
 from .model import validate_lower_bounds
 from .model import precompute_gram  # noqa: F401  (re-exported)
-from .shift import _shift_measurement, _shift_terms, shift_problem, unshift_solution
+from .shift import _shift_measurements, _shift_terms, shift_problem, unshift_solution
 
-# A slice bounds what its pixels own at once: their shifted problems, and
-# P x P blocks of 8 P^2 bytes each. Below active_set._STACKED_BELOW
-# endmembers these are the stacked (k, P, P) arrays of a round: the padded
-# Grams, which LAPACK overwrites with their factors; at and above it, the
-# factors the pixels make
+# A slice bounds what its pixels own at once: their stacked shifted rows
+# (targets, linear terms and constants), and P x P blocks of 8 P^2 bytes
+# each. Below active_set._STACKED_BELOW endmembers these are the stacked
+# (k, P, P) arrays of a round: the padded Grams, which LAPACK overwrites
+# with their factors; at and above it, the factors the pixels make
 # themselves, of the probe's support or of the free set grown from the
-# vertex. (The uniform start's factor is the library's, shared by every
-# probe.) A slice holds as many pixels as fit in this many bytes of blocks.
+# vertex. The probes of the whole slice are solved in two dtrsm calls on
+# the library's uniform start factor, shared by every pixel. A slice holds
+# as many pixels as fit in this many bytes of blocks.
 _SLICE_FACTOR_BYTES = 1 << 19
 
 
@@ -101,35 +103,44 @@ def _failed_pixel(n_endmembers, error) -> Solution:
 
 
 def _solve_pixels(job: BatchJob):
-    """Yield ``(shifted, solution)`` per pixel column, in input order.
+    """Yield ``(shifted, solutions)`` per slice of pixel columns, in input order.
 
-    ``shifted`` is None for a failed pixel. Pixels are shifted and solved in
-    lockstep one slice at a time, so only one slice's shifted problems and
-    Cholesky factors are alive at once.
+    ``shifted`` is the :class:`~unmix.model.ShiftedRows` of the slice's
+    columns, row ``j`` that of the slice's ``j``-th column, and
+    ``solutions[j]`` its :class:`Solution`. A column that fails its checks
+    has a row that nothing reads. Pixels are shifted and solved in lockstep
+    one slice at a time, so only one slice's shifted rows and Cholesky
+    factors are alive at once.
     """
     config = job.config
     lib = job.library
     validate_lower_bounds(job.lower_bounds, lib.n_endmembers, config.primal_tol)
     offset, budget = _shift_terms(lib, job.lower_bounds)
     width = max(1, _SLICE_FACTOR_BYTES // (8 * lib.n_endmembers**2))
-    n_pixels = job.pixels.shape[1]
-    for begin in range(0, n_pixels, width):
-        shifted = []
-        for column in range(begin, min(begin + width, n_pixels)):
-            measurement = job.pixels[:, column]
-            try:
-                _require_finite(measurement, "measurement")  # its length is the job's
-                shifted.append(_shift_measurement(lib, measurement, offset, budget))
-            except UnmixError as exc:
-                shifted.append(exc)
-        problems = [item for item in shifted if not isinstance(item, UnmixError)]
-        solved = iter(_solve_lockstep(problems, config))
-        for item in shifted:
-            result = item if isinstance(item, UnmixError) else next(solved)
+    for begin in range(0, job.pixels.shape[1], width):
+        measurements = job.pixels[:, begin:begin + width]
+        k = measurements.shape[1]
+        try:
+            targets, linear, const, failures = _shift_measurements(lib, measurements, offset)
+        except UnmixError as exc:  # the library's Gram overflows: every pixel fails
+            shifted, failures = None, {j: type(exc)(str(exc)) for j in range(k)}
+        else:
+            shifted = ShiftedRows(lib.gram, linear, np.full(k, budget), targets, const, lib)
+        # A measurement's length is the job's; a non-finite one reports that first.
+        failures.update(_nonfinite_rows(measurements.T, "measurement"))
+        live = [j for j in range(k) if j not in failures]
+        solved = iter(())
+        if live:  # then the Gram is finite
+            solved = iter(_solve_lockstep(shifted if len(live) == k else shifted.take(live),
+                                          config))
+        solutions = []
+        for j in range(k):
+            result = failures[j] if j in failures else next(solved)
             if isinstance(result, UnmixError):
-                yield None, _failed_pixel(lib.n_endmembers, result)
+                solutions.append(_failed_pixel(lib.n_endmembers, result))
             else:
-                yield item, _unshifted(result, job.lower_bounds)
+                solutions.append(_unshifted(result, job.lower_bounds))
+        yield shifted, solutions
 
 
 def unmix_batch(job: BatchJob) -> list[Solution]:
@@ -142,7 +153,7 @@ def unmix_batch(job: BatchJob) -> list[Solution]:
     set) without aborting the rest; invalid bounds raise before any pixel
     is solved.
     """
-    return [solution for _, solution in _solve_pixels(job)]
+    return [solution for _, solutions in _solve_pixels(job) for solution in solutions]
 
 
 def batch_summary(solutions: list[Solution]) -> dict:

@@ -23,7 +23,7 @@ from .active_set import SolveStatus
 from .batch import BatchJob, _solve_pixels, batch_summary
 from .errors import UnmixError
 from .model import SolverConfig
-from .verify import verify_kkt
+from .verify import _verify_kkt_rows
 
 _ENV_PREFIX = "UNMIX_"
 
@@ -110,34 +110,46 @@ def _write_abundances(path, abundances, header):
     np.savetxt(path, abundances, delimiter=",", fmt="%.17g", **kwargs)
 
 
-def _diagnostics_record(index, shifted, solution):
-    record = {"pixel": index, "status": solution.status.value}
-    if solution.status is SolveStatus.FAILED:
-        record["error"] = solution.message
-        return record
-    record.update(
-        iterations=solution.outer_iterations,
-        free_size=int(solution.final_free.size),
-        objective=solution.objective,
-    )
-    if solution.status is SolveStatus.OPTIMAL:  # a capped solve carries no certificate
-        report = verify_kkt(
-            shifted,
-            solution.shifted_abundances,
-            solution.eq_multiplier,
-            solution.ineq_multipliers,
+def _diagnostics_records(first, shifted, solutions):
+    """The diagnostics records of one slice's pixels, numbered from
+    ``first``: ``shifted`` holds their shifted rows and ``solutions`` their
+    answers. The KKT residuals of the OPTIMAL pixels come from one stacked
+    check; a capped solve carries no certificate."""
+    optimal = [j for j, solution in enumerate(solutions)
+               if solution.status is SolveStatus.OPTIMAL]
+    reports = {}
+    if optimal:
+        certified = [solutions[j] for j in optimal]
+        reports = dict(zip(optimal, _verify_kkt_rows(
+            shifted.gram, shifted.linear.take(optimal, axis=0), shifted.budget.take(optimal),
+            np.array([solution.shifted_abundances for solution in certified]),
+            np.array([solution.eq_multiplier for solution in certified]),
+            np.array([solution.ineq_multipliers for solution in certified]))))
+    records = []
+    for j, solution in enumerate(solutions):
+        record = {"pixel": first + j, "status": solution.status.value}
+        records.append(record)
+        if solution.status is SolveStatus.FAILED:
+            record["error"] = solution.message
+            continue
+        record.update(
+            iterations=solution.outer_iterations,
+            free_size=int(solution.final_free.size),
+            objective=solution.objective,
         )
-        record["kkt"] = {
-            "stationarity": report.stationarity_residual,
-            "primal_eq": report.primal_eq_residual,
-            "primal_ineq": report.primal_ineq_violation,
-            "dual": report.dual_violation,
-            "complementarity": report.complementarity_residual,
-            "satisfied": report.satisfied,
-        }
-    if solution.message:
-        record["message"] = solution.message
-    return record
+        if j in reports:
+            report = reports[j]
+            record["kkt"] = {
+                "stationarity": report.stationarity_residual,
+                "primal_eq": report.primal_eq_residual,
+                "primal_ineq": report.primal_ineq_violation,
+                "dual": report.dual_violation,
+                "complementarity": report.complementarity_residual,
+                "satisfied": report.satisfied,
+            }
+        if solution.message:
+            record["message"] = solution.message
+    return records
 
 
 def main(argv=None) -> int:
@@ -169,10 +181,10 @@ def main(argv=None) -> int:
             bounds = _load_matrix(args.lower_bounds, args.header).ravel()
         job = BatchJob(library=library, pixels=pixels, lower_bounds=bounds, config=config)
         solutions, records = [], []
-        for index, (shifted, solution) in enumerate(_solve_pixels(job)):
-            solutions.append(solution)
+        for shifted, solved in _solve_pixels(job):
             if args.diagnostics is not None:
-                records.append(_diagnostics_record(index, shifted, solution))
+                records += _diagnostics_records(len(solutions), shifted, solved)
+            solutions += solved
     except (UnmixError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,14 +20,16 @@ that owns the free set and holds ``L`` and ``Z``, and modifies both in
 place of refactorizing (Gill, Golub, Murray & Saunders, *Methods for
 modifying matrix factorizations*, Math. Comp. 1974). Every factor event of
 a solve happens here. The system's first solve factorizes its free set,
-unless it adopted a factor or was forked from the one system of the full
-Gram matrix that :func:`uniform_start` factorizes for every uniform start.
-When a variable is pinned, :meth:`KeptSystem.remove` deletes its column by
-Givens re-triangularization of the trailing block and rotates
-``Z`` with the same rotations; when one is released, :meth:`KeptSystem.add`
-puts it last, and the next solve appends its column with one triangular
-solve, which also gives the new row of ``Z``. Each costs ``O(|F|^2)``
-instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The factor's
+unless it adopted a factor. The uniform start needs no system: every probe
+of a library, the candidate on every variable, is solved with
+:func:`solve_uniform` from the one factor of the full Gram matrix that
+:func:`uniform_start` makes. When a variable is pinned,
+:meth:`KeptSystem.remove` deletes its column by Givens
+re-triangularization of the trailing block and rotates ``Z`` with the same
+rotations; when one is released, :meth:`KeptSystem.add` puts it last,
+and the next solve appends its column with one triangular solve, which
+also gives the new row of ``Z``. Each costs ``O(|F|^2)`` instead of the
+``O(|F|^3)`` of a fresh :func:`factorize`. The factor's
 columns therefore follow the order of the moves, not the sorted free set.
 All three routes apply the same rank test.
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr_delete
-from scipy.linalg.blas import daxpy, ddot, dtrsv
+from scipy.linalg.blas import daxpy, ddot, dtrsm, dtrsv
 from scipy.linalg.lapack import dposv, dpotrf
 
 from .errors import EmptyFreeSet, RankDeficientLibrary
@@ -160,7 +162,7 @@ class KeptSystem:
     that is never made never pays for it.
 
     ``lower`` is replaced on each modification and never written in place,
-    so systems built on one factor share it. ``forward`` is
+    so an adopted factor stays as it was given. ``forward`` is
     ``Z = L^{-1} [g_F, 1]``, of shape ``(|F|, 2)``. ``diagonal`` lists the
     diagonal of the factorized block and ``top`` is its maximum, which sets
     the pivot floor ``P * eps * top`` of the rank test.
@@ -184,23 +186,6 @@ class KeptSystem:
         self.forward = np.empty((self.free.size, 2), order="F")
         self.forward[:, 0] = dtrsv(lower, self.linear.take(self.free), lower=1)
         self.forward[:, 1] = dtrsv(lower, np.ones(self.free.size), lower=1)
-
-    def fork(self, linear) -> KeptSystem:
-        """A system on this one's free set and factor, for the linear term ``linear``.
-
-        The factor, its diagonal and ``L^{-1} 1`` are shared, not
-        recomputed; only ``L^{-1} g_F`` is solved. This system must be
-        factorized, with no column added since.
-        """
-        system = object.__new__(KeptSystem)
-        system.gram, system.order, system.free = self.gram, self.order, self.free
-        system.lower, system.top = self.lower, self.top
-        system.linear = linear
-        system.diagonal = list(self.diagonal)  # an append extends it in place
-        system.forward = np.empty_like(self.forward)
-        system.forward[:, 0] = dtrsv(self.lower, linear.take(self.free), lower=1)
-        system.forward[:, 1] = self.forward[:, 1]
-        return system
 
     def _catch_up(self) -> None:
         """Factorize ``free`` on first use, then append the columns added since."""
@@ -400,17 +385,51 @@ def _identity(order) -> np.ndarray:
     return identity
 
 
-def uniform_start(gram) -> KeptSystem | str:
-    """The factorized system, every variable free, that uniform starts on
-    ``gram`` fork; or, when it fails the rank test, the error's message, so
-    that each solve raises its own (one instance re-raised would lengthen
-    its traceback every time)."""
+def uniform_start(gram) -> tuple | str:
+    """The factor ``L`` of the full Gram matrix, every variable free,
+    ``z_1 = L^{-1} 1`` and ``z_1 . z_1``, which every uniform start on
+    ``gram`` shares; or, when it fails the rank test, the error's message,
+    so that each solve raises its own (one instance re-raised would
+    lengthen its traceback every time)."""
     free = np.arange(gram.shape[0], dtype=np.intp)
     try:
         lower = factorize(gram, free)
     except RankDeficientLibrary as exc:
         return str(exc)
-    return KeptSystem(gram, np.zeros(free.size), free, lower)
+    forward_ones = dtrsv(lower, np.ones(free.size), lower=1)
+    return lower, forward_ones, ddot(forward_ones, forward_ones)
+
+
+def solve_uniform(start, linear, budget):
+    """The subproblems on every variable of ``k`` linear terms, over stacked arrays.
+
+    ``start`` is what :func:`uniform_start` returns: ``L``,
+    ``z_1 = L^{-1} 1`` and ``z_1 . z_1``. One ``dtrsm`` gives the forward
+    solves ``Z_g = L^{-1} [g_1 ... g_k]``, the multipliers are
+    ``lam = (z_1 . z_g - s) / (z_1 . z_1)``, and a second ``dtrsm`` gives
+    ``L^T x = z_g - lam z_1``. A ``dtrsm`` column, a stacked row dot product
+    and every other step keep each row's arithmetic, so a row's bits do not
+    depend on the others.
+
+    Parameters
+    ----------
+    start : tuple
+    linear : ndarray, shape (k, P), C-contiguous; overwritten
+    budget : ndarray, shape (k,)
+
+    Returns
+    -------
+    candidates, multipliers
+        ``x`` of every row, shape ``(k, P)``, and its ``lam``.
+    """
+    lower, forward_ones, squares = start
+    # A C-contiguous (k, P) array is the (P, k) right-hand side dtrsm takes
+    # in Fortran order, so both solves run in place.
+    forward = dtrsm(1.0, lower, linear.T, lower=1, overwrite_b=1).T
+    dots = np.matmul(forward[:, None], forward_ones[:, None])[:, 0, 0]
+    multipliers = (dots - budget) / squares
+    forward -= np.multiply.outer(multipliers, forward_ones)
+    return dtrsm(1.0, lower, forward.T, lower=1, trans_a=1, overwrite_b=1).T, multipliers
 
 
 def solve_subproblem(gram, linear, budget, free, *, factor=None) -> SubproblemSolution:

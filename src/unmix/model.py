@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleLowerBounds, NonFiniteInput, RankDeficientLibrary
-from .kkt import KeptSystem, uniform_start
+from .errors import DimensionMismatch, InfeasibleLowerBounds, NonFiniteInput
+from .kkt import uniform_start
 
 _GRAM_SYMMETRY_RTOL = 1e-12
 
@@ -34,6 +34,16 @@ def _frozen_array(values, ndim, name):
 def _require_finite(values, name):
     if not np.isfinite(values).all():
         raise NonFiniteInput(f"{name} contains NaN or infinite values")
+
+
+def _nonfinite_rows(values, name) -> dict:
+    """The error :func:`_require_finite` raises on each row of ``values``
+    that holds NaN or an infinity, by row, from one check of every row."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return {}
+    return {row: NonFiniteInput(f"{name} contains NaN or infinite values")
+            for row in np.flatnonzero(~finite.all(axis=1)).tolist()}
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,7 @@ class SpectralLibrary:
 
     @functools.cached_property
     def _uniform_start(self):
-        """The uniform start's system on :attr:`gram`, or the message of its
+        """The uniform start's factor of :attr:`gram`, or the message of its
         rank failure; see :func:`unmix.kkt.uniform_start`."""
         return uniform_start(self.gram)
 
@@ -242,21 +252,64 @@ class ShiftedProblem:
                              library=library)
         return problem
 
-    def _start_system(self) -> KeptSystem:
-        """:func:`unmix.kkt.uniform_start` of this Gram: the library's own,
-        made once, when the shift built this problem on the library's Gram.
-        A rank failure raises a fresh :class:`RankDeficientLibrary`."""
-        library = self.library
-        shared = library is not None and self.gram is vars(library).get("gram")
-        start = library._uniform_start if shared else uniform_start(self.gram)
-        if isinstance(start, str):
-            raise RankDeficientLibrary(start)
-        return start
-
     @property
     def size(self) -> int:
         """Number of endmembers P."""
         return self.linear.size
+
+
+@dataclass(frozen=True)
+class ShiftedRows:
+    """The shifted problems of a slice of measurements, stacked: row ``r``
+    holds the terms of the ``r``-th problem, as a :class:`ShiftedProblem`
+    would, and every row shares ``gram`` and ``library``.
+
+    ``linear`` is ``(k, P)``, ``budget`` and ``const_term`` are ``(k,)`` and
+    ``shifted_target`` is ``(k, N)``, or None for problems stated without
+    a target. Nothing is checked: :func:`unmix.shift._shift_measurements`
+    reports the rows that are not finite, and only the others are solved.
+    """
+
+    gram: np.ndarray
+    linear: np.ndarray
+    budget: np.ndarray
+    shifted_target: np.ndarray | None
+    const_term: np.ndarray
+    library: SpectralLibrary | None
+
+    @classmethod
+    def of(cls, shifted: ShiftedProblem) -> ShiftedRows:
+        """The one row of ``shifted``."""
+        target = shifted.shifted_target
+        return cls(shifted.gram, shifted.linear[None], np.array([shifted.budget]),
+                   None if target is None else target[None], np.array([shifted.const_term]),
+                   shifted.library)
+
+    def __len__(self) -> int:
+        return self.linear.shape[0]
+
+    def take(self, rows) -> ShiftedRows:
+        """The rows ``rows``, in that order."""
+        target = self.shifted_target
+        return ShiftedRows(self.gram, self.linear.take(rows, axis=0), self.budget.take(rows),
+                           None if target is None else target.take(rows, axis=0),
+                           self.const_term.take(rows), self.library)
+
+    @property
+    def bands(self) -> int | None:
+        """The number of spectral bands when it is below P, the most free
+        variables a full-rank block can have; None otherwise."""
+        target = self.shifted_target
+        p = self.gram.shape[0]
+        return target.shape[1] if target is not None and target.shape[1] < p else None
+
+    def uniform_start(self) -> tuple | str:
+        """:func:`unmix.kkt.uniform_start` of this Gram: the library's own,
+        made once, when the shift built these rows on the library's Gram."""
+        library = self.library
+        if library is not None and self.gram is vars(library).get("gram"):
+            return library._uniform_start
+        return uniform_start(self.gram)
 
 
 @dataclass(frozen=True)
@@ -316,12 +369,13 @@ def objective_value(shifted: ShiftedProblem, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (shifted.size,):
         raise DimensionMismatch(f"abundance vector has shape {x.shape}, expected ({shifted.size},)")
-    return objective_from_product(shifted, x, shifted.gram @ x)
+    return objective_from_product(x, shifted.gram @ x, shifted.linear, shifted.const_term)
 
 
-def objective_from_product(shifted: ShiftedProblem, x, gx) -> float:
-    """The objective at ``x`` from ``gx = G x`` already at hand, unchecked."""
-    return 0.5 * float(x @ gx) - float(shifted.linear @ x) + shifted.const_term
+def objective_from_product(x, gx, linear, const) -> float:
+    """The objective at ``x`` from ``gx = G x`` already at hand, the linear
+    term ``linear`` and the constant ``const``, unchecked."""
+    return 0.5 * float(x @ gx) - float(linear @ x) + const
 
 
 def objective_rows(x, gx, linear, const) -> np.ndarray:

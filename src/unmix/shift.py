@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
-from .model import ShiftedProblem, UnmixingProblem, _require_finite, validate_problem
+from .errors import DimensionMismatch
+from .model import ShiftedProblem, UnmixingProblem, _nonfinite_rows, validate_problem
 
 
 def shift_problem(problem: UnmixingProblem, primal_tol=1e-10) -> ShiftedProblem:
@@ -17,11 +15,17 @@ def shift_problem(problem: UnmixingProblem, primal_tol=1e-10) -> ShiftedProblem:
     ``1 - sum(lower_bounds)``; with zero bounds this is the plain fully
     constrained least-squares setup. The Gram matrix is the library's own
     :attr:`~unmix.model.SpectralLibrary.gram`, computed once per library.
-    The linear term and the target are read-only.
+    The linear term and the target are read-only. The shift is that of a
+    batch, on a slice of one measurement, so it gives the same bits.
     """
     validate_problem(problem, primal_tol)
     offset, budget = _shift_terms(problem.library, problem.lower_bounds)
-    return _shift_measurement(problem.library, problem.measurement, offset, budget)
+    targets, linear, const, failures = _shift_measurements(
+        problem.library, problem.measurement[:, None], offset)
+    if failures:
+        raise failures[0]
+    return ShiftedProblem._of_checked(problem.library.gram, linear[0], budget, targets[0],
+                                      const.item(0), problem.library)
 
 
 def _shift_terms(library, lower_bounds) -> tuple[np.ndarray, float]:
@@ -32,24 +36,34 @@ def _shift_terms(library, lower_bounds) -> tuple[np.ndarray, float]:
     return library.entries @ lower_bounds, budget
 
 
-def _shift_measurement(library, measurement, offset, budget) -> ShiftedProblem:
-    """The nonnegativity form of one validated measurement under the terms
-    of :func:`_shift_terms`: the per-pixel part of :func:`shift_problem`."""
-    gram = library.gram  # an overflowing Gram is reported before the linear term
+def _shift_measurements(library, measurements, offset) -> tuple:
+    """The nonnegativity forms of the validated columns of the ``(N, k)``
+    block ``measurements`` under the offset of :func:`_shift_terms`: the
+    per-pixel part of :func:`shift_problem`.
+
+    Returns the ``(k, N)`` targets, the ``(k, P)`` linear terms
+    ``A^T target`` and the ``(k,)`` constants, read-only, and the
+    :class:`~unmix.errors.NonFiniteInput` of each column whose linear term
+    or constant is not finite, by column. The linear terms take one
+    broadcast ``matmul`` and the constants stacked row dot products: each
+    row has the bits of ``A.T @ target`` and ``target @ target`` alone, so
+    no column's answer depends on the others.
+    """
+    library.gram  # an overflowing Gram is reported before the linear term
     # A finite measurement can overflow the target, A^T target or the
     # constant; the checks below report it as NonFiniteInput, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted_target = measurement - offset
-        linear = library.entries.T @ shifted_target
-        const = 0.5 * float(shifted_target @ shifted_target)
+        targets = np.subtract(measurements.T, offset, order="C")
+        linear = np.matmul(library.entries.T, targets[..., None])[..., 0]
+        const = 0.5 * np.matmul(targets[:, None], targets[..., None])[:, 0, 0]
     # A non-finite target entry makes every entry of A^T target NaN or
-    # infinite, so this check also covers the target.
-    _require_finite(linear, "linear")
-    if not math.isfinite(const):  # a finite target can still overflow it
-        raise NonFiniteInput("const_term contains NaN or infinite values")
-    linear.setflags(write=False)
-    shifted_target.setflags(write=False)
-    return ShiftedProblem._of_checked(gram, linear, budget, shifted_target, const, library)
+    # infinite, so the check of the linear term also covers the target; a
+    # finite target can still overflow the constant.
+    failures = _nonfinite_rows(const[:, None], "const_term")
+    failures.update(_nonfinite_rows(linear, "linear"))
+    for array in (targets, linear, const):
+        array.setflags(write=False)
+    return targets, linear, const, failures
 
 
 def unshift_solution(shifted_abundances, lower_bounds) -> np.ndarray:

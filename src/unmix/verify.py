@@ -60,16 +60,31 @@ def verify_kkt(shifted: ShiftedProblem, shifted_abundances, eq_multiplier,
             f"expected abundance and multiplier vectors of length {p}, "
             f"got shapes {x.shape} and {mu.shape}"
         )
-    grad = shifted.gram @ x - shifted.linear + float(eq_multiplier) - mu
-    report = dict(
-        stationarity_residual=float(np.abs(grad).max()),
-        primal_eq_residual=abs(float(x.sum()) - shifted.budget),
-        primal_ineq_violation=max(0.0, -float(x.min())),
-        dual_violation=max(0.0, -float(mu.min())),
-        complementarity_residual=float(np.abs(mu * x).max()),
-    )
-    threshold = tol * max(1.0, float(np.abs(shifted.linear).max()))
-    return KktReport(**report, satisfied=all(v <= threshold for v in report.values()))
+    return _verify_kkt_rows(shifted.gram, shifted.linear[None], np.array([shifted.budget]),
+                            x[None], np.array([float(eq_multiplier)]), mu[None], tol)[0]
+
+
+def _verify_kkt_rows(gram, linear, budget, x, eq_multiplier, mu, tol=1e-8) -> list[KktReport]:
+    """:func:`verify_kkt` of the rows of stacked problems and triples, in one check.
+
+    Row ``k`` of ``linear``, ``x`` and ``mu``, all ``(m, P)``, and entry
+    ``k`` of ``budget`` and ``eq_multiplier`` make up the ``k``-th. The
+    check forms its own ``G x`` with a broadcast ``matmul``, which gives
+    each row the bits of ``gram @ x``, and reduces along rows, so a row's
+    report does not depend on the others.
+    """
+    grad = np.matmul(gram, x[..., None])[..., 0] - linear + eq_multiplier[:, None] - mu
+    residuals = np.column_stack((
+        np.abs(grad).max(axis=1),
+        np.abs(x.sum(axis=1) - budget),
+        0.0 - np.minimum(x.min(axis=1), 0.0),  # never -0.0
+        0.0 - np.minimum(mu.min(axis=1), 0.0),
+        np.abs(mu * x).max(axis=1),
+    ))
+    threshold = tol * np.maximum(1.0, np.abs(linear).max(axis=1))
+    satisfied = (residuals <= threshold[:, None]).all(axis=1)
+    return [KktReport(*values, satisfied=ok)
+            for values, ok in zip(residuals.tolist(), satisfied.tolist())]
 
 
 def _direct_objective(shifted, x):

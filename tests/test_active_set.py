@@ -26,7 +26,7 @@ from unmix.active_set import (
     transfer_to_active,
 )
 from unmix.errors import NoBlockingIndex
-from instances import random_problem, support_start
+from instances import random_problem, support_start, uniform_probe
 
 
 def _state(free, active, iterate):
@@ -239,8 +239,7 @@ def test_release_ties_go_to_the_smallest_index_from_the_uniform_start():
     rows = np.delete(shifted.gram[[1, 2]], [1, 2], axis=1)
     np.testing.assert_array_equal(rows[0], rows[1])
     assert shifted.linear[1] == shifted.linear[2]
-    probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(9))
-    start = _support_start(shifted, probe.free_values)
+    start = _support_start(shifted, uniform_probe(shifted))
     np.testing.assert_array_equal(start.free, [0, 3, 4, 5, 7, 8])
     solution = active_set_solve(shifted)
     assert solution.objective_trace[0] == objective_value(shifted, start.iterate)

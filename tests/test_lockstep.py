@@ -30,6 +30,7 @@ from unmix import (
     unmix_batch,
     verify_kkt,
 )
+from instances import counted_starts
 
 
 batch_module = importlib.import_module("unmix.batch")
@@ -318,3 +319,63 @@ def test_every_slice_is_solved_in_lockstep(monkeypatch, n_endmembers, n_pixels, 
     solutions = unmix_batch(BatchJob(library, pixels))
     assert calls == slices
     assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
+
+
+def _three_start_scene(rng, n_endmembers):
+    """Pixels that take each start: four noiseless ones well inside the
+    simplex (the probe is accepted), four on every endmember with noise (a
+    few probe entries are negative: the support start) and four on two
+    endmembers (most are negative: the vertex)."""
+    library = SpectralLibrary(rng.random((224, n_endmembers)))
+    inside = rng.dirichlet(np.full(n_endmembers, 20.0), size=4).T
+    dense = rng.dirichlet(np.full(n_endmembers, 0.3), size=4).T
+    sparse = np.zeros((n_endmembers, 4))
+    for column in range(4):
+        sparse[rng.choice(n_endmembers, 2, replace=False), column] = rng.dirichlet(np.ones(2))
+    pixels = library.entries @ np.column_stack([inside, dense, sparse])
+    pixels[:, 4:] += 0.01 * rng.standard_normal((224, 8))
+    return library, pixels
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["zero bounds", "bounds"])
+@pytest.mark.parametrize("n_endmembers", [10, 30, 60])
+def test_a_pixel_answer_does_not_depend_on_its_slice(monkeypatch, n_endmembers, bounded):
+    # P = 10 and 30 solve their rounds in stacked calls, 60 on kept systems.
+    # Slices of 1 and 3 pixels and the default one, which holds all twelve,
+    # give each pixel the bytes of unmix() of its column, whichever start
+    # it takes.
+    rng = np.random.default_rng(n_endmembers)
+    library, pixels = _three_start_scene(rng, n_endmembers)
+    bounds = rng.dirichlet(np.ones(n_endmembers)) * 0.1 if bounded else None
+    default = batch_module._SLICE_FACTOR_BYTES
+    assert default // (8 * n_endmembers**2) >= pixels.shape[1]
+    for width in (1, 3, None):
+        monkeypatch.setattr(batch_module, "_SLICE_FACTOR_BYTES",
+                            default if width is None else width * 8 * n_endmembers**2)
+        solutions = unmix_batch(BatchJob(library, pixels, bounds))
+        _assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
+        starts = counted_starts(library, pixels, bounds, solutions)
+        assert set(starts) == {"uniform", "support", "restart"}, starts
+
+
+def test_bad_pixels_in_the_middle_of_a_slice_fail_alone():
+    # A 72-pixel slice at P = 30 holds a NaN pixel at column 5 and, at 40, a
+    # finite pixel whose residual constant overflows.
+    rng = np.random.default_rng(20261019)
+    library = SpectralLibrary(rng.random((224, 30)))
+    pixels = library.entries @ rng.dirichlet(np.full(30, 0.3), size=72).T
+    pixels += 0.01 * rng.standard_normal(pixels.shape)
+    assert batch_module._SLICE_FACTOR_BYTES // (8 * 30**2) == 72
+    bad = pixels.copy()
+    bad[:, 5] = np.nan
+    bad[:, 40] = 1e160 * (library.entries @ rng.dirichlet(np.ones(30)))
+    solutions = unmix_batch(BatchJob(library, bad))
+    assert [s.message for s in solutions if s.status is SolveStatus.FAILED] == [
+        "NonFiniteInput: measurement contains NaN or infinite values",
+        "NonFiniteInput: const_term contains NaN or infinite values"]
+    assert solutions[5].status is solutions[40].status is SolveStatus.FAILED
+    good = np.delete(np.arange(72), [5, 40])
+    reference = unmix_batch(BatchJob(library, pixels[:, good]))
+    for batched, alone in zip([solutions[column] for column in good], reference):
+        for name in Solution.__dataclass_fields__:
+            assert _bytes(getattr(batched, name)) == _bytes(getattr(alone, name)), name

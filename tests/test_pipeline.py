@@ -13,6 +13,7 @@ import numpy as np
 from unmix import (
     BatchJob,
     ShiftedProblem,
+    SolverConfig,
     SpectralLibrary,
     UnmixingProblem,
     active_set_solve,
@@ -23,8 +24,8 @@ from unmix import (
     verify_kkt,
 )
 from unmix.cli import main
-from unmix.model import _require_finite, validate_lower_bounds
-from unmix.shift import _shift_measurement
+from unmix.model import _nonfinite_rows, validate_lower_bounds
+from unmix.shift import _shift_measurements
 
 kkt = importlib.import_module("unmix.kkt")
 
@@ -62,13 +63,12 @@ def _write_csv(path, array):
 
 def test_batch_validates_each_pixel_once(monkeypatch):
     library, pixels, bounds = _scene(np.random.default_rng(71), n_pixels=9)
-    finite_checks = _count_calls(monkeypatch, _require_finite)
+    finite_checks = _count_calls(monkeypatch, _nonfinite_rows)
     bound_checks = _count_calls(monkeypatch, validate_lower_bounds)
     unmix_batch(BatchJob(library, pixels, bounds))
+    # One check per slice, a row per pixel.
     measurements = [values for values, name in finite_checks if name == "measurement"]
-    assert len(measurements) == pixels.shape[1]
-    for column, measurement in enumerate(measurements):
-        np.testing.assert_array_equal(measurement, pixels[:, column])
+    np.testing.assert_array_equal(np.vstack(measurements), pixels.T)
     assert len(bound_checks) == 1
 
 
@@ -83,14 +83,14 @@ def test_unmix_calls_sharing_a_library_compute_the_gram_once(monkeypatch):
 
 def test_cli_with_diagnostics_shifts_each_pixel_once(monkeypatch, tmp_path):
     library, pixels, bounds = _scene(np.random.default_rng(73))
-    calls = _count_calls(monkeypatch, _shift_measurement)
+    calls = _count_calls(monkeypatch, _shift_measurements)
     code = main(["--library", _write_csv(tmp_path / "lib.csv", library),
                  "--input", _write_csv(tmp_path / "pix.csv", pixels),
                  "--lower-bounds", _write_csv(tmp_path / "lb.csv", bounds),
                  "--output", str(tmp_path / "out.csv"),
                  "--diagnostics", str(tmp_path / "diag.jsonl")])
     assert code == 0
-    assert len(calls) == pixels.shape[1]
+    assert sum(measurements.shape[1] for _, measurements, *_ in calls) == pixels.shape[1]
 
 
 def test_diagnostics_match_an_independent_kkt_check(tmp_path):
@@ -173,3 +173,42 @@ def test_a_hand_built_problem_never_uses_the_library_start(monkeypatch):
         assert full() == count
         np.testing.assert_array_equal(solution.shifted_abundances,
                                       expected.shifted_abundances)
+
+
+def test_diagnostics_of_a_slice_equal_verify_kkt_of_each_pixel(tmp_path):
+    # One slice holds an optimal pixel (its probe is feasible and accepted
+    # as iteration 1), a capped one (it starts at a vertex and needs more
+    # than one iteration) and a failed one (NaN). The stacked check of the
+    # slice must report what verify_kkt reports on each pixel alone.
+    rng = np.random.default_rng(77)
+    library = rng.random((224, 10))
+    bounds = np.full(10, 0.02)
+    inside = library @ rng.dirichlet(np.full(10, 20.0))
+    sparse = library[:, [0, 3, 5, 9]] @ np.full(4, 0.25) + 0.01 * rng.standard_normal(224)
+    pixels = np.column_stack([inside, sparse, np.full(224, np.nan), inside + 1e-3])
+    diag = tmp_path / "diag.jsonl"
+    code = main(["--library", _write_csv(tmp_path / "lib.csv", library),
+                 "--input", _write_csv(tmp_path / "pix.csv", pixels),
+                 "--lower-bounds", _write_csv(tmp_path / "lb.csv", bounds),
+                 "--output", str(tmp_path / "out.csv"),
+                 "--diagnostics", str(diag), "--max-iter", "1"])
+    assert code == 3
+    records = [json.loads(line) for line in diag.read_text().splitlines()]
+    assert [record["status"] for record in records] == [
+        "optimal", "max_iterations_exceeded", "failed", "optimal"]
+    assert "kkt" not in records[1] and "kkt" not in records[2]
+    config = SolverConfig(max_outer_iterations=1)
+    for column in (0, 3):
+        problem = UnmixingProblem(library, pixels[:, column], bounds)
+        solution = unmix(problem, config)
+        report = verify_kkt(shift_problem(problem), solution.shifted_abundances,
+                            solution.eq_multiplier, solution.ineq_multipliers)
+        assert report.satisfied
+        assert records[column]["kkt"] == {
+            "stationarity": report.stationarity_residual,
+            "primal_eq": report.primal_eq_residual,
+            "primal_ineq": report.primal_ineq_violation,
+            "dual": report.dual_violation,
+            "complementarity": report.complementarity_residual,
+            "satisfied": report.satisfied,
+        }

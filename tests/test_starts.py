@@ -10,7 +10,6 @@ and ``unmix_batch`` must choose alike.
 """
 
 import importlib
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -32,7 +31,7 @@ from unmix import (
     unmix_batch,
     verify_kkt,
 )
-from instances import random_problem, support_start
+from instances import counted_starts, random_problem, support_start, uniform_probe
 
 active_set = importlib.import_module("unmix.active_set")
 
@@ -54,36 +53,6 @@ def _dense_scene(rng, n_endmembers, n_pixels):
     return SpectralLibrary(library), pixels
 
 
-def _start_taken(shifted, solution):
-    """The start a solve took, read from the first entry of its trace.
-
-    That entry is the objective at the uniform point ``s / P`` when the
-    probe was accepted, at the best vertex when the solve started there,
-    and otherwise at the probe's clipped support. A vertex is taken after a
-    probe (``"restart"``) unless the library is wider than its bands, when
-    it is taken outright.
-    """
-    s, p = shifted.budget, shifted.size
-    first = solution.objective_trace[0]
-    if first == objective_value(shifted, np.full(p, s / p)):
-        return "uniform"
-    vertex = np.zeros(p)
-    vertex[np.argmin(0.5 * s * s * shifted.gram.diagonal() - s * shifted.linear)] = s
-    if first == objective_value(shifted, vertex):
-        return "restart" if p <= shifted.shifted_target.size else "vertex"
-    probe = solve_subproblem(shifted.gram, shifted.linear, s, np.arange(p))
-    assert first == objective_value(shifted, support_start(shifted, probe.free_values)[1])
-    return "support"
-
-
-def _counted_starts(library, pixels, bounds, solutions):
-    """Count the start each pixel's solution took."""
-    assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
-    return Counter(
-        _start_taken(shift_problem(UnmixingProblem(library, pixels[:, column], bounds)), solution)
-        for column, solution in enumerate(solutions))
-
-
 @pytest.mark.parametrize("scene, bounded, expected", [
     ("dense P=30", False, {"support": 40}),
     ("dense P=100", True, {"restart": 12}),
@@ -99,10 +68,10 @@ def test_each_pixel_takes_the_same_start_on_both_paths(scene, bounded, expected)
         library, pixels = _sparse_scene(rng, 40, 60, 4, 12)
     p = library.n_endmembers
     bounds = rng.dirichlet(np.ones(p)) * 0.3 if bounded else None
-    single = _counted_starts(library, pixels, bounds,
+    single = counted_starts(library, pixels, bounds,
                              [unmix(UnmixingProblem(library, pixels[:, column], bounds))
                               for column in range(pixels.shape[1])])
-    batched = _counted_starts(library, pixels, bounds,
+    batched = counted_starts(library, pixels, bounds,
                               unmix_batch(BatchJob(library, pixels, bounds)))
     assert single == batched == expected
 
@@ -136,9 +105,9 @@ def test_every_solve_strictly_decreases_the_objective(share):
         for p in (50, 100, 150, 30, 10):
             shifted = shift_problem(random_problem(rng, n_endmembers=p, n_bands=224))
             start = _assert_trace_describes_every_iterate(shifted).objective_trace[0]
-            probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(p))
-            assert probe.free_values.min() < -SolverConfig().primal_tol
-            _, x0 = support_start(shifted, probe.free_values)
+            first = uniform_probe(shifted)
+            assert first.min() < -SolverConfig().primal_tol
+            _, x0 = support_start(shifted, first)
             assert (start == objective_value(shifted, x0)) == (share > 0)
 
 
@@ -196,9 +165,9 @@ def test_a_support_start_that_blocks_at_once_reaches_the_optimum(seed):
     problem = random_problem(rng, n_endmembers=12, n_bands=30)
     shifted = shift_problem(problem)
     tol = SolverConfig().primal_tol
-    probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(12))
-    assert 0 < np.count_nonzero(probe.free_values < -tol) <= 4
-    free, x0 = support_start(shifted, probe.free_values)
+    first = uniform_probe(shifted)
+    assert 0 < np.count_nonzero(first < -tol) <= 4
+    free, x0 = support_start(shifted, first)
     candidate = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, free)
     assert candidate.free_values.min() < -tol
     state = active_set.ActiveSetState(free, np.setdiff1d(np.arange(12), free), x0)
