@@ -18,43 +18,45 @@ The uniform start frees every variable at ``s / P``, and its first solve
 doubles as a probe, which decides where the solve goes on:
 
 - a feasible probe is accepted by step 3;
-- when more than a third of its entries are negative, the optimum is likely
-  sparse, and the solve starts over at the best vertex ``s e_i``, the primal
-  order of Lawson & Hanson (1974) and FNNLS (Bro & De Jong 1997) applied on
-  the simplex. The vertex is a feasible candidate on the free set ``[i]``,
-  accepted and priced by step 3 as iteration 0, and the free set grows from
-  it one release at a time;
-- otherwise the solve starts over at the feasible point
-  ``max(probe, 0) * s / sum(max(probe, 0))``, free on the probe's strictly
-  positive support and zero elsewhere, as iteration 0, and the loop runs
-  from there as from any feasible iterate.
+- any other refines the start, as the classical FCLS loop of Heinz & Chang
+  (2001) does: it frees the probe's strictly positive support and solves
+  there, and while the candidate is infeasible it frees that candidate's
+  strictly positive support and solves again. Each free set is a strict
+  subset of the last and never empty, so at most P such solves reach a
+  feasible candidate, which step 3 accepts and prices as iteration 0. The
+  exact loop then runs from it, as Lawson & Hanson (1974) and FNNLS (Bro &
+  De Jong 1997) do, and needs few moves: the refined support is most of the
+  optimal one. The refinement solves are neither counted nor capped.
 
-A library with more endmembers than bands always starts at the vertex,
-because the uniform start's block cannot be full rank there, and a solve
-there whose free set outgrows the bands fails before its next subproblem
-on either back end: that block is singular, though roundoff can let the
-rank test pass it. A zero budget starts at the origin, the empty candidate
-with ``lam = max(g)``, which the same step certifies.
+A library with more endmembers than bands starts at the best vertex
+``s e_i``, because the uniform start's block cannot be full rank there. The
+vertex is a feasible candidate on the free set ``[i]``, accepted and priced
+by step 3 as iteration 0, and the free set grows from it one release at a
+time; a solve whose free set outgrows the bands fails before its next
+subproblem on either back end: that block is singular, though roundoff can
+let the rank test pass it. A zero budget starts at the origin, the empty
+candidate with ``lam = max(g)``, which the same step certifies.
 
 The probes of all the problems in a call are solved together, on either
 back end, by two ``dtrsm`` calls (:func:`unmix.kkt.solve_uniform`) with
 the factor of the full Gram matrix, which the library factorizes once, at
 the first solve that needs it; a problem stated without its library's Gram
-gets one of its own. The multipliers, the negative counts, the choice of
-start and the vertices are array operations over the problems. After the
-start, the number of endmembers P selects one of two linear-algebra back
-ends for the rounds:
+gets one of its own. The multipliers, the choice of start and the
+vertices are array operations over the problems. After the start, the
+number of endmembers P selects one of two linear-algebra back ends for the
+rounds, which also run the refinement solves:
 
 - at ``P >= _STACKED_BELOW`` the loop keeps one
   :class:`unmix.kkt.KeptSystem` per solve, which holds the free set of its
   row of the mask in its factor's column order and makes every factor
   event: the Cholesky factor of ``G_FF`` with the forward solves
   ``L^{-1} [g_F, 1]``, so that each subproblem costs two dot products and
-  one back-substitution. The system of a start over factorizes its free
-  set at its first solve: the probe's support, or the vertex's two-column
-  block after its first release. After that it is only modified: step 2
-  removes the pinned variable's column where it sits and step 3 adds the
-  released one last, each ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a
+  one back-substitution. A refining solve gets a fresh system on each free
+  set it refines on, which factorizes at its solve, and keeps the last;
+  the vertex's system factorizes its two-column block after its first
+  release. After that a system is only modified: step 2 removes the
+  pinned variable's column where it sits and step 3 adds the released one
+  last, each ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a
   refactorization;
 - below it a solve keeps no factor, and a round solves the subproblems of
   all its problems with :func:`unmix.kkt.solve_stacked` on the rows of the
@@ -79,11 +81,12 @@ Gram matrix through the moves together, one round at a time:
 slices of pixels, so a pixel gets the same answer either way. A
 :class:`_Slice` holds their state in rows: a ``(k, P)`` free mask and
 iterate, and the problems' linear terms, budgets and constants, as the
-shift stacked them (:class:`unmix.model.ShiftedRows`). Every problem takes
-its start before the first round, and the rounds only solve, then accept
-or block. The ratio test, the tie-break and the iterate update of the
-problems whose candidate is infeasible are numpy calls over their rows on
-both back ends; the stacked back end also solves and prices in such calls.
+shift stacked them (:class:`unmix.model.ShiftedRows`). Every problem
+chooses its start before the first round, and the rounds only solve, then
+accept, refine or block. The ratio test, the tie-break and the iterate
+update of the problems whose candidate is infeasible are numpy calls over
+their rows on both back ends; the stacked back end also solves and prices
+in such calls.
 A problem's bits do not depend on the others: every stacked LAPACK call
 runs once per row, a ``dtrsm`` column is solved as a one-column ``dtrsm``
 solves it, a broadcast ``matmul`` computes each row as ``gram @ x`` does,
@@ -110,23 +113,15 @@ from .model import objective_rows
 
 
 _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
-# A uniform start whose probe has more than this share of its P entries
-# below -primal_tol starts over at the best vertex, one with fewer, but some,
-# on the probe's positive support. The vertex takes more iterations, but
-# cheaper ones: at a share of 1, where every such probe takes the support
-# start, api-p100 (seed 101, 300 spectra) fell from 39.2 to 21.8 iterations
-# per pixel but ran at 2.49 against 2.22 ms per pixel in-process. It traded
-# 37.5 column appends for 19.7 deletes per pixel, and a delete at |F| about
-# 50 costs about twice an append.
-_VERTEX_START_SHARE = 1 / 3
 # Below this many endmembers a round solves the subproblems of all its
 # problems in stacked calls (kkt.solve_stacked), at and above it each on its
 # own KeptSystem. Measured on the batch-p30 recipe (224 bands, seed 2024,
-# 1,000 pixels, slices of _SLICE_FACTOR_BYTES), unmix_batch ran 1.03, 1.27,
-# 1.62, 1.49, 1.36, 1.03, 0.93 and 0.72 times as fast stacked as kept at
-# P = 10, 20, 30, 40, 50, 60, 70 and 100, and one-pixel unmix() 0.84, 0.89,
-# 0.85, 0.80, 0.83, 0.68, 0.84 and 0.54 times: the batch gain ends near 60,
-# and the one-pixel loss grows past 50.
+# 1,000 pixels, slices of _SLICE_FACTOR_BYTES, best of 5), unmix_batch ran
+# 2.76, 3.97, 1.89, 2.01, 1.51, 1.61, 1.26, 1.08, 1.07 and 0.73 times as fast
+# stacked as kept at P = 10, 20, ..., 100, and one-pixel unmix() (200 pixels)
+# 0.94, 1.02, 0.92, 0.78, 0.86, 1.06, 0.65, 0.76, 0.81 and 0.74 times: the
+# batch gain reaches about 90, but from 50 on a one-pixel solve loses about
+# as much, and no benchmark workload lies between, so the crossover stays.
 _STACKED_BELOW = 55
 
 
@@ -158,11 +153,11 @@ class Solution:
     equal until :func:`unmix.batch.unmix` performs the unshift).
     ``objective_trace`` records the objective at the start the solve used
     and after every iterate update, in order, so it holds
-    ``outer_iterations + 1`` entries. A solve that starts over, on the
-    uniform start's probe's positive support or at the best vertex, does not
-    count the probe solve, and its trace begins at the point it starts over
-    from. It accepts and prices the vertex as iteration 0: a vertex that is
-    already optimal, like the origin of a zero budget, returns after 0
+    ``outer_iterations + 1`` entries. A solve whose probe is infeasible
+    counts neither the probe nor the solves that refine its start, and its
+    trace begins at the feasible candidate it accepts and prices as
+    iteration 0, as a solve does at the best vertex or at the origin of a
+    zero budget: a start that is already optimal returns after 0
     iterations.
     ``final_free`` is sorted, although the solve keeps its free set in the
     order of its factor's columns. An ``OPTIMAL`` solution's
@@ -261,10 +256,9 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
     """Minimize the shifted quadratic over the scaled simplex.
 
     Runs the three-step loop from the uniform start, from the best vertex
-    when the library has more endmembers than bands or the first solve
-    shows a sparse optimum, or from the first solve's positive support when
-    a few of its entries are negative, until the KKT conditions hold within
-    ``config`` tolerances. Returns a :class:`Solution` whose status is
+    when the library has more endmembers than bands, or from the start that
+    an infeasible first solve refines on its positive supports, until the
+    KKT conditions hold within ``config`` tolerances. Returns a :class:`Solution` whose status is
     ``OPTIMAL``, or ``MAX_ITERATIONS`` if the iteration cap was reached
     (degenerate or numerically broken data).
 
@@ -289,12 +283,12 @@ class _Slice:
     current feasible points, zero off them; ``linear``, ``budget`` and
     ``const`` are the rows' terms. Per row the slice keeps the number of
     subproblems solved since the start (``iteration``), the objective
-    ``trace``, the tie-break ``rngs`` and, at and above
-    :data:`_STACKED_BELOW` endmembers, the :class:`KeptSystem` in
-    ``systems`` whose free set the mask mirrors. ``bands`` is the number of
-    spectral bands when it is below P, the most free variables a full-rank
-    block can have, and None otherwise. ``results`` receives each row's
-    :class:`Solution` or error.
+    ``trace``, empty while the row refines its start, the tie-break
+    ``rngs`` and, at and above :data:`_STACKED_BELOW` endmembers, the
+    :class:`KeptSystem` in ``systems`` whose free set the mask mirrors.
+    ``bands`` is the number of spectral bands when it is below P, the most
+    free variables a full-rank block can have, and None otherwise.
+    ``results`` receives each row's :class:`Solution` or error.
     """
 
     def __init__(self, rows: ShiftedRows, config: SolverConfig):
@@ -317,21 +311,19 @@ class _Slice:
 
         A row with a zero budget starts at the origin, and one of a library
         wider than its bands at the best vertex. Every other row solves its
-        probe as iteration 1, all in the stacked calls of
-        :func:`unmix.kkt.solve_uniform` on the library's start factor, and
-        its negative entries choose its start. The feasible candidates of
-        the starts, the accepted probes, the vertices and the origins, are
-        priced in one accept step per kind; a start over on the probe's
-        support is solved by the first round. A singular start factor fails
-        every probing row with a fresh :class:`RankDeficientLibrary`.
+        probe, all in the stacked calls of :func:`unmix.kkt.solve_uniform`
+        on the library's start factor: a feasible probe is accepted as
+        iteration 1, and any other refines its start from the probe's
+        strictly positive support (:meth:`refine`). The feasible candidates
+        of the starts, the accepted probes, the vertices and the origins,
+        are priced in one accept step per kind. A singular start factor
+        fails every probing row with a fresh :class:`RankDeficientLibrary`.
         """
         budgets = self.budget.tolist()
-        vertex = [r for r, s in enumerate(budgets) if s]
+        positive = [r for r, s in enumerate(budgets) if s]
         origin = [r for r, s in enumerate(budgets) if not s]
-        if self.bands is None and vertex:  # else every uniform block is rank deficient
-            vertex = self._probe(vertex)
-        if vertex:
-            self._vertex(vertex)
+        if positive:  # a library wider than its bands has no full-rank uniform block
+            (self._probe if self.bands is None else self._vertex)(positive)
         if origin:
             # The origin is the only feasible point of a zero budget; lam =
             # max(g) is the smallest multiplier that certifies it.
@@ -339,51 +331,47 @@ class _Slice:
             self.accept(origin, np.zeros((len(origin), self.free.shape[1])),
                         [SubproblemSolution(None, lam) for lam in lams])
 
-    def _probe(self, rows: list) -> list:
-        """Solve the probes of ``rows`` and write the starts they choose;
-        return the rows that start over at the best vertex."""
+    def _probe(self, rows: list) -> None:
+        """Solve the probes of ``rows`` and write the starts they choose."""
         start = self.rows.uniform_start()
         if isinstance(start, str):
             for r in rows:
                 self.results[r] = RankDeficientLibrary(start)
-            return []
+            return
         s = self.budget.take(rows)
         probes, multipliers = solve_uniform(start, self.linear.take(rows, axis=0), s)
-        p = probes.shape[1]
-        negative = np.count_nonzero(probes < -self.config.primal_tol, axis=1).tolist()
-        # A feasible probe is accepted; one with some, but not more than the
-        # share, negative starts over on its support, the others at the vertex.
-        sparse = _VERTEX_START_SHARE * p
-        accepted = [k for k, n in enumerate(negative) if not n]
-        support = [k for k, n in enumerate(negative) if 0 < n <= sparse]
-        if accepted:  # all free at s / P
+        infeasible = (probes < -self.config.primal_tol).any(axis=1).tolist()
+        refining = [k for k, n in enumerate(infeasible) if n]
+        accepted = [k for k, n in enumerate(infeasible) if not n]
+        if refining:
+            self.refine([rows[k] for k in refining], probes.take(refining, axis=0))
+        if accepted:  # all free at s / P, where the trace begins
             taken = [rows[k] for k in accepted]
             self.free[taken] = True
-            self.iterate[taken] = (s.take(accepted) / p)[:, None]
-            for r in taken:
+            self.iterate[taken] = (s.take(accepted) / probes.shape[1])[:, None]
+            _, objectives = self._traced(taken, self.iterate.take(taken, axis=0))
+            for r, objective in zip(taken, objectives):
                 self.iteration[r] = 1
-        if support:
-            # Start over at the probe clipped to its strictly positive support
-            # and scaled back onto the budget.
-            taken = [rows[k] for k in support]
-            clipped = np.maximum(probes.take(support, axis=0), 0.0)
-            clipped *= (s.take(support) / clipped.sum(axis=1))[:, None]
-            self.free[taken] = clipped != 0.0
-            self.iterate[taken] = clipped
-            if self.kept:
-                for r in taken:
-                    self.systems[r] = KeptSystem(self.gram, self.linear[r],
-                                                 np.flatnonzero(self.free[r]))
-        traced = [rows[k] for k, n in enumerate(negative) if n <= sparse]
-        if traced:  # the trace begins at s / P or at the support start
-            _, objectives = self._traced(traced, self.iterate.take(traced, axis=0))
-            for r, objective in zip(traced, objectives):
                 self.trace[r].append(objective)
-        if accepted:  # pricing finds a feasible probe optimal
-            self.accept([rows[k] for k in accepted], probes.take(accepted, axis=0),
+            self.accept(taken, probes.take(accepted, axis=0),
                         [SubproblemSolution(None, lam)
                          for lam in multipliers.take(accepted).tolist()])
-        return [rows[k] for k, n in enumerate(negative) if n > sparse]
+
+    def refine(self, rows: list, candidates) -> None:
+        """Free, for each row ``rows[k]``, only the strictly positive entries
+        of its infeasible probe or candidate, row ``k`` of ``candidates``; on
+        the kept back end the row gets a fresh :class:`KeptSystem` there,
+        which factorizes at its next solve.
+
+        Each such free set is a strict subset of the last, and never empty,
+        since the candidate sums to the positive budget, so a row refines at
+        most P times before its candidate is feasible and accepted as
+        iteration 0. Until then its trace is empty."""
+        self.free[rows] = candidates > 0.0
+        if self.kept:
+            for r in rows:
+                self.systems[r] = KeptSystem(self.gram, self.linear[r],
+                                             np.flatnonzero(self.free[r]))
 
     def _vertex(self, rows: list) -> None:
         """Start ``rows`` at their best vertices ``s e_i``, which minimize
@@ -479,7 +467,15 @@ class _Slice:
         set, with the ratio test, the tie-break and the iterate update
         stacked. Pinned coordinates hold 0 in both the candidate and the
         iterate, so they never move or block. A row that cannot take the
-        step gets its error."""
+        step gets its error. A row still refining its start has no iterate
+        to step from, and :meth:`refine` shrinks its free set instead."""
+        refining = [k for k, r in enumerate(rows) if not self.trace[r]]
+        if refining:
+            self.refine([rows[k] for k in refining], candidates.take(refining, axis=0))
+            walking = [k for k, r in enumerate(rows) if self.trace[r]]
+            if not walking:
+                return
+            rows, candidates = [rows[k] for k in walking], candidates.take(walking, axis=0)
         current = self.iterate.take(rows, axis=0)
         # ``gap`` is the iterate minus the candidate, positive where a coordinate
         # falls; it is exactly the negated step direction.
@@ -574,11 +570,11 @@ def _solve_lockstep(problems: ShiftedRows, config: SolverConfig) -> list:
 
     The ``i``-th entry is the :class:`Solution` for row ``i``, or the
     :class:`UnmixError` its solve raised; no row's answer depends on the
-    others. Every row takes its start before the first round, in calls over
-    the rows. In a round every live row below the iteration cap solves its
-    subproblem, then either prices a feasible candidate or takes the
-    blocking step: on the back end that P selects, with each row's
-    arithmetic kept.
+    others. Every row chooses its start before the first round, in calls
+    over the rows. In a round every live row below the iteration cap, and
+    every row refining its start, solves its subproblem, then prices a
+    feasible candidate, refines its start or takes the blocking step: on
+    the back end that P selects, with each row's arithmetic kept.
     """
     if not len(problems):
         return []
@@ -593,7 +589,9 @@ def _solve_lockstep(problems: ShiftedRows, config: SolverConfig) -> list:
             return results
         solving = []
         for r in live:
-            if state.iteration[r] == cap:
+            if not state.trace[r]:  # refining its start: neither counted nor capped
+                solving.append(r)
+            elif state.iteration[r] == cap:
                 results[r] = state.capped(r, cap)
             elif state.bands is not None and (n := np.count_nonzero(state.free[r])) > state.bands:
                 results[r] = RankDeficientLibrary(

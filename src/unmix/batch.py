@@ -24,10 +24,10 @@ from .shift import _shift_measurements, _shift_terms, shift_problem, unshift_sol
 # each. Below active_set._STACKED_BELOW endmembers these are the stacked
 # (k, P, P) arrays of a round: the padded Grams, which LAPACK overwrites
 # with their factors; at and above it, the factors the pixels make
-# themselves, of the probe's support or of the free set grown from the
-# vertex. The probes of the whole slice are solved in two dtrsm calls on
-# the library's uniform start factor, shared by every pixel. A slice holds
-# as many pixels as fit in this many bytes of blocks.
+# themselves, of the supports their starts refine on and the free sets
+# grown from there. The probes of the whole slice are solved in two dtrsm
+# calls on the library's uniform start factor, shared by every pixel. A
+# slice holds as many pixels as fit in this many bytes of blocks.
 _SLICE_FACTOR_BYTES = 1 << 19
 
 

@@ -11,8 +11,17 @@ from collections import Counter
 
 import numpy as np
 
-from unmix import SolveStatus, SpectralLibrary, UnmixingProblem, objective_value, shift_problem
-from unmix.kkt import solve_uniform, uniform_start
+from unmix import (
+    SolverConfig,
+    SolveStatus,
+    SpectralLibrary,
+    UnmixingProblem,
+    objective_value,
+    shift_problem,
+    solve_subproblem,
+)
+from unmix.active_set import _STACKED_BELOW
+from unmix.kkt import solve_stacked, solve_uniform, uniform_start
 
 
 def random_problem(rng, n_endmembers=None, n_bands=None, bounds_total=None,
@@ -39,18 +48,6 @@ def random_spd_system(rng, size=None):
     return gram, linear, budget
 
 
-def support_start(shifted, probe):
-    """Where a solve restarts when its probe has a few negative entries.
-
-    Returns the strictly positive support of ``probe`` and the point that
-    is ``probe`` clipped at zero and scaled back onto the budget.
-    """
-    positive = probe > 0.0
-    iterate = np.where(positive, probe, 0.0)
-    iterate *= shifted.budget / iterate.sum()
-    return np.flatnonzero(positive), iterate
-
-
 def uniform_probe(shifted):
     """The uniform start's probe, the candidate on every variable, solved
     as the solver solves it: from the factor of the full Gram matrix."""
@@ -59,25 +56,52 @@ def uniform_probe(shifted):
     return values[0]
 
 
+def refined_start(shifted, primal_tol=SolverConfig().primal_tol):
+    """Where a solve starts when its probe is infeasible.
+
+    Returns the free sets the start refines on, in order, and the feasible
+    candidate it accepts, clipped at zero. The first free set is the
+    probe's strictly positive support, and each later one the strictly
+    positive support of the last candidate, while that candidate has an
+    entry below ``-primal_tol``. Each candidate is solved as the solver
+    solves it on its back end: in a one-row :func:`unmix.kkt.solve_stacked`
+    below the crossover, else by a fresh factorization of the free set.
+    A feasible probe refines on no free set and is returned as it is.
+    """
+    candidate = uniform_probe(shifted)
+    supports = []
+    while candidate.min() < -primal_tol:
+        free = candidate > 0.0
+        supports.append(np.flatnonzero(free))
+        if shifted.size < _STACKED_BELOW:
+            candidate = solve_stacked(shifted.gram, free[None], shifted.linear[None],
+                                      np.array([shifted.budget]))[0][0]
+        else:
+            candidate = np.zeros(shifted.size)
+            candidate[free] = solve_subproblem(shifted.gram, shifted.linear, shifted.budget,
+                                               supports[-1]).free_values
+    return supports, np.maximum(candidate, 0.0)
+
+
 def start_taken(shifted, solution):
     """The start a solve took, read from the first entry of its trace.
 
     That entry is the objective at the uniform point ``s / P`` when the
-    probe was accepted, at the best vertex when the solve started there,
-    and otherwise at the probe's clipped support. A vertex is taken after a
-    probe (``"restart"``) unless the library is wider than its bands, when
-    it is taken outright.
+    probe was accepted (``"uniform"``), at the best vertex when the library
+    is wider than its bands (``"vertex"``), and otherwise at the refined
+    start's accepted candidate (``"refined"``).
     """
     s, p = shifted.budget, shifted.size
     first = solution.objective_trace[0]
     if first == objective_value(shifted, np.full(p, s / p)):
         return "uniform"
-    vertex = np.zeros(p)
-    vertex[np.argmin(0.5 * s * s * shifted.gram.diagonal() - s * shifted.linear)] = s
-    if first == objective_value(shifted, vertex):
-        return "restart" if p <= shifted.shifted_target.size else "vertex"
-    assert first == objective_value(shifted, support_start(shifted, uniform_probe(shifted))[1])
-    return "support"
+    if p > shifted.shifted_target.size:
+        vertex = np.zeros(p)
+        vertex[np.argmin(0.5 * s * s * shifted.gram.diagonal() - s * shifted.linear)] = s
+        assert first == objective_value(shifted, vertex)
+        return "vertex"
+    assert first == objective_value(shifted, refined_start(shifted)[1])
+    return "refined"
 
 
 def counted_starts(library, pixels, bounds, solutions):

@@ -17,7 +17,6 @@ from unmix import (
     verify_kkt,
 )
 from unmix.active_set import (
-    _VERTEX_START_SHARE,
     ActiveSetState,
     initialize_state,
     lagrange_multipliers,
@@ -26,7 +25,7 @@ from unmix.active_set import (
     transfer_to_active,
 )
 from unmix.errors import NoBlockingIndex
-from instances import random_problem, support_start, uniform_probe
+from instances import random_problem, refined_start
 
 
 def _state(free, active, iterate):
@@ -40,12 +39,6 @@ def _state(free, active, iterate):
 def _shifted(gram, linear, budget):
     return ShiftedProblem(gram=np.asarray(gram, float), linear=np.asarray(linear, float),
                           budget=budget)
-
-
-def _support_start(shifted, probe):
-    """The state a probe with a few negative entries restarts from."""
-    free, iterate = support_start(shifted, probe)
-    return _state(free, np.setdiff1d(np.arange(shifted.size), free), iterate)
 
 
 # ---------------------------------------------------------------- start point
@@ -210,15 +203,17 @@ def test_release_examples():
 
 
 def test_release_ties_go_to_the_smallest_index_from_the_vertex_start():
-    # Identity library: the probe has 2 of 5 entries negative, so the solve
-    # restarts at the vertex e_0, where mu_a = lam - g_a with lam = 3 - 1.
-    # Endmembers 1 and 2 tie exactly at -0.5 and the smaller index is freed
-    # first: after one iteration the iterate is (0.75, 0.25, 0, 0, 0).
-    shifted = shift_problem(UnmixingProblem(np.eye(5), np.array([3.0, 2.5, 2.5, 0.0, -1.0])))
+    # Five bands and six endmembers, the identity and (0, 0, 0, 1, 1): the
+    # solve starts at the vertex e_0, where mu_a = lam - g_a with lam = 3 - 1
+    # for the identity columns. Endmembers 1 and 2 tie exactly at -0.5 and
+    # the smaller index is freed first: after one iteration the iterate is
+    # (0.75, 0.25, 0, 0, 0, 0).
+    library = np.hstack((np.eye(5), [[0.0], [0.0], [0.0], [1.0], [1.0]]))
+    shifted = shift_problem(UnmixingProblem(library, np.array([3.0, 2.5, 2.5, 0.0, -1.0])))
     capped = active_set_solve(shifted, SolverConfig(max_outer_iterations=1))
-    np.testing.assert_array_equal(capped.shifted_abundances, [0.75, 0.25, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(capped.shifted_abundances, [0.75, 0.25, 0.0, 0.0, 0.0, 0.0])
     solution = active_set_solve(shifted)
-    assert solution.objective_trace[0] == objective_value(shifted, np.eye(5)[0])
+    assert solution.objective_trace[0] == objective_value(shifted, np.eye(6)[0])
     np.testing.assert_array_equal(solution.final_free, [0, 1, 2])
 
 
@@ -227,9 +222,9 @@ def test_release_ties_go_to_the_smallest_index_from_the_uniform_start():
     # pixel is 0: their Gram rows agree off the (1, 2) block and their
     # linear terms agree, so while both are pinned their multipliers are
     # bitwise equal. The probe has 3 of 9 entries negative, 1 and 2 among
-    # them, so the solve restarts on the probe's positive support
-    # {0, 3, 4, 5, 7, 8}, pins 5 and then 3, and after these two iterations
-    # prices 1 and 2 at an exact tie on free set {0, 4, 7, 8}.
+    # them, so the solve refines its start on the probe's positive support
+    # {0, 3, 4, 5, 7, 8}, then on {0, 4, 7, 8}, whose feasible candidate it
+    # accepts as iteration 0 and prices with 1 and 2 at an exact tie.
     entries = np.array([[4, 5, 5, 2, 0, 5, 4, 1, 5], [4, 2, 2, 3, 4, 4, 4, 3, 3],
                         [3, 1, 1, 0, 4, 1, 2, 4, 3], [2, 2, 2, 0, 3, 3, 1, 4, 0],
                         [0, 3, 3, 4, 5, 4, 1, 0, 1], [2, 1, 1, 0, 4, 5, 5, 4, 1],
@@ -239,21 +234,24 @@ def test_release_ties_go_to_the_smallest_index_from_the_uniform_start():
     rows = np.delete(shifted.gram[[1, 2]], [1, 2], axis=1)
     np.testing.assert_array_equal(rows[0], rows[1])
     assert shifted.linear[1] == shifted.linear[2]
-    start = _support_start(shifted, uniform_probe(shifted))
-    np.testing.assert_array_equal(start.free, [0, 3, 4, 5, 7, 8])
+    supports, x0 = refined_start(shifted)
+    assert [free.tolist() for free in supports] == [[0, 3, 4, 5, 7, 8], [0, 4, 7, 8]]
     solution = active_set_solve(shifted)
-    assert solution.objective_trace[0] == objective_value(shifted, start.iterate)
-    before = active_set_solve(shifted, SolverConfig(max_outer_iterations=2))
-    np.testing.assert_array_equal(before.final_free, [0, 4, 7, 8])
-    x = before.shifted_abundances
+    assert solution.objective_trace[0] == objective_value(shifted, x0)
+    assert x0[1] == x0[2] == 0.0
     sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, [0, 4, 7, 8])
     mu = lagrange_multipliers(shifted, sub, np.array([0, 4, 7, 8]), np.array([1, 2, 3, 5, 6]))
     assert mu[0] == mu[1] < min(-1e-3, *mu[2:])
-    assert x[1] == x[2] == 0.0
-    after = active_set_solve(shifted, SolverConfig(max_outer_iterations=3))
-    np.testing.assert_array_equal(after.final_free, [0, 1, 4, 7, 8])
-    released = release_from_active(_state([0, 4, 7, 8], [1, 2, 3, 5, 6], x), mu, 1e-10)
+    released = release_from_active(_state([0, 4, 7, 8], [1, 2, 3, 5, 6], x0), mu, 1e-10)
     np.testing.assert_array_equal(released.free, [0, 1, 4, 7, 8])
+    # A cap of 1 returns the candidate on the released free set, accepted at
+    # iteration 1: it holds 1 and not 2.
+    after = active_set_solve(shifted, SolverConfig(max_outer_iterations=1))
+    candidate = np.zeros(9)
+    candidate[released.free] = solve_subproblem(shifted.gram, shifted.linear, shifted.budget,
+                                                released.free).free_values
+    np.testing.assert_allclose(after.shifted_abundances, candidate, rtol=0, atol=1e-12)
+    assert after.shifted_abundances[1] > 0.0 == after.shifted_abundances[2]
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.shifted_abundances[1] == pytest.approx(solution.shifted_abundances[2])
 
@@ -428,36 +426,28 @@ def _reference_solve(shifted, config):
     # The loop of demos/04_solver_anatomy.py: the public step helpers with a
     # fresh factorization in every solve_subproblem call, and the solver's
     # start. A library wider than its bands starts at the best vertex; else
-    # the uniform start's first solve is a probe. A candidate with more than
-    # a third of its entries negative restarts at that vertex, which is
-    # priced as a feasible candidate that costs no iteration; one with fewer,
-    # but some, restarts at the probe clipped to its strictly positive
-    # support and scaled back onto the budget, with no iteration spent.
+    # the uniform start's first solve is a probe. An infeasible probe, and
+    # while it is infeasible the candidate on its strictly positive support,
+    # makes the solve start over on that support with no iteration spent;
+    # the first feasible candidate is priced at iteration 0, like the
+    # vertex. Returns the iterations, the answer and the number of pins.
     p, s = shifted.size, shifted.budget
     state = initialize_state(shifted)
-    best = int(np.argmin(0.5 * s * s * np.diag(shifted.gram) - s * shifted.linear))
-    probing = p <= shifted.shifted_target.size
-    vertex = None if probing else best
-    iteration = 0
-    while iteration < config.iteration_cap(p):
-        if vertex is not None:
-            state = _state([vertex], np.delete(np.arange(p), vertex), s * np.eye(p)[vertex])
-            sub = SubproblemSolution(np.array([s]), shifted.linear[vertex]
-                                     - s * shifted.gram[vertex, vertex])
-            vertex, iteration = None, 0
-        else:
-            iteration += 1
-            sub = solve_subproblem(shifted.gram, shifted.linear, s, state.free)
-            if probing:
-                probing = False
-                negative = np.count_nonzero(sub.free_values < -config.primal_tol)
-                if negative > _VERTEX_START_SHARE * p:
-                    vertex = best
-                    continue
-                if negative:
-                    state = _support_start(shifted, sub.free_values)
-                    iteration = 0
-                    continue
+    iteration = pins = 0
+    if p > shifted.shifted_target.size:
+        best = int(np.argmin(0.5 * s * s * np.diag(shifted.gram) - s * shifted.linear))
+        state = _state([best], np.delete(np.arange(p), best), s * np.eye(p)[best])
+        sub = SubproblemSolution(np.array([s]),
+                                 shifted.linear[best] - s * shifted.gram[best, best])
+    else:
+        iteration = 1
+        sub = solve_subproblem(shifted.gram, shifted.linear, s, state.free)
+        while sub.free_values.min() < -config.primal_tol:
+            free = state.free[sub.free_values > 0.0]
+            state = _state(free, np.setdiff1d(np.arange(p), free), np.zeros(p))
+            sub = solve_subproblem(shifted.gram, shifted.linear, s, free)
+            iteration = 0
+    while True:
         if sub.free_values.min() >= -config.primal_tol:
             iterate = np.zeros(p)
             iterate[state.free] = np.maximum(sub.free_values, 0.0)
@@ -465,42 +455,53 @@ def _reference_solve(shifted, config):
             mu = lagrange_multipliers(shifted, sub, state.free, state.active)
             released = release_from_active(state, mu, config.dual_tol)
             if released is None:
-                return iteration, state.free, iterate
+                return iteration, state.free, iterate, pins
             state = released
         else:
             step, blocking = max_feasible_step(state, sub)
             direction = np.zeros(p)
             direction[state.free] = sub.free_values - state.iterate[state.free]
             state = transfer_to_active(state, step, direction, blocking)
-    raise AssertionError("reference loop hit the iteration cap")
+            pins += 1
+        if iteration == config.iteration_cap(p):
+            raise AssertionError("reference loop hit the iteration cap")
+        iteration += 1
+        sub = solve_subproblem(shifted.gram, shifted.linear, s, state.free)
 
 
 def _assert_same_pivots(shifted, config=None):
     config = config or SolverConfig()
     solution = active_set_solve(shifted, config)
-    iterations, free, iterate = _reference_solve(shifted, config)
+    iterations, free, iterate, pins = _reference_solve(shifted, config)
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.outer_iterations == iterations
     np.testing.assert_array_equal(solution.final_free, free)
     np.testing.assert_allclose(solution.shifted_abundances, iterate, rtol=0, atol=1e-10)
-    return solution
+    return solution, pins
 
 
 def test_kept_factor_pivots_like_fresh_solves_on_small_instances():
+    # Most refined starts are optimal at once or after one release. Libraries
+    # with few more bands than endmembers and noisier pixels walk further.
     rng = np.random.default_rng(32)
     for _ in range(60):
         _assert_same_pivots(shift_problem(random_problem(rng)))
+    pins = 0
+    for _ in range(60):
+        p = int(rng.integers(6, 13))
+        problem = random_problem(rng, n_endmembers=p, n_bands=p + int(rng.integers(0, 4)),
+                                 noise=0.2)
+        pins += _assert_same_pivots(shift_problem(problem))[1]
+    assert pins > 0  # the blocking step was taken
 
 
 def test_kept_factor_pivots_like_fresh_solves_on_224_band_libraries():
     rng = np.random.default_rng(33)
-    pivots_out = 0
+    pins = 0
     for _ in range(12):
         problem = random_problem(rng, n_endmembers=int(rng.integers(50, 151)), n_bands=224)
-        shifted = shift_problem(problem)
-        solution = _assert_same_pivots(shifted)
-        pivots_out += shifted.size - solution.final_free.size
-    assert pivots_out > 0  # the downdate path was taken
+        pins += _assert_same_pivots(shift_problem(problem))[1]
+    assert pins > 0  # the downdate path was taken
 
 
 def test_kept_factor_pivots_like_fresh_solves_on_wide_libraries():
@@ -514,7 +515,7 @@ def test_kept_factor_pivots_like_fresh_solves_on_wide_libraries():
         pixel = library.entries @ abundances + 0.01 * rng.standard_normal(30)
         bounds = rng.dirichlet(np.ones(60)) * 0.2
         shifted = shift_problem(UnmixingProblem(library, pixel, bounds))
-        solution = _assert_same_pivots(shifted)
+        solution, _ = _assert_same_pivots(shifted)
         assert (np.diff(solution.final_free) > 0).all()
         assert verify_kkt(shifted, solution.shifted_abundances, solution.eq_multiplier,
                           solution.ineq_multipliers).satisfied

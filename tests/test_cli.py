@@ -192,18 +192,19 @@ def test_diagnostics_stream(workspace):
 
 
 def test_capped_solve_carries_no_certificate(workspace):
-    # From the vertex e_3, the first solve on {3, 4} is feasible, priced and
-    # releases 2; the second, on {2, 3, 4}, is infeasible and pins 3. A cap
-    # of 2 returns that pinned iterate, at which no multipliers were priced.
-    library = np.array([[0.3, 0.5, 0.9, 0.9, 0.1], [0.0, 0.5, 0.9, 0.8, 0.9],
-                        [0.8, 0.2, 1.0, 0.4, 0.0], [0.0, 0.0, 0.6, 0.6, 0.1],
-                        [0.7, 0.2, 0.4, 0.3, 0.9], [0.3, 1.0, 1.0, 0.2, 0.1]])
-    pixel = np.array([0.4, 1.1, 0.3, 0.9, 0.7, 0.8])
+    # The refined start on {1, 2, 3} is feasible, accepted as iteration 0 and
+    # releases 4. The candidates on {1, 2, 3, 4} and then on {1, 2, 4} are
+    # infeasible and pin 3 and then 2. A cap of 2 returns that pinned
+    # iterate, at which no multipliers were priced.
+    library = np.array([[0.1, 0.3, 0.9, 0.5, 1.0], [1.0, 0.2, 1.0, 0.0, 0.1],
+                        [0.5, 0.0, 0.3, 0.4, 0.3], [0.9, 0.2, 0.8, 0.6, 0.9],
+                        [0.7, 0.8, 1.0, 0.1, 0.5], [1.0, 0.8, 0.3, 0.7, 0.0]])
+    pixel = np.array([1.0, 0.0, 0.6, 0.0, 0.9, 0.6])
     problem = UnmixingProblem(library, pixel)
-    assert list(unmix(problem, SolverConfig(max_outer_iterations=1)).final_free) == [2, 3, 4]
+    assert list(unmix(problem, SolverConfig(max_outer_iterations=1)).final_free) == [1, 2, 4]
     capped = unmix(problem, SolverConfig(max_outer_iterations=2))
     assert capped.status is SolveStatus.MAX_ITERATIONS
-    assert list(capped.final_free) == [2, 4]
+    assert list(capped.final_free) == [1, 4]
     assert np.isnan(capped.eq_multiplier)
     assert capped.ineq_multipliers.shape == (5,) and np.isnan(capped.ineq_multipliers).all()
 

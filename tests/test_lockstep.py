@@ -30,7 +30,7 @@ from unmix import (
     unmix_batch,
     verify_kkt,
 )
-from instances import counted_starts
+from instances import counted_starts, refined_start
 
 
 batch_module = importlib.import_module("unmix.batch")
@@ -145,16 +145,16 @@ def test_lockstep_batch_equals_per_pixel_solves(batch):
 
 
 def test_lockstep_breaks_exact_ties_like_the_per_pixel_path():
-    # ``tied`` restarts on its probe's positive support and meets an exact
-    # tie whose choice changes the path: one tied index takes 3 iterations,
-    # the other 4. The library is L^T for an integer lower-triangular L with
-    # pivots 1 and 2, so L is the exact Cholesky factor of the Gram matrix
-    # and the forward solves divide only by 1 and 2. The probe is
-    # (1.25, 1.625, 0.375, -0.5, 0.75, -2.5), whose positive part sums to 4,
-    # so the restart point is exact too. The first candidate on the support
-    # {0, 1, 2, 4} is (0.5, 0.5, 0, 0); once 3 is released, the next one
-    # takes coordinates 2 and 4 below zero from exactly 0, and they tie at a
-    # step of 0.
+    # ``tied`` refines its start on its probe's positive support and meets
+    # an exact tie whose choice changes the path: one tied index takes 2
+    # iterations, the other 3. The library is L^T for an integer
+    # lower-triangular L with pivots 1 and 2, so L is the exact Cholesky
+    # factor of the Gram matrix and the forward solves divide only by 1 and
+    # 2. The probe is (1.25, 1.625, 0.375, -0.5, 0.75, -2.5), and the
+    # candidate on its support {0, 1, 2, 4} is exactly (0.5, 0.5, 0, 0),
+    # feasible and accepted as iteration 0. Once 3 is released, the next
+    # candidate takes coordinates 2 and 4 below zero from exactly 0, and
+    # they tie at a step of 0.
     library = SpectralLibrary([[1.0, 1.0, 1.0, 0.0, -1.0, 1.0], [0.0, 2.0, 0.0, 1.0, 1.0, 1.0],
                                [0.0, 0.0, 2.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 2.0, 0.0, -1.0],
                                [0.0, 0.0, 0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
@@ -166,7 +166,7 @@ def test_lockstep_breaks_exact_ties_like_the_per_pixel_path():
         solutions = unmix_batch(BatchJob(library, pixels, config=config))
         _assert_matches_unmix(solutions, library, pixels, None, config)
         paths.add(solutions[0].outer_iterations)
-    assert paths == {3, 4}
+    assert paths == {2, 3}
 
 
 @pytest.mark.parametrize("n_endmembers", [CROSSOVER - 1, CROSSOVER],
@@ -210,18 +210,28 @@ def test_a_wide_library_fails_only_the_pixel_whose_optimum_needs_more_bands(seed
     _assert_matches_unmix(solutions, library, pixels, None, SolverConfig())
 
 
+def _clip_instance():
+    """An identity library of 7 bands and endmembers, with an eighth band
+    and an eighth endmember that couple them, and a pixel."""
+    entries = np.eye(8)
+    entries[:7, 7] = [1.0, 1.0, 0.0, 0.5, 0.0, 0.0, 1.0]
+    entries[7] = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    return SpectralLibrary(entries), np.array([0.2, 0.2, 0.7, 0.7, -0.6, -0.6, -0.2, 0.5])
+
+
 def test_tied_coordinate_that_lands_below_zero_is_clipped():
-    # ``tied`` restarts on its probe's positive support {2, 4, 5, 6, 7, 8}.
-    # Coordinates 5 and 8 reach zero on the second step up to roundoff: 5
-    # blocks, and 8 lands at -6.9e-18 before the clip. With a cap of 2 that
-    # iterate is the answer, so it must read exactly 0 on both paths.
-    library = SpectralLibrary(np.eye(9))
-    tied = np.array([-0.7, -0.6, 0.1, -0.2, 0.6, 0.2, 0.7, 0.5, 0.2])
-    config = SolverConfig(max_outer_iterations=2)
+    # ``tied`` refines its start on {0, 1, 2, 3}, whose candidate is
+    # (0, 0, 0.5, 0.5) up to roundoff: coordinates 0 and 1 both hold 8.3e-17,
+    # so it is feasible and accepted as iteration 0. Once 7 is released, the
+    # next step takes 0 and 1 to zero at an exact tie: 0 blocks, and 1
+    # lands at -1.2e-32 before the clip. With a cap of 1 that iterate is
+    # the answer, so it must read exactly 0 on both paths.
+    library, tied = _clip_instance()
+    config = SolverConfig(max_outer_iterations=1)
     single = unmix(UnmixingProblem(library, tied), config)
     assert single.status is SolveStatus.MAX_ITERATIONS
-    assert list(single.final_free) == [4, 6, 7, 8]
-    assert single.shifted_abundances[8] == 0.0
+    assert list(single.final_free) == [1, 2, 3, 7]
+    assert single.shifted_abundances[1] == 0.0
     assert single.shifted_abundances.min() >= 0.0
     pixels = np.column_stack([tied, -tied[::-1], tied])
     solutions = unmix_batch(BatchJob(library, pixels, config=config))
@@ -282,9 +292,7 @@ def _assert_certified_at_the_iterate(library, pixel):
 
 def test_multipliers_are_priced_at_the_returned_iterate():
     # The clip instance above, solved to the end.
-    library = SpectralLibrary(np.eye(9))
-    _assert_certified_at_the_iterate(
-        library, np.array([-0.7, -0.6, 0.1, -0.2, 0.6, 0.2, 0.7, 0.5, 0.2]))
+    _assert_certified_at_the_iterate(*_clip_instance())
     # The optimum on {0, 1, 2} has x_2 = -5e-11, inside primal_tol, so the
     # accepted candidate is clipped to 0 there; endmember 3 is pinned with a
     # positive multiplier. Priced at the unclipped candidate, that multiplier
@@ -321,32 +329,38 @@ def test_every_slice_is_solved_in_lockstep(monkeypatch, n_endmembers, n_pixels, 
     assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
 
 
-def _three_start_scene(rng, n_endmembers):
-    """Pixels that take each start: four noiseless ones well inside the
-    simplex (the probe is accepted), four on every endmember with noise (a
-    few probe entries are negative: the support start) and four on two
-    endmembers (most are negative: the vertex)."""
+def _refining_scene(rng, n_endmembers, bounded):
+    """A library, bounds and pixels that take each start: four noiseless
+    pixels well inside the simplex (the probe is accepted), then three
+    pixels each that refine their start on 1, 2 and 3 or more free sets,
+    the first such of a stream of noisy dense and 2-sparse pixels."""
     library = SpectralLibrary(rng.random((224, n_endmembers)))
-    inside = rng.dirichlet(np.full(n_endmembers, 20.0), size=4).T
-    dense = rng.dirichlet(np.full(n_endmembers, 0.3), size=4).T
-    sparse = np.zeros((n_endmembers, 4))
-    for column in range(4):
-        sparse[rng.choice(n_endmembers, 2, replace=False), column] = rng.dirichlet(np.ones(2))
-    pixels = library.entries @ np.column_stack([inside, dense, sparse])
-    pixels[:, 4:] += 0.01 * rng.standard_normal((224, 8))
-    return library, pixels
+    bounds = rng.dirichlet(np.ones(n_endmembers)) * 0.1 if bounded else None
+    inside = library.entries @ rng.dirichlet(np.full(n_endmembers, 20.0), size=4).T
+    chosen = {1: [], 2: [], 3: []}
+    while min(map(len, chosen.values())) < 3:
+        abundances = rng.dirichlet(np.full(n_endmembers, 0.3))
+        if rng.random() < 0.5:
+            abundances = np.zeros(n_endmembers)
+            abundances[rng.choice(n_endmembers, 2, replace=False)] = rng.dirichlet(np.ones(2))
+        pixel = library.entries @ abundances + 0.01 * rng.standard_normal(224)
+        shifted = shift_problem(UnmixingProblem(library, pixel, bounds))
+        depth = min(len(refined_start(shifted)[0]), 3)
+        if depth and len(chosen[depth]) < 3:
+            chosen[depth].append(pixel)
+    return library, bounds, np.column_stack([inside, *chosen[1], *chosen[2], *chosen[3]])
 
 
 @pytest.mark.parametrize("bounded", [False, True], ids=["zero bounds", "bounds"])
 @pytest.mark.parametrize("n_endmembers", [10, 30, 60])
 def test_a_pixel_answer_does_not_depend_on_its_slice(monkeypatch, n_endmembers, bounded):
     # P = 10 and 30 solve their rounds in stacked calls, 60 on kept systems.
-    # Slices of 1 and 3 pixels and the default one, which holds all twelve,
-    # give each pixel the bytes of unmix() of its column, whichever start
-    # it takes.
+    # Slices of 1 and 3 pixels and the default one, which holds all
+    # thirteen, give each pixel the bytes of unmix() of its column, whether
+    # it keeps its probe or refines its start on 1, 2 or 3 or more free
+    # sets, each of whose rounds meets the other pixels' rounds.
     rng = np.random.default_rng(n_endmembers)
-    library, pixels = _three_start_scene(rng, n_endmembers)
-    bounds = rng.dirichlet(np.ones(n_endmembers)) * 0.1 if bounded else None
+    library, bounds, pixels = _refining_scene(rng, n_endmembers, bounded)
     default = batch_module._SLICE_FACTOR_BYTES
     assert default // (8 * n_endmembers**2) >= pixels.shape[1]
     for width in (1, 3, None):
@@ -355,7 +369,7 @@ def test_a_pixel_answer_does_not_depend_on_its_slice(monkeypatch, n_endmembers, 
         solutions = unmix_batch(BatchJob(library, pixels, bounds))
         _assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
         starts = counted_starts(library, pixels, bounds, solutions)
-        assert set(starts) == {"uniform", "support", "restart"}, starts
+        assert starts == {"uniform": 4, "refined": 9}, starts
 
 
 def test_bad_pixels_in_the_middle_of_a_slice_fail_alone():

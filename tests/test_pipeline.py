@@ -177,14 +177,15 @@ def test_a_hand_built_problem_never_uses_the_library_start(monkeypatch):
 
 def test_diagnostics_of_a_slice_equal_verify_kkt_of_each_pixel(tmp_path):
     # One slice holds an optimal pixel (its probe is feasible and accepted
-    # as iteration 1), a capped one (it starts at a vertex and needs more
-    # than one iteration) and a failed one (NaN). The stacked check of the
-    # slice must report what verify_kkt reports on each pixel alone.
+    # as iteration 1), a capped one (its refined start needs two more
+    # iterations, which the library's correlated columns bring about) and a
+    # failed one (NaN). The stacked check of the slice must report what
+    # verify_kkt reports on each pixel alone.
     rng = np.random.default_rng(77)
-    library = rng.random((224, 10))
+    library = rng.random((224, 10)) @ (np.eye(10) + 2.0 * rng.random((10, 10)))
     bounds = np.full(10, 0.02)
     inside = library @ rng.dirichlet(np.full(10, 20.0))
-    sparse = library[:, [0, 3, 5, 9]] @ np.full(4, 0.25) + 0.01 * rng.standard_normal(224)
+    sparse = library[:, [0, 3, 5, 9]] @ np.full(4, 0.25) + 0.1 * rng.standard_normal(224)
     pixels = np.column_stack([inside, sparse, np.full(224, np.nan), inside + 1e-3])
     diag = tmp_path / "diag.jsonl"
     code = main(["--library", _write_csv(tmp_path / "lib.csv", library),

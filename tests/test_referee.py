@@ -6,8 +6,9 @@ to the target, so that nonnegative least squares weighs the sum constraint
 by ``delta^2``. ``scipy.optimize.nnls`` solves that with code the active-set
 loop does not share, and its answer, rescaled onto the budget ``s``, lies
 near the optimum. Lower bounds are shifted out first, as ``unmix`` does.
-The libraries have 224 bands; P = 300 is wider than the bands, the paper's
-large-dictionary regime.
+The libraries have 224 bands. P = 100 and 150 refine their starts on kept
+systems, the path of the benchmark's one-pixel workload; P = 300 is wider
+than the bands, the paper's large-dictionary regime.
 """
 
 import numpy as np
@@ -49,7 +50,7 @@ def _scene(rng, n_endmembers, n_pixels):
 
 
 @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
-@pytest.mark.parametrize("n_endmembers", [20, 60, 300])
+@pytest.mark.parametrize("n_endmembers", [20, 60, 100, 150, 300])
 def test_the_loop_matches_augmented_nnls(n_endmembers, bounded):
     rng = np.random.default_rng([801, n_endmembers, bounded])
     library, pixels = _scene(rng, n_endmembers, 4)

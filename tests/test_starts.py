@@ -1,16 +1,16 @@
 """Which start a solve takes, and what its objective trace records.
 
 A solve starts at the uniform point ``s / P``, whose first candidate is a
-probe. A feasible probe is accepted. A probe with more than a third of its
-entries negative shows a sparse optimum, and the solve starts over at the
-best vertex; one with fewer, but some, starts over at the probe clipped to
-its strictly positive support and scaled back onto the budget. A library
-with more endmembers than bands starts at the vertex outright. ``unmix``
-and ``unmix_batch`` must choose alike.
+probe. A feasible probe is accepted. Any other refines the start: it frees
+the probe's strictly positive support and solves there, and while the
+candidate is infeasible it frees that candidate's strictly positive support
+and solves again. The first feasible candidate is accepted as iteration 0,
+and the trace begins there. A library with more endmembers than bands
+starts at the best vertex outright. ``unmix`` and ``unmix_batch`` must
+choose alike.
 """
 
 import importlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from unmix import (
     unmix_batch,
     verify_kkt,
 )
-from instances import counted_starts, random_problem, support_start, uniform_probe
+from instances import counted_starts, random_problem, refined_start, uniform_probe
 
 active_set = importlib.import_module("unmix.active_set")
 
@@ -54,8 +54,8 @@ def _dense_scene(rng, n_endmembers, n_pixels):
 
 
 @pytest.mark.parametrize("scene, bounded, expected", [
-    ("dense P=30", False, {"support": 40}),
-    ("dense P=100", True, {"restart": 12}),
+    ("dense P=30", False, {"refined": 40}),
+    ("dense P=100", True, {"refined": 12}),
     ("P=60 over 40 bands", False, {"vertex": 12}),
 ])
 def test_each_pixel_takes_the_same_start_on_both_paths(scene, bounded, expected):
@@ -95,44 +95,87 @@ def _assert_trace_describes_every_iterate(shifted):
     return solution
 
 
-@pytest.mark.parametrize("share", [1.0, -1.0], ids=["uniform start", "vertex start"])
-def test_every_solve_strictly_decreases_the_objective(share):
-    # A share of 1 never restarts at the vertex, so each solve restarts on
-    # its probe's support; -1 always restarts at the vertex. P = 50, 30 and
-    # 10 solve their rounds in stacked calls, 100 and 150 on kept systems.
+@pytest.mark.parametrize("wide", [False, True], ids=["uniform start", "vertex start"])
+def test_every_solve_strictly_decreases_the_objective(wide):
+    # Over 224 bands every probe here is infeasible, so each solve refines
+    # its start; over fewer bands than endmembers each starts at the best
+    # vertex. P = 50, 30 and 10 solve their rounds in stacked calls, 100 and
+    # 150 on kept systems.
     rng = np.random.default_rng(607)
-    with mock.patch.object(active_set, "_VERTEX_START_SHARE", share):
-        for p in (50, 100, 150, 30, 10):
-            shifted = shift_problem(random_problem(rng, n_endmembers=p, n_bands=224))
-            start = _assert_trace_describes_every_iterate(shifted).objective_trace[0]
-            first = uniform_probe(shifted)
-            assert first.min() < -SolverConfig().primal_tol
-            _, x0 = support_start(shifted, first)
-            assert (start == objective_value(shifted, x0)) == (share > 0)
+    for p in (50, 100, 150, 30, 10):
+        problem = random_problem(rng, n_endmembers=p, n_bands=p // 2 + 2 if wide else 224)
+        shifted = shift_problem(problem)
+        start = _assert_trace_describes_every_iterate(shifted).objective_trace[0]
+        if wide:
+            s = shifted.budget
+            vertex = np.argmin(0.5 * s * s * shifted.gram.diagonal() - s * shifted.linear)
+            assert start == objective_value(shifted, s * np.eye(p)[vertex])
+        else:
+            assert uniform_probe(shifted).min() < -SolverConfig().primal_tol
+            assert start == objective_value(shifted, refined_start(shifted)[1])
+
+
+def test_a_refined_start_frees_strictly_shrinking_positive_supports(monkeypatch):
+    # The solver's own free sets, as its start writes them: each is the
+    # strictly positive support of the last candidate, a strict subset of
+    # the one before, at most P of them end at a feasible candidate, and
+    # the trace begins at that candidate. P = 30 refines in stacked calls,
+    # 100 and 150 on kept systems; the batch refines a slice's pixels
+    # together, unmix() each alone.
+    refined = []
+    refine = active_set._Slice.refine
+
+    def recorded(state, rows, candidates):
+        refine(state, rows, candidates)
+        refined.extend((state.linear[r].tobytes(), np.flatnonzero(state.free[r])) for r in rows)
+
+    monkeypatch.setattr(active_set._Slice, "refine", recorded)
+    rng = np.random.default_rng(610)
+    tol = SolverConfig().primal_tol
+    depths = set()
+    for p in (30, 100, 150):
+        library, pixels = _dense_scene(rng, p, 6)
+        for solve in (lambda: unmix_batch(BatchJob(library, pixels)),
+                      lambda: [unmix(UnmixingProblem(library, pixel)) for pixel in pixels.T]):
+            refined.clear()
+            for pixel, solution in zip(pixels.T, solve()):
+                shifted = shift_problem(UnmixingProblem(library, pixel))
+                key = shifted.linear.tobytes()
+                written = [free for linear, free in refined if linear == key]
+                supports, x0 = refined_start(shifted)
+                assert 1 <= len(written) <= p
+                assert [free.tolist() for free in written] == [free.tolist() for free in supports]
+                for before, after in zip([np.arange(p), *written], written):
+                    assert set(after) < set(before)
+                last = solve_subproblem(shifted.gram, shifted.linear, shifted.budget,
+                                        written[-1])
+                assert last.free_values.min() >= -tol
+                assert solution.objective_trace[0] == objective_value(shifted, x0)
+                depths.add(len(written))
+    assert max(depths) >= 3
 
 
 def test_a_support_start_frees_only_the_strictly_positive_probe_entries():
     # An identity library makes the probe y - lam with lam = (sum(y) - 1) / 6,
-    # here exactly (0.75, 0.5, 0, -0.25, 0, 0). One entry of six is
-    # negative, so the solve restarts on the support {0, 1} at (0.6, 0.4):
-    # the probe's exact zeros are pinned like its negative entry. The
-    # candidate on {0, 1}, (0.625, 0.375), is feasible and optimal.
+    # here exactly (0.75, 0.5, 0, -0.25, 0, 0). One entry is negative, so
+    # the solve refines its start on the support {0, 1}: the probe's exact
+    # zeros are pinned like its negative entry. The candidate there,
+    # (0.625, 0.375), is feasible, accepted as iteration 0 and optimal.
     library = SpectralLibrary(np.eye(6))
     pixel = np.array([0.75, 0.5, 0.0, -0.25, 0.0, 0.0])
     shifted = shift_problem(UnmixingProblem(library, pixel))
     probe = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, np.arange(6))
     np.testing.assert_array_equal(probe.free_values, pixel)
-    free, x0 = support_start(shifted, probe.free_values)
-    np.testing.assert_array_equal(free, [0, 1])
-    np.testing.assert_allclose(x0, [0.6, 0.4, 0, 0, 0, 0], rtol=0, atol=1e-15)
+    supports, x0 = refined_start(shifted)
+    assert [free.tolist() for free in supports] == [[0, 1]]
+    np.testing.assert_array_equal(x0, [0.625, 0.375, 0, 0, 0, 0])
     for solution in (unmix(UnmixingProblem(library, pixel)),
                      unmix_batch(BatchJob(library, pixel[:, None]))[0]):
         assert solution.status is SolveStatus.OPTIMAL
-        assert solution.outer_iterations == 1
+        assert solution.outer_iterations == 0
         np.testing.assert_array_equal(solution.final_free, [0, 1])
-        np.testing.assert_array_equal(solution.abundances, [0.625, 0.375, 0, 0, 0, 0])
-        assert solution.objective_trace == (objective_value(shifted, x0),
-                                            objective_value(shifted, solution.abundances))
+        np.testing.assert_array_equal(solution.abundances, x0)
+        assert solution.objective_trace == (objective_value(shifted, x0),)
 
 
 def test_a_feasible_probe_is_accepted_as_iteration_one():
@@ -158,22 +201,31 @@ def test_a_feasible_probe_is_accepted_as_iteration_one():
 
 @pytest.mark.parametrize("seed", [7, 24])
 def test_a_support_start_that_blocks_at_once_reaches_the_optimum(seed):
-    # The probe has some, but at most 4 of 12, entries negative, and the
-    # subproblem on its positive support is infeasible too, so the first
-    # iteration is a blocking step from the support start x0.
+    # The first problem drawn whose refined start x0 is not optimal and
+    # whose candidate after the first release is infeasible, so that its
+    # first iteration is a blocking step from x0, spelled out here with the
+    # step helpers and fresh factorizations.
     rng = np.random.default_rng(seed)
-    problem = random_problem(rng, n_endmembers=12, n_bands=30)
-    shifted = shift_problem(problem)
     tol = SolverConfig().primal_tol
-    first = uniform_probe(shifted)
-    assert 0 < np.count_nonzero(first < -tol) <= 4
-    free, x0 = support_start(shifted, first)
-    candidate = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, free)
-    assert candidate.free_values.min() < -tol
-    state = active_set.ActiveSetState(free, np.setdiff1d(np.arange(12), free), x0)
+    while True:
+        problem = random_problem(rng, n_endmembers=12, n_bands=30)
+        shifted = shift_problem(problem)
+        supports, x0 = refined_start(shifted)
+        if not supports:
+            continue
+        free = supports[-1]
+        start = active_set.ActiveSetState(free, np.setdiff1d(np.arange(12), free), x0)
+        sub = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, free)
+        mu = active_set.lagrange_multipliers(shifted, sub, start.free, start.active)
+        state = active_set.release_from_active(start, mu, SolverConfig().dual_tol)
+        if state is None:
+            continue
+        candidate = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, state.free)
+        if candidate.free_values.min() < -tol:
+            break
     step, blocking = active_set.max_feasible_step(state, candidate)
     direction = np.zeros(12)
-    direction[free] = candidate.free_values - x0[free]
+    direction[state.free] = candidate.free_values - x0[state.free]
     expected = active_set.transfer_to_active(state, step, direction, blocking)
     capped = SolverConfig(max_outer_iterations=1)
     job = BatchJob(problem.library, problem.measurement[:, None], problem.lower_bounds, capped)
