@@ -80,12 +80,13 @@ for step_number in range(1, 30):
 
 # The walk above refactorizes every free set. The solver instead keeps one
 # system per solve, which owns the free set: the factor L with the forward
-# solves L^-1 [g_F, 1]. Its first solve factorizes the free set; after that
-# a release adds the freed column last, joining the factor at the next
-# solve, and a pin removes a variable's column wherever it sits, so the
-# factor's columns follow the order in which the variables were freed
-# rather than the sorted free set. Each solve on it is two dot products and
-# one back-substitution.
+# solves L^-1 [g_F, 1]. Its first solve factorizes the free set, and only
+# growth is an update: a release adds the freed column last, joining the
+# factor at the next solve, so the factor's columns follow the order in
+# which the variables were freed rather than the sorted free set. A pin
+# takes a variable out of the free set wherever it sits, and the next solve
+# refactorizes the smaller set, as a refinement step does. Each solve on it
+# is two dot products and one back-substitution.
 kept = KeptSystem(shifted.gram, shifted.linear, [2, 0])
 kept.solve(shifted.budget)
 kept.add(4)
@@ -93,9 +94,10 @@ kept.solve(shifted.budget)
 print("\nfree set [2, 0] plus a released 4: appended factor == factorize([2, 0, 4]):",
       np.allclose(kept.lower, factorize(shifted.gram, [2, 0, 4]), rtol=0, atol=1e-12))
 kept.remove(2)
-print("then variable 2 pinned: free set", kept.free, "and factor == factorize([0, 4]):",
-      np.allclose(kept.lower, factorize(shifted.gram, [0, 4]), rtol=0, atol=1e-12))
 sub = kept.solve(shifted.budget)
+print("then variable 2 pinned: free set", kept.free, "and factor at the next solve"
+      " == factorize([0, 4]):",
+      np.allclose(kept.lower, factorize(shifted.gram, [0, 4]), rtol=0, atol=1e-12))
 fresh = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, [0, 4])
 print("its solve == solve_subproblem on [0, 4]:",
       np.allclose(sub.free_values, fresh.free_values, rtol=0, atol=1e-12)

@@ -54,10 +54,10 @@ rounds, which also run the refinement solves:
   one back-substitution. A refining solve gets a fresh system on each free
   set it refines on, which factorizes at its solve, and keeps the last;
   the vertex's system factorizes its two-column block after its first
-  release. After that a system is only modified: step 2 removes the
-  pinned variable's column where it sits and step 3 adds the released one
-  last, each ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a
-  refactorization;
+  release. Only growth is an update: step 3 adds the released variable
+  last, and the next solve appends its column in ``O(|F|^2)`` instead of
+  the ``O(|F|^3)`` of a refactorization; a pin in step 2, like a
+  refinement, refactorizes the smaller free set at the next solve;
 - below it a solve keeps no factor, and a round solves the subproblems of
   all its problems with :func:`unmix.kkt.solve_stacked` on the rows of the
   free mask: one LAPACK call per padded ``P x P`` block over a stack, and
@@ -576,8 +576,6 @@ def _solve_lockstep(problems: ShiftedRows, config: SolverConfig) -> list:
     feasible candidate, refines its start or takes the blocking step: on
     the back end that P selects, with each row's arithmetic kept.
     """
-    if not len(problems):
-        return []
     state = _Slice(problems, config)
     state.start()
     results = state.results

@@ -16,22 +16,20 @@ multiplier is ``lam = (z_1 . z_g - s) / (z_1 . z_1)``, and ``x_F`` takes one
 back-substitution, ``L^T x_F = z_g - lam z_1``.
 
 The active-set loop keeps one such system per solve, a :class:`KeptSystem`
-that owns the free set and holds ``L`` and ``Z``, and modifies both in
-place of refactorizing (Gill, Golub, Murray & Saunders, *Methods for
-modifying matrix factorizations*, Math. Comp. 1974). Every factor event of
-a solve happens here. The system's first solve factorizes its free set,
-unless it adopted a factor. The uniform start needs no system: every probe
-of a library, the candidate on every variable, is solved with
-:func:`solve_uniform` from the one factor of the full Gram matrix that
-:func:`uniform_start` makes. When a variable is pinned,
-:meth:`KeptSystem.remove` deletes its column by Givens
-re-triangularization of the trailing block and rotates ``Z`` with the same
-rotations; when one is released, :meth:`KeptSystem.add` puts it last,
+that owns the free set and holds ``L`` and ``Z``. Every factor event of a
+solve happens here. Only growth is an update (Gill, Golub, Murray &
+Saunders, *Methods for modifying matrix factorizations*, Math. Comp.
+1974): when a variable is released, :meth:`KeptSystem.add` puts it last,
 and the next solve appends its column with one triangular solve, which
-also gives the new row of ``Z``. Each costs ``O(|F|^2)`` instead of the
-``O(|F|^3)`` of a fresh :func:`factorize`. The factor's
-columns therefore follow the order of the moves, not the sorted free set.
-All three routes apply the same rank test.
+also gives the new row of ``Z``, in ``O(|F|^2)`` instead of the
+``O(|F|^3)`` of a fresh :func:`factorize`. The factor's columns therefore
+follow the order of the moves, not the sorted free set. The system's first
+solve factorizes its free set, and so does the first after a pin, which
+:meth:`KeptSystem.remove` takes out of the free set, as each refinement
+step of the start does on its own smaller set. Both routes apply the same
+rank test. The uniform start needs no system: every probe of a library,
+the candidate on every variable, is solved with :func:`solve_uniform` from
+the one factor of the full Gram matrix that :func:`uniform_start` makes.
 
 The loop's other back end keeps no factor, only the free sets of a slice
 of solves as the rows of a ``(k, P)`` boolean mask. :func:`solve_stacked`
@@ -51,15 +49,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr_delete
 from scipy.linalg.blas import daxpy, ddot, dtrsm, dtrsv
 from scipy.linalg.lapack import dposv, dpotrf
 
 from .errors import EmptyFreeSet, RankDeficientLibrary
 
-# Recent scipy wraps qr_delete to broadcast over stacked matrices, which
-# doubles its cost on one small matrix; the factor is always a single one.
-_qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 _EPS = np.finfo(float).eps
 
 
@@ -131,15 +125,11 @@ def factorize(gram, free) -> np.ndarray:
             f"(leading minor of order {info} is not positive); the free columns "
             f"of the library are linearly dependent"
         )
-    _check_rank(lower, block.diagonal().max(), n)
-    return lower
-
-
-def _check_rank(lower, top, order):
-    pivot_floor = order * _EPS * max(top, 0.0)
+    pivot_floor = n * _EPS * max(block.diagonal().max(), 0.0)
     pivot = (lower.diagonal() ** 2).min()
     if pivot <= pivot_floor:
-        raise _rank_error(lower.shape[0], pivot, pivot_floor)
+        raise _rank_error(free.size, pivot, pivot_floor)
+    return lower
 
 
 def _rank_error(size, pivot, pivot_floor) -> RankDeficientLibrary:
@@ -155,42 +145,35 @@ class KeptSystem:
 
     ``free`` lists the free variables in the column order of ``L``: it is
     the order given, then :meth:`add` puts a variable last and
-    :meth:`remove` takes one out where it sits. Without ``lower`` the
-    first :meth:`solve` factorizes ``free``; a given ``lower``, the factor
-    of the block on ``free``, is adopted without a copy. A column added
-    since the last solve joins ``L`` and ``Z`` at the next one, so a solve
-    that is never made never pays for it.
+    :meth:`remove` takes one out where it sits. The first :meth:`solve`
+    factorizes ``free``, and so does the first after a :meth:`remove`. A
+    column added since the last solve joins ``L`` and ``Z`` at the next
+    one, so a solve that is never made never pays for it.
 
-    ``lower`` is replaced on each modification and never written in place,
-    so an adopted factor stays as it was given. ``forward`` is
-    ``Z = L^{-1} [g_F, 1]``, of shape ``(|F|, 2)``. ``diagonal`` lists the
-    diagonal of the factorized block and ``top`` is its maximum, which sets
-    the pivot floor ``P * eps * top`` of the rank test.
+    ``lower`` is None until a solve factorizes, and is replaced on each
+    append, never written in place. ``forward`` is
+    ``Z = L^{-1} [g_F, 1]``, of shape ``(|F|, 2)``, and ``top`` is the
+    largest diagonal entry of the factorized block, which sets the pivot
+    floor ``P * eps * top`` of the rank test.
     """
 
-    __slots__ = ("gram", "linear", "order", "free", "lower", "forward", "diagonal", "top")
+    __slots__ = ("gram", "linear", "order", "free", "lower", "forward", "top")
 
-    def __init__(self, gram, linear, free, lower=None):
+    def __init__(self, gram, linear, free):
         self.gram = np.asarray(gram, dtype=float)
         self.linear = np.asarray(linear, dtype=float)
         self.order = self.gram.shape[0]
         self.free = _integer_indices(free)
         self.lower = None
-        if lower is not None:
-            self._adopt(lower)
-
-    def _adopt(self, lower) -> None:
-        self.lower = lower
-        self.diagonal = self.gram.diagonal().take(self.free).tolist()
-        self.top = max(self.diagonal)
-        self.forward = np.empty((self.free.size, 2), order="F")
-        self.forward[:, 0] = dtrsv(lower, self.linear.take(self.free), lower=1)
-        self.forward[:, 1] = dtrsv(lower, np.ones(self.free.size), lower=1)
 
     def _catch_up(self) -> None:
-        """Factorize ``free`` on first use, then append the columns added since."""
+        """Factorize ``free`` if there is no factor, then append the columns added since."""
         if self.lower is None:
-            self._adopt(factorize(self.gram, self.free))
+            self.lower = lower = factorize(self.gram, self.free)
+            self.top = self.gram.diagonal().take(self.free).max()
+            self.forward = np.empty((self.free.size, 2), order="F")
+            self.forward[:, 0] = dtrsv(lower, self.linear.take(self.free), lower=1)
+            self.forward[:, 1] = dtrsv(lower, np.ones(self.free.size), lower=1)
         while self.lower.shape[0] < self.free.size:
             self._append(self.free[self.lower.shape[0]])
 
@@ -199,28 +182,26 @@ class KeptSystem:
         self.free = np.concatenate((self.free, [index]))
 
     def remove(self, index) -> None:
-        """Pin variable ``index``: delete its column wherever it sits.
+        """Pin variable ``index``: take it out of ``free`` where it sits.
+
+        The factor is dropped, and the next solve factorizes the smaller
+        free set, as a refinement step does; a rank failure of that set
+        surfaces there.
 
         Raises
         ------
-        RankDeficientLibrary
-            If the reduced factor fails the rank test, as :func:`factorize`
-            would report, or a column added since the last solve does. The
-            system then keeps ``index``.
         EmptyFreeSet
             If ``index`` is the only free variable.
         IndexError
             If ``index`` is not free.
         """
         kept = self.free != index
-        position = int(kept.argmin())
-        if kept[position]:
+        if kept.all():
             raise IndexError(f"variable {index} is not free")
         if kept.size == 1:
             raise EmptyFreeSet("removing the only free variable would leave an empty free set")
-        self._catch_up()
-        self._delete(position)
         self.free = self.free[kept]
+        self.lower = None
 
     def _append(self, new) -> None:
         """Add the column of variable ``new`` last, without refactorizing.
@@ -255,32 +236,7 @@ class KeptSystem:
         forward[size, 0] = (self.linear.item(new) - ddot(cross, self.forward[:, 0])) / root
         forward[size, 1] = (1.0 - ddot(cross, self.forward[:, 1])) / root
         self.lower, self.forward = lower, forward
-        self.diagonal.append(corner)
         self.top = max(self.top, corner)
-
-    def _delete(self, k) -> None:
-        """Remove the column at position ``k`` of the factor.
-
-        Columns before ``k`` keep their rows of ``L``; the trailing block is
-        re-triangularized by Givens rotations, ``L_{-k}^T = Q R``, and with
-        ``D`` the signs that make the new diagonal positive,
-        ``L' = (D R)^T`` and ``Z' = D (Q^T Z)`` without the last row. The
-        new factor passes the rank test of the reduced block, or the factor
-        is left as it was.
-        """
-        size = self.lower.shape[0]
-        # The upper factor L^T minus its column k is upper Hessenberg from row k
-        # on; its QR factor, less the zero last row, is the new upper factor.
-        rotation, upper = _qr_delete(np.eye(size), self.lower.T, k, which="col",
-                                     check_finite=False)
-        signs = np.copysign(1.0, upper.diagonal())[:, None]
-        lower = (upper[:-1] * signs).T
-        diagonal = self.diagonal[:k] + self.diagonal[k + 1:]
-        top = self.top if self.diagonal[k] < self.top else max(diagonal)
-        _check_rank(lower, top, self.order)
-        self.lower = lower
-        self.forward = (self.forward.T @ rotation).T[:-1] * signs  # in column order
-        self.diagonal, self.top = diagonal, top
 
     def solve(self, budget) -> SubproblemSolution:
         """The subproblem on this free set with sum ``budget``.

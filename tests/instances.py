@@ -12,13 +12,16 @@ from collections import Counter
 import numpy as np
 
 from unmix import (
+    Solution,
     SolverConfig,
     SolveStatus,
     SpectralLibrary,
+    UnmixError,
     UnmixingProblem,
     objective_value,
     shift_problem,
     solve_subproblem,
+    unmix,
 )
 from unmix.active_set import _STACKED_BELOW
 from unmix.kkt import solve_stacked, solve_uniform, uniform_start
@@ -110,3 +113,31 @@ def counted_starts(library, pixels, bounds, solutions):
     return Counter(
         start_taken(shift_problem(UnmixingProblem(library, pixels[:, column], bounds)), solution)
         for column, solution in enumerate(solutions))
+
+
+def field_bytes(value):
+    """A ``Solution`` field as bytes, so that equal means bit-equal."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, tuple):
+        return np.asarray(value, dtype=float).tobytes()
+    return value
+
+
+def assert_matches_unmix(solutions, library, pixels, bounds, config):
+    """Each batch slot equals ``unmix`` of its column, or its error message."""
+    assert len(solutions) == pixels.shape[1]
+    for column, batched in enumerate(solutions):
+        problem = UnmixingProblem(library, pixels[:, column], bounds)
+        try:
+            single = unmix(problem, config)
+        except UnmixError as exc:
+            assert batched.status is SolveStatus.FAILED
+            assert batched.message == f"{type(exc).__name__}: {exc}"
+            assert np.isnan(batched.abundances).all()
+            continue
+        for name in Solution.__dataclass_fields__:
+            assert field_bytes(getattr(batched, name)) == field_bytes(getattr(single, name)), \
+                (column, name)

@@ -167,9 +167,11 @@ def test_downdate_at_every_position_factors_the_reduced_block():
             system.remove(free[position])
             reduced = np.delete(free, position)
             np.testing.assert_array_equal(system.free, reduced)
+            assert system.lower is None  # refactorized at the next solve
+            system.solve(1.0)
             _assert_factors_block(system, gram, reduced)
             _assert_forward_solves(system, gram, linear, reduced)
-            np.testing.assert_array_equal(system.diagonal, gram.diagonal()[reduced])
+            assert system.top == gram.diagonal()[reduced].max()
 
 
 def test_chain_of_downdates_down_to_one_column():
@@ -182,6 +184,7 @@ def test_chain_of_downdates_down_to_one_column():
             position = int(rng.integers(free.size))
             system.remove(free[position])
             free = np.delete(free, position)
+            system.solve(1.0)
             _assert_factors_block(system, gram, free)
             _assert_forward_solves(system, gram, linear, free)
             assert system.top == gram.diagonal()[free].max()
@@ -205,18 +208,21 @@ def test_downdated_factor_gives_the_fresh_subproblem_solution():
 
 def test_near_dependent_pair_is_rank_deficient_on_both_paths():
     # Library columns a0 = (1, 0, 0) and a2 = (1, 0, 1e-9) are near-dependent;
-    # a1 sits between them. The factor is built by hand because factorize
-    # rejects the block, so removing a1 exercises the deletion's own rank test.
+    # a1 sits between them. Pinning a1 leaves the pair, which the next kept
+    # solve factorizes and rejects, as the stacked solve rejects its mask.
     lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1e-9]])
     gram = lower @ lower.T
-    system = KeptSystem(gram, np.zeros(3), [0, 1, 2], lower)
-    forward = system.forward
-    with pytest.raises(RankDeficientLibrary):
-        system.remove(1)
-    assert system.lower is lower and system.forward is forward
-    np.testing.assert_array_equal(system.free, [0, 1, 2])
-    with pytest.raises(RankDeficientLibrary):
+    system = KeptSystem(gram, np.zeros(3), [0, 1, 2])
+    system.remove(1)
+    np.testing.assert_array_equal(system.free, [0, 2])
+    with pytest.raises(RankDeficientLibrary) as kept:
+        system.solve(1.0)
+    _, _, failures = solve_stacked(gram, np.array([[True, False, True]]), np.zeros((1, 3)),
+                                   np.ones(1))
+    assert list(failures) == [0]
+    with pytest.raises(RankDeficientLibrary) as fresh:
         factorize(gram, [0, 2])
+    assert str(kept.value) == str(failures[0]) == str(fresh.value)
     with pytest.raises(RankDeficientLibrary):
         factorize(gram, [0, 1, 2])
 
@@ -244,7 +250,6 @@ def test_appends_reproduce_the_block_in_factor_order(n_bands, n_endmembers):
         _assert_factors_block(system, gram, order[:size + 1])
         _assert_forward_solves(system, gram, linear, order[:size + 1])
         assert system.order == n_endmembers
-        np.testing.assert_array_equal(system.diagonal, gram.diagonal()[order[:size + 1]])
         assert system.top == gram.diagonal()[order[:size + 1]].max()
 
 
@@ -274,7 +279,8 @@ def test_appending_a_duplicate_or_an_excess_column_is_rank_deficient():
         full.add(n_bands)
         with pytest.raises(RankDeficientLibrary):  # the (N+1)-th column
             full.solve(1.0)
-        assert len(full.diagonal) == n_bands and full.lower.shape == (n_bands, n_bands)
+        assert full.lower.shape == (n_bands, n_bands)  # the factor is left as it was
+        assert full.top == gram.diagonal()[:n_bands].max()
         duplicate = _kept(gram, [0])
         duplicate.add(n_bands + 1)
         with pytest.raises(RankDeficientLibrary):  # a duplicate of column 0
@@ -301,7 +307,8 @@ def test_a_larger_diagonal_raises_the_floor_above_an_old_pivot():
 
 def test_kept_system_follows_a_chain_of_appends_and_deletes():
     # Random releases and pins on a 224-band library at P=60: after each
-    # move the forward solves are those of the new factor, and the solve
+    # move's solve, which appends a released column or refactorizes after a
+    # pin, the forward solves are those of the new factor, and the solve
     # equals a fresh factorization of the free set in the system's order.
     rng = np.random.default_rng(21)
     entries = rng.random((224, 60))
@@ -324,8 +331,7 @@ def test_kept_system_follows_a_chain_of_appends_and_deletes():
         np.testing.assert_array_equal(system.free, free)
         _assert_factors_block(system, gram, free)
         _assert_forward_solves(system, gram, linear, free)
-        fresh_system = KeptSystem(gram, linear, free, factorize(gram, free))
-        fresh = solve_subproblem(gram, linear, budget, free, factor=fresh_system)
+        fresh = solve_subproblem(gram, linear, budget, free)
         np.testing.assert_allclose(kept.free_values, fresh.free_values, rtol=0, atol=1e-9)
         assert kept.multiplier == pytest.approx(fresh.multiplier, abs=1e-9)
         top, bottom = _bordered_residual(gram, linear, budget, free, kept)
@@ -344,6 +350,7 @@ def test_remove_deletes_the_variables_column_wherever_it_sits():
         system.remove(variable)
         reduced = free[free != variable]
         np.testing.assert_array_equal(system.free, reduced)
+        system.solve(1.0)
         _assert_factors_block(system, gram, reduced)
         _assert_forward_solves(system, gram, linear, reduced)
 
@@ -365,23 +372,9 @@ def test_an_added_column_joins_the_factor_at_the_next_solve():
     system.add(6)
     system.remove(9)
     np.testing.assert_array_equal(system.free, [4, 1, 6])
+    system.solve(0.5)
     _assert_factors_block(system, gram, [4, 1, 6])
     _assert_forward_solves(system, gram, linear, [4, 1, 6])
-
-
-def test_a_given_factor_is_adopted_as_the_first_solve_would_build_it():
-    rng = np.random.default_rng(24)
-    entries = rng.random((30, 12))
-    gram = entries.T @ entries
-    linear = entries.T @ rng.random(30)
-    free = [3, 8, 0, 6]
-    lower = factorize(gram, free)
-    adopted = KeptSystem(gram, linear, free, lower)
-    assert adopted.lower is lower
-    lazy = _kept(gram, free, linear)
-    np.testing.assert_array_equal(adopted.lower, lazy.lower)
-    np.testing.assert_array_equal(adopted.forward, lazy.forward)
-    assert adopted.diagonal == lazy.diagonal and adopted.top == lazy.top
 
 
 def test_stacked_solves_match_the_kept_system_and_not_the_stack():

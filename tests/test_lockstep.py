@@ -22,7 +22,6 @@ from unmix import (
     SolverConfig,
     SolveStatus,
     SpectralLibrary,
-    UnmixError,
     UnmixingProblem,
     brute_force_solve,
     shift_problem,
@@ -30,39 +29,12 @@ from unmix import (
     unmix_batch,
     verify_kkt,
 )
-from instances import counted_starts, refined_start
+from instances import assert_matches_unmix, counted_starts, field_bytes, refined_start
 
 
 batch_module = importlib.import_module("unmix.batch")
 # Libraries with fewer endmembers solve each round in stacked calls.
 CROSSOVER = importlib.import_module("unmix.active_set")._STACKED_BELOW
-
-
-def _bytes(value):
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, float):
-        return np.float64(value).tobytes()
-    if isinstance(value, tuple):
-        return np.asarray(value, dtype=float).tobytes()
-    return value
-
-
-def _assert_matches_unmix(solutions, library, pixels, bounds, config):
-    """Each batch slot equals ``unmix`` of its column, or its error message."""
-    assert len(solutions) == pixels.shape[1]
-    for column, batched in enumerate(solutions):
-        problem = UnmixingProblem(library, pixels[:, column], bounds)
-        try:
-            single = unmix(problem, config)
-        except UnmixError as exc:
-            assert batched.status is SolveStatus.FAILED
-            assert batched.message == f"{type(exc).__name__}: {exc}"
-            assert np.isnan(batched.abundances).all()
-            continue
-        for name in Solution.__dataclass_fields__:
-            assert _bytes(getattr(batched, name)) == _bytes(getattr(single, name)), \
-                (column, name)
 
 
 @st.composite
@@ -126,7 +98,7 @@ def batches(draw):
 def test_lockstep_batch_equals_per_pixel_solves(batch):
     library, pixels, bounds, config = batch
     solutions = unmix_batch(BatchJob(library, pixels, bounds, config))
-    _assert_matches_unmix(solutions, library, pixels, bounds, config)
+    assert_matches_unmix(solutions, library, pixels, bounds, config)
     for column, solution in enumerate(solutions):
         # Sorted although each solve keeps its free set in its factor's order.
         assert (np.diff(solution.final_free) > 0).all()
@@ -164,7 +136,7 @@ def test_lockstep_breaks_exact_ties_like_the_per_pixel_path():
     for tie_seed in range(4):
         config = SolverConfig(tie_break="random", tie_seed=tie_seed)
         solutions = unmix_batch(BatchJob(library, pixels, config=config))
-        _assert_matches_unmix(solutions, library, pixels, None, config)
+        assert_matches_unmix(solutions, library, pixels, None, config)
         paths.add(solutions[0].outer_iterations)
     assert paths == {2, 3}
 
@@ -183,7 +155,7 @@ def test_lockstep_equals_per_pixel_solves_on_a_224_band_library(n_endmembers):
     solutions = unmix_batch(BatchJob(library, pixels, bounds))
     assert batch_module._SLICE_FACTOR_BYTES // (8 * n_endmembers**2) < 80
     assert sum(s.status is SolveStatus.OPTIMAL for s in solutions) == 159
-    _assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
+    assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -207,7 +179,7 @@ def test_a_wide_library_fails_only_the_pixel_whose_optimum_needs_more_bands(seed
     with pytest.raises(RankDeficientLibrary) as raised:
         unmix(UnmixingProblem(library, inside))
     assert solutions[1].message == f"RankDeficientLibrary: {raised.value}"
-    _assert_matches_unmix(solutions, library, pixels, None, SolverConfig())
+    assert_matches_unmix(solutions, library, pixels, None, SolverConfig())
 
 
 def _clip_instance():
@@ -235,7 +207,7 @@ def test_tied_coordinate_that_lands_below_zero_is_clipped():
     assert single.shifted_abundances.min() >= 0.0
     pixels = np.column_stack([tied, -tied[::-1], tied])
     solutions = unmix_batch(BatchJob(library, pixels, config=config))
-    _assert_matches_unmix(solutions, library, pixels, None, config)
+    assert_matches_unmix(solutions, library, pixels, None, config)
 
 
 _MAX = np.finfo(float).max
@@ -268,7 +240,7 @@ def test_batch_equals_unmix_at_the_edges_of_the_shift(entries, pixel, bounds, fa
         if bounds is not None and bounds.sum() < 1.0:
             assert np.isinf(pixel - library.entries @ bounds).all()
         solutions = unmix_batch(BatchJob(library, pixels, bounds))
-        _assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
+        assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
     assert [s.message or None for s in solutions] == failures
     if bounds is not None and bounds.sum() == 1.0:
         assert all(s.outer_iterations == 0 for s in solutions)
@@ -367,7 +339,7 @@ def test_a_pixel_answer_does_not_depend_on_its_slice(monkeypatch, n_endmembers, 
         monkeypatch.setattr(batch_module, "_SLICE_FACTOR_BYTES",
                             default if width is None else width * 8 * n_endmembers**2)
         solutions = unmix_batch(BatchJob(library, pixels, bounds))
-        _assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
+        assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
         starts = counted_starts(library, pixels, bounds, solutions)
         assert starts == {"uniform": 4, "refined": 9}, starts
 
@@ -392,4 +364,4 @@ def test_bad_pixels_in_the_middle_of_a_slice_fail_alone():
     reference = unmix_batch(BatchJob(library, pixels[:, good]))
     for batched, alone in zip([solutions[column] for column in good], reference):
         for name in Solution.__dataclass_fields__:
-            assert _bytes(getattr(batched, name)) == _bytes(getattr(alone, name)), name
+            assert field_bytes(getattr(batched, name)) == field_bytes(getattr(alone, name)), name
