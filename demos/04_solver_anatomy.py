@@ -4,8 +4,9 @@ Shows the three moves the solver alternates between - the equality-
 constrained solve, the blocking step that pins a variable at zero, and the
 multiplier check that releases one - from the uniform start, then how the
 solver keeps one Cholesky factor and its forward solves through a release
-and a pin, the start the solver itself refines from its first solve, its
-monotone objective trace and a cross-check against the exhaustive oracle.
+and drops it on a pin, the start the solver itself refines from its first
+solve, its monotone objective trace and a cross-check against the
+exhaustive oracle.
 """
 
 from dataclasses import replace
@@ -78,25 +79,24 @@ for step_number in range(1, 30):
         print("  infeasible; step %.4f pins variable %d" % (step, blocking))
     print("  objective now %.6f" % objective_value(shifted, state.iterate))
 
-# The walk above refactorizes every free set. The solver instead keeps one
-# system per solve, which owns the free set: the factor L with the forward
-# solves L^-1 [g_F, 1]. Its first solve factorizes the free set, and only
-# growth is an update: a release adds the freed column last, joining the
-# factor at the next solve, so the factor's columns follow the order in
-# which the variables were freed rather than the sorted free set. A pin
-# takes a variable out of the free set wherever it sits, and the next solve
-# refactorizes the smaller set, as a refinement step does. Each solve on it
-# is two dot products and one back-substitution.
+# The walk above refactorizes every free set. The solver instead keeps, per
+# solve, a cache of the factor of its free set: a system holding the factor
+# L with the forward solves L^-1 [g_F, 1]. Its first solve factorizes the
+# free set, and only growth is an update: a release adds the freed column
+# last, joining the factor at the next solve, so the factor's columns follow
+# the order in which the variables were freed. A pin, like a refinement
+# step, drops the system, and the next solve builds a fresh one on the
+# sorted free set, which factorizes it. Each solve on a system is two dot
+# products and one back-substitution.
 kept = KeptSystem(shifted.gram, shifted.linear, [2, 0])
 kept.solve(shifted.budget)
 kept.add(4)
 kept.solve(shifted.budget)
 print("\nfree set [2, 0] plus a released 4: appended factor == factorize([2, 0, 4]):",
       np.allclose(kept.lower, factorize(shifted.gram, [2, 0, 4]), rtol=0, atol=1e-12))
-kept.remove(2)
+kept = KeptSystem(shifted.gram, shifted.linear, [0, 4])
 sub = kept.solve(shifted.budget)
-print("then variable 2 pinned: free set", kept.free, "and factor at the next solve"
-      " == factorize([0, 4]):",
+print("then variable 2 pinned: a fresh system on the sorted free set [0, 4] factorizes it:",
       np.allclose(kept.lower, factorize(shifted.gram, [0, 4]), rtol=0, atol=1e-12))
 fresh = solve_subproblem(shifted.gram, shifted.linear, shifted.budget, [0, 4])
 print("its solve == solve_subproblem on [0, 4]:",

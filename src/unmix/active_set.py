@@ -46,18 +46,17 @@ vertices are array operations over the problems. After the start, the
 number of endmembers P selects one of two linear-algebra back ends for the
 rounds, which also run the refinement solves:
 
-- at ``P >= _STACKED_BELOW`` the loop keeps one
-  :class:`unmix.kkt.KeptSystem` per solve, which holds the free set of its
-  row of the mask in its factor's column order and makes every factor
-  event: the Cholesky factor of ``G_FF`` with the forward solves
-  ``L^{-1} [g_F, 1]``, so that each subproblem costs two dot products and
-  one back-substitution. A refining solve gets a fresh system on each free
-  set it refines on, which factorizes at its solve, and keeps the last;
-  the vertex's system factorizes its two-column block after its first
-  release. Only growth is an update: step 3 adds the released variable
-  last, and the next solve appends its column in ``O(|F|^2)`` instead of
-  the ``O(|F|^3)`` of a refactorization; a pin in step 2, like a
-  refinement, refactorizes the smaller free set at the next solve;
+- at ``P >= _STACKED_BELOW`` a solve keeps a
+  :class:`unmix.kkt.KeptSystem`, a cache of the factor of its row of the
+  mask, which makes every factor event: the Cholesky factor of ``G_FF``
+  with the forward solves ``L^{-1} [g_F, 1]``, so that each subproblem
+  costs two dot products and one back-substitution. Only growth is an
+  update: step 3 adds the released variable last, and the next solve
+  appends its column in ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a
+  refactorization. A pin in step 2 and each refinement of the start drop
+  the system, and a solve that has none builds one on its mask, sorted,
+  which factorizes at that solve, as the vertex's does after its first
+  release;
 - below it a solve keeps no factor, and a round solves the subproblems of
   all its problems with :func:`unmix.kkt.solve_stacked` on the rows of the
   free mask: one LAPACK call per padded ``P x P`` block over a stack, and
@@ -285,7 +284,8 @@ class _Slice:
     subproblems solved since the start (``iteration``), the objective
     ``trace``, empty while the row refines its start, the tie-break
     ``rngs`` and, at and above :data:`_STACKED_BELOW` endmembers, the
-    :class:`KeptSystem` in ``systems`` whose free set the mask mirrors.
+    :class:`KeptSystem` in ``systems`` that caches the factor of its row of
+    ``free``, or None where a pin or a refinement dropped it.
     ``bands`` is the number of spectral bands when it is below P, the most
     free variables a full-rank block can have, and None otherwise.
     ``results`` receives each row's :class:`Solution` or error.
@@ -359,19 +359,16 @@ class _Slice:
 
     def refine(self, rows: list, candidates) -> None:
         """Free, for each row ``rows[k]``, only the strictly positive entries
-        of its infeasible probe or candidate, row ``k`` of ``candidates``; on
-        the kept back end the row gets a fresh :class:`KeptSystem` there,
-        which factorizes at its next solve.
+        of its infeasible probe or candidate, row ``k`` of ``candidates``, and
+        drop its :class:`KeptSystem`, if any.
 
         Each such free set is a strict subset of the last, and never empty,
         since the candidate sums to the positive budget, so a row refines at
         most P times before its candidate is feasible and accepted as
         iteration 0. Until then its trace is empty."""
         self.free[rows] = candidates > 0.0
-        if self.kept:
-            for r in rows:
-                self.systems[r] = KeptSystem(self.gram, self.linear[r],
-                                             np.flatnonzero(self.free[r]))
+        for r in rows:
+            self.systems[r] = None
 
     def _vertex(self, rows: list) -> None:
         """Start ``rows`` at their best vertices ``s e_i``, which minimize
@@ -385,8 +382,6 @@ class _Slice:
             self.free[r, i] = True
             candidates[k, i] = sk
             subs.append(SubproblemSolution(None, self.linear.item(r, i) - sk * diagonal.item(i)))
-            if self.kept:
-                self.systems[r] = KeptSystem(self.gram, self.linear[r], [i])
         self.accept(rows, candidates, subs)
 
     def capped(self, r: int, cap: int) -> Solution:
@@ -458,7 +453,7 @@ class _Slice:
             return
         self.iterate[r] = x
         self.free[r, released] = True
-        if self.kept:
+        if self.systems[r] is not None:
             self.systems[r].add(released)
 
     def block(self, rows: list, candidates) -> None:
@@ -467,8 +462,9 @@ class _Slice:
         set, with the ratio test, the tie-break and the iterate update
         stacked. Pinned coordinates hold 0 in both the candidate and the
         iterate, so they never move or block. A row that cannot take the
-        step gets its error. A row still refining its start has no iterate
-        to step from, and :meth:`refine` shrinks its free set instead."""
+        step gets its error; one that takes it drops its :class:`KeptSystem`,
+        if any. A row still refining its start has no iterate to step from,
+        and :meth:`refine` shrinks its free set instead."""
         refining = [k for k, r in enumerate(rows) if not self.trace[r]]
         if refining:
             self.refine([rows[k] for k in refining], candidates.take(refining, axis=0))
@@ -492,17 +488,13 @@ class _Slice:
         np.maximum(advanced, 0.0, out=advanced)
         moved = []
         for k, r in enumerate(rows):
-            try:
-                if not can_block[k]:
-                    raise NoBlockingIndex(_NO_BLOCKING)
-                if self.rngs[r] is not None:
-                    blocking[k] = int(self.rngs[r].choice(np.flatnonzero(tied[k])))
-                if self.kept:
-                    self.systems[r].remove(blocking[k])
-            except UnmixError as exc:
-                self.results[r] = exc
+            if not can_block[k]:
+                self.results[r] = NoBlockingIndex(_NO_BLOCKING)
                 continue
+            if self.rngs[r] is not None:
+                blocking[k] = int(self.rngs[r].choice(np.flatnonzero(tied[k])))
             self.free[r, blocking[k]] = False
+            self.systems[r] = None
             advanced[k, blocking[k]] = 0.0
             moved.append(k)
         if moved:
@@ -514,12 +506,15 @@ class _Slice:
 
     def solve_kept(self, rows: list) -> None:
         """A round on the kept back end: each row solves its subproblem on
-        its own :class:`KeptSystem` and prices a feasible candidate at once;
-        the rows whose candidate is infeasible take the blocking step
-        together."""
+        its own :class:`KeptSystem`, built on its mask if it has none, and
+        prices a feasible candidate at once; the rows whose candidate is
+        infeasible take the blocking step together."""
         blocked, candidates = [], []
         for r in rows:
             system, linear = self.systems[r], self.linear[r]
+            if system is None:
+                system = self.systems[r] = KeptSystem(self.gram, linear,
+                                                      np.flatnonzero(self.free[r]))
             try:
                 sub = solve_subproblem(self.gram, linear, self.budget[r], system.free,
                                        factor=system)

@@ -20,7 +20,7 @@ from .model import precompute_gram  # noqa: F401  (re-exported)
 from .shift import _shift_measurements, _shift_terms, shift_problem, unshift_solution
 
 # A slice bounds what its pixels own at once: their stacked shifted rows
-# (targets, linear terms and constants), and P x P blocks of 8 P^2 bytes
+# (linear terms and constants), and P x P blocks of 8 P^2 bytes
 # each. Below active_set._STACKED_BELOW endmembers these are the stacked
 # (k, P, P) arrays of a round: the padded Grams, which LAPACK overwrites
 # with their factors; at and above it, the factors the pixels make
@@ -121,11 +121,11 @@ def _solve_pixels(job: BatchJob):
         measurements = job.pixels[:, begin:begin + width]
         k = measurements.shape[1]
         try:
-            targets, linear, const, failures = _shift_measurements(lib, measurements, offset)
+            linear, const, failures = _shift_measurements(lib, measurements, offset)[1:]
         except UnmixError as exc:  # the library's Gram overflows: every pixel fails
             shifted, failures = None, {j: type(exc)(str(exc)) for j in range(k)}
         else:
-            shifted = ShiftedRows(lib.gram, linear, np.full(k, budget), targets, const, lib)
+            shifted = ShiftedRows(lib.gram, linear, np.full(k, budget), lib.n_bands, const, lib)
         # A measurement's length is the job's; a non-finite one reports that first.
         failures.update(_nonfinite_rows(measurements.T, "measurement"))
         live = [j for j in range(k) if j not in failures]

@@ -15,21 +15,22 @@ hand, ``1^T G_FF^{-1} 1`` is the sum of squares ``z_1 . z_1``, the
 multiplier is ``lam = (z_1 . z_g - s) / (z_1 . z_1)``, and ``x_F`` takes one
 back-substitution, ``L^T x_F = z_g - lam z_1``.
 
-The active-set loop keeps one such system per solve, a :class:`KeptSystem`
-that owns the free set and holds ``L`` and ``Z``. Every factor event of a
-solve happens here. Only growth is an update (Gill, Golub, Murray &
-Saunders, *Methods for modifying matrix factorizations*, Math. Comp.
-1974): when a variable is released, :meth:`KeptSystem.add` puts it last,
-and the next solve appends its column with one triangular solve, which
-also gives the new row of ``Z``, in ``O(|F|^2)`` instead of the
-``O(|F|^3)`` of a fresh :func:`factorize`. The factor's columns therefore
-follow the order of the moves, not the sorted free set. The system's first
-solve factorizes its free set, and so does the first after a pin, which
-:meth:`KeptSystem.remove` takes out of the free set, as each refinement
-step of the start does on its own smaller set. Both routes apply the same
-rank test. The uniform start needs no system: every probe of a library,
-the candidate on every variable, is solved with :func:`solve_uniform` from
-the one factor of the full Gram matrix that :func:`uniform_start` makes.
+The active-set loop keeps at most one such system per solve, a
+:class:`KeptSystem` that holds the free set in its factor's column order,
+``L`` and ``Z``: a cache of the factor, since the loop's mask holds the
+free set. Every factor event of a solve happens here. Only growth is an
+update (Gill, Golub, Murray & Saunders, *Methods for modifying matrix
+factorizations*, Math. Comp. 1974): when a variable is released,
+:meth:`KeptSystem.add` puts it last, and the next solve appends its column
+with one triangular solve, which also gives the new row of ``Z``, in
+``O(|F|^2)`` instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The
+factor's columns therefore follow the order of the moves. A pin, like a
+refinement step of the start, drops the system, and the next solve builds
+a fresh one on the sorted free set, whose first solve factorizes it. Both
+routes apply the same rank test. The uniform start needs no system: every
+probe of a library, the candidate on every variable, is solved with
+:func:`solve_uniform` from the one factor of the full Gram matrix that
+:func:`uniform_start` makes.
 
 The loop's other back end keeps no factor, only the free sets of a slice
 of solves as the rows of a ``(k, P)`` boolean mask. :func:`solve_stacked`
@@ -144,11 +145,11 @@ class KeptSystem:
     """One solve's free set ``F``, the factor ``L`` of ``G_FF`` and its forward solves.
 
     ``free`` lists the free variables in the column order of ``L``: it is
-    the order given, then :meth:`add` puts a variable last and
-    :meth:`remove` takes one out where it sits. The first :meth:`solve`
-    factorizes ``free``, and so does the first after a :meth:`remove`. A
-    column added since the last solve joins ``L`` and ``Z`` at the next
-    one, so a solve that is never made never pays for it.
+    the order given, then :meth:`add` puts a variable last. The first
+    :meth:`solve` factorizes ``free``. A column added since the last solve
+    joins ``L`` and ``Z`` at the next one, so a solve that is never made
+    never pays for it. Nothing takes a variable out: the active-set loop
+    drops the system on a pin and builds a fresh one on the smaller set.
 
     ``lower`` is None until a solve factorizes, and is replaced on each
     append, never written in place. ``forward`` is
@@ -180,28 +181,6 @@ class KeptSystem:
     def add(self, index) -> None:
         """Free variable ``index``: it becomes the last column at the next solve."""
         self.free = np.concatenate((self.free, [index]))
-
-    def remove(self, index) -> None:
-        """Pin variable ``index``: take it out of ``free`` where it sits.
-
-        The factor is dropped, and the next solve factorizes the smaller
-        free set, as a refinement step does; a rank failure of that set
-        surfaces there.
-
-        Raises
-        ------
-        EmptyFreeSet
-            If ``index`` is the only free variable.
-        IndexError
-            If ``index`` is not free.
-        """
-        kept = self.free != index
-        if kept.all():
-            raise IndexError(f"variable {index} is not free")
-        if kept.size == 1:
-            raise EmptyFreeSet("removing the only free variable would leave an empty free set")
-        self.free = self.free[kept]
-        self.lower = None
 
     def _append(self, new) -> None:
         """Add the column of variable ``new`` last, without refactorizing.

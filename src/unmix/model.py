@@ -90,16 +90,19 @@ def precompute_gram(library: SpectralLibrary) -> np.ndarray:
     """Read-only symmetrized ``A^T A`` of a library (or of a raw N x P array)."""
     if not isinstance(library, SpectralLibrary):
         library = SpectralLibrary(library)
-    gram = library.entries.T @ library.entries
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _symmetrized
+        gram = library.entries.T @ library.entries
     return _symmetrized(gram)
 
 
 def _symmetrized(gram) -> np.ndarray:
     """Read-only ``0.5 * (G + G^T)``, which must be finite.
 
-    Finite entries can still overflow, in ``A^T A`` or in the sum here.
+    Finite entries can still overflow, in ``A^T A`` or in the sum here; the
+    check reports it as NonFiniteInput, not a warning.
     """
-    gram = _frozen_array(0.5 * (gram + gram.T), 2, "gram")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _frozen_array(0.5 * (gram + gram.T), 2, "gram")
     _require_finite(gram, "gram")
     return gram
 
@@ -265,15 +268,15 @@ class ShiftedRows:
     would, and every row shares ``gram`` and ``library``.
 
     ``linear`` is ``(k, P)``, ``budget`` and ``const_term`` are ``(k,)`` and
-    ``shifted_target`` is ``(k, N)``, or None for problems stated without
-    a target. Nothing is checked: :func:`unmix.shift._shift_measurements`
+    ``n_bands`` is the length N of the targets, or None for problems stated
+    without one. Nothing is checked: :func:`unmix.shift._shift_measurements`
     reports the rows that are not finite, and only the others are solved.
     """
 
     gram: np.ndarray
     linear: np.ndarray
     budget: np.ndarray
-    shifted_target: np.ndarray | None
+    n_bands: int | None
     const_term: np.ndarray
     library: SpectralLibrary | None
 
@@ -282,7 +285,7 @@ class ShiftedRows:
         """The one row of ``shifted``."""
         target = shifted.shifted_target
         return cls(shifted.gram, shifted.linear[None], np.array([shifted.budget]),
-                   None if target is None else target[None], np.array([shifted.const_term]),
+                   None if target is None else target.size, np.array([shifted.const_term]),
                    shifted.library)
 
     def __len__(self) -> int:
@@ -290,18 +293,15 @@ class ShiftedRows:
 
     def take(self, rows) -> ShiftedRows:
         """The rows ``rows``, in that order."""
-        target = self.shifted_target
         return ShiftedRows(self.gram, self.linear.take(rows, axis=0), self.budget.take(rows),
-                           None if target is None else target.take(rows, axis=0),
-                           self.const_term.take(rows), self.library)
+                           self.n_bands, self.const_term.take(rows), self.library)
 
     @property
     def bands(self) -> int | None:
         """The number of spectral bands when it is below P, the most free
         variables a full-rank block can have; None otherwise."""
-        target = self.shifted_target
-        p = self.gram.shape[0]
-        return target.shape[1] if target is not None and target.shape[1] < p else None
+        n = self.n_bands
+        return n if n is not None and n < self.gram.shape[0] else None
 
     def uniform_start(self) -> tuple | str:
         """:func:`unmix.kkt.uniform_start` of this Gram: the library's own,

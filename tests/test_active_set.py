@@ -18,6 +18,7 @@ from unmix import (
 )
 from unmix.active_set import (
     ActiveSetState,
+    _Slice,
     initialize_state,
     lagrange_multipliers,
     max_feasible_step,
@@ -25,6 +26,7 @@ from unmix.active_set import (
     transfer_to_active,
 )
 from unmix.errors import NoBlockingIndex
+import unmix.kkt as kkt_module
 from instances import random_problem, refined_start
 
 
@@ -501,7 +503,7 @@ def test_kept_factor_pivots_like_fresh_solves_on_224_band_libraries():
     for _ in range(12):
         problem = random_problem(rng, n_endmembers=int(rng.integers(50, 151)), n_bands=224)
         pins += _assert_same_pivots(shift_problem(problem))[1]
-    assert pins > 0  # the downdate path was taken
+    assert pins > 0  # the blocking step was taken
 
 
 def test_kept_factor_pivots_like_fresh_solves_on_wide_libraries():
@@ -519,3 +521,56 @@ def test_kept_factor_pivots_like_fresh_solves_on_wide_libraries():
         assert (np.diff(solution.final_free) > 0).all()
         assert verify_kkt(shifted, solution.shifted_abundances, solution.eq_multiplier,
                           solution.ineq_multipliers).satisfied
+
+
+def test_the_kept_loop_factorizes_the_sorted_mask_after_every_pin_and_refinement(monkeypatch):
+    # One pixel at a time on the kept back end. Each pin and each refinement
+    # drops the row's system, so the next solve must factorize exactly the
+    # sorted free mask; a release must only append to the system, never
+    # factorize, and no pin or refinement may come before that factorization.
+    # 60 endmembers in 70 bands and noisy pixels make the solves walk.
+    rng = np.random.default_rng(36)
+    library = SpectralLibrary(rng.random((70, 60)))
+    problems = []
+    for _ in range(20):
+        pixel = library.entries @ rng.dirichlet(np.full(60, 0.3))
+        pixel += 0.05 * rng.standard_normal(70)
+        problems.append(shift_problem(UnmixingProblem(library, pixel)))
+    active_set_solve(problems[0])  # makes the library's start factor before the log
+    events = []
+    factorize = kkt_module.factorize
+
+    def logged_factorize(gram, free):
+        events.append(("factorize", list(free)))
+        return factorize(gram, free)
+
+    def log(name, moved):
+        method = getattr(_Slice, name)
+
+        def logged(self, *args):
+            before, refining = np.count_nonzero(self.free[0]), not self.trace[0]
+            method(self, *args)
+            change = np.count_nonzero(self.free[0]) - before
+            if self.results[0] is None and moved(change, refining):
+                events.append((name, np.flatnonzero(self.free[0]).tolist()))
+        monkeypatch.setattr(_Slice, name, logged)
+
+    monkeypatch.setattr(kkt_module, "factorize", logged_factorize)
+    log("refine", lambda change, refining: True)
+    log("block", lambda change, refining: change < 0 and not refining)  # a pin
+    log("price", lambda change, refining: change > 0)  # a release
+    for shifted in problems:
+        events.append(("pixel", None))
+        assert active_set_solve(shifted).status is SolveStatus.OPTIMAL
+    events.append(("pixel", None))
+    due = None  # the mask the next factorization must be of
+    for kind, free in events:
+        if kind == "factorize":
+            assert free == due, (free, due)
+            due = None
+        else:
+            assert due is None, (kind, due)  # the last pin or refinement factorized
+            due = free if kind in ("refine", "block") else None
+    counts = {kind: sum(event[0] == kind for event in events)
+              for kind in ("refine", "block", "price", "factorize")}
+    assert min(counts.values()) > 0, counts

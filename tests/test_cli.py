@@ -26,6 +26,20 @@ def _write(path, array):
     np.savetxt(path, np.atleast_2d(array), delimiter=",", fmt="%.17g")
 
 
+def _console(workspace, *argv, **environment):
+    """Run ``python -m unmix.cli`` on the workspace's files, with this
+    checkout's ``src`` first on the path and ``environment`` added."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    environment = {**os.environ, **environment, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "unmix.cli",
+         "--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+         "--output", str(workspace["out"]), *argv],
+        capture_output=True, text=True, env=environment,
+    )
+
+
 @pytest.fixture
 def workspace(tmp_path):
     lib = tmp_path / "library.csv"
@@ -174,6 +188,26 @@ def test_overflowing_residual_constant_fails_numerically(workspace):
     records = [json.loads(line, parse_constant=reject) for line in diag.read_text().splitlines()]
     assert [record["status"] for record in records] == ["optimal", "failed"]
     assert records[1]["error"] == "NonFiniteInput: const_term contains NaN or infinite values"
+
+
+def test_overflowing_library_fails_every_pixel_when_warnings_are_errors(workspace):
+    # Finite entries whose Gram overflows: every pixel fails with
+    # NonFiniteInput and exit code 3, with no warning raised or printed.
+    _write(workspace["lib"], np.full(LIBRARY.shape, 1e200))
+    diag = workspace["dir"] / "diag.jsonl"
+    result = _console(workspace, "--diagnostics", str(diag),
+                      PYTHONWARNINGS="error::RuntimeWarning")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == ""
+    assert np.isnan(np.loadtxt(workspace["out"], delimiter=",", ndmin=2)).all()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    records = [json.loads(line, parse_constant=reject) for line in diag.read_text().splitlines()]
+    assert records == [{"pixel": j, "status": "failed",
+                        "error": "NonFiniteInput: gram contains NaN or infinite values"}
+                       for j in range(PIXELS.shape[1])]
 
 
 def test_diagnostics_stream(workspace):
@@ -330,15 +364,7 @@ def test_exit_codes_reach_the_shell(workspace, case, code):
     _write(workspace["pix"], pixels)
     if case == "missing input":
         workspace["pix"].unlink()
-    src = Path(__file__).resolve().parents[1] / "src"
-    environment = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "unmix.cli",
-         "--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
-         "--output", str(workspace["out"])],
-        capture_output=True, text=True, env=environment,
-    )
+    result = _console(workspace)
     assert result.returncode == code, result.stderr
     assert workspace["out"].exists() == (code != 2)
 

@@ -156,82 +156,23 @@ def test_free_indices_must_be_integers():
         KeptSystem(gram, np.zeros(4), []).solve(1.0)
 
 
-def test_downdate_at_every_position_factors_the_reduced_block():
-    rng = np.random.default_rng(16)
-    for _ in range(40):
-        gram, linear, _ = random_spd_system(rng, size=rng.integers(2, 13))
-        k = gram.shape[0]
-        free = np.sort(rng.choice(k, size=rng.integers(2, k + 1), replace=False))
-        for position in range(free.size):
-            system = _kept(gram, free, linear)
-            system.remove(free[position])
-            reduced = np.delete(free, position)
-            np.testing.assert_array_equal(system.free, reduced)
-            assert system.lower is None  # refactorized at the next solve
-            system.solve(1.0)
-            _assert_factors_block(system, gram, reduced)
-            _assert_forward_solves(system, gram, linear, reduced)
-            assert system.top == gram.diagonal()[reduced].max()
-
-
-def test_chain_of_downdates_down_to_one_column():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        gram, linear, _ = random_spd_system(rng, size=12)
-        free = np.arange(12)
-        system = _kept(gram, free, linear)
-        while free.size > 1:
-            position = int(rng.integers(free.size))
-            system.remove(free[position])
-            free = np.delete(free, position)
-            system.solve(1.0)
-            _assert_factors_block(system, gram, free)
-            _assert_forward_solves(system, gram, linear, free)
-            assert system.top == gram.diagonal()[free].max()
-        with pytest.raises(EmptyFreeSet):
-            system.remove(free[0])
-
-
-def test_downdated_factor_gives_the_fresh_subproblem_solution():
-    rng = np.random.default_rng(18)
-    for _ in range(30):
-        gram, linear, budget = random_spd_system(rng, size=10)
-        free = np.arange(10)
-        system = _kept(gram, free, linear)
-        system.remove(4)
-        free = np.delete(free, 4)
-        kept = solve_subproblem(gram, linear, budget, free, factor=system)
-        fresh = solve_subproblem(gram, linear, budget, free)
-        np.testing.assert_allclose(kept.free_values, fresh.free_values, rtol=0, atol=1e-10)
-        assert kept.multiplier == pytest.approx(fresh.multiplier, abs=1e-10)
-
-
 def test_near_dependent_pair_is_rank_deficient_on_both_paths():
     # Library columns a0 = (1, 0, 0) and a2 = (1, 0, 1e-9) are near-dependent;
-    # a1 sits between them. Pinning a1 leaves the pair, which the next kept
-    # solve factorizes and rejects, as the stacked solve rejects its mask.
+    # a1 sits between them. Pinning a1 leaves the pair: the kept system that
+    # the next solve builds on the mask rejects it at its first solve, as the
+    # stacked solve rejects the mask.
     lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1e-9]])
     gram = lower @ lower.T
-    system = KeptSystem(gram, np.zeros(3), [0, 1, 2])
-    system.remove(1)
-    np.testing.assert_array_equal(system.free, [0, 2])
+    mask = np.array([True, False, True])
     with pytest.raises(RankDeficientLibrary) as kept:
-        system.solve(1.0)
-    _, _, failures = solve_stacked(gram, np.array([[True, False, True]]), np.zeros((1, 3)),
-                                   np.ones(1))
+        KeptSystem(gram, np.zeros(3), np.flatnonzero(mask)).solve(1.0)
+    _, _, failures = solve_stacked(gram, mask[None], np.zeros((1, 3)), np.ones(1))
     assert list(failures) == [0]
     with pytest.raises(RankDeficientLibrary) as fresh:
         factorize(gram, [0, 2])
     assert str(kept.value) == str(failures[0]) == str(fresh.value)
     with pytest.raises(RankDeficientLibrary):
         factorize(gram, [0, 1, 2])
-
-
-def test_downdate_position_out_of_range_is_rejected():
-    system = _kept(np.eye(4), [0, 1, 2])
-    with pytest.raises(IndexError):  # variable 3 is not free
-        system.remove(3)
-    np.testing.assert_array_equal(system.free, [0, 1, 2])
 
 
 @pytest.mark.parametrize("n_bands, n_endmembers", [(60, 50), (30, 45)])
@@ -306,10 +247,11 @@ def test_a_larger_diagonal_raises_the_floor_above_an_old_pivot():
 
 
 def test_kept_system_follows_a_chain_of_appends_and_deletes():
-    # Random releases and pins on a 224-band library at P=60: after each
-    # move's solve, which appends a released column or refactorizes after a
-    # pin, the forward solves are those of the new factor, and the solve
-    # equals a fresh factorization of the free set in the system's order.
+    # Random releases and pins on a 224-band library at P=60, as the loop
+    # makes them: a release is appended to the system, and a pin drops it
+    # for a fresh one on the sorted free set. After each move's solve the
+    # forward solves are those of the factor, and the solve equals a fresh
+    # factorization of the free set in the system's order.
     rng = np.random.default_rng(21)
     entries = rng.random((224, 60))
     gram = entries.T @ entries
@@ -319,9 +261,9 @@ def test_kept_system_follows_a_chain_of_appends_and_deletes():
     for _ in range(60):
         pinned = np.setdiff1d(np.arange(60), free)
         if len(free) > 1 and (rng.random() < 0.5 or len(free) == 40):
-            position = int(rng.integers(len(free)))
-            system.remove(free[position])
-            del free[position]
+            del free[int(rng.integers(len(free)))]
+            free.sort()
+            system = KeptSystem(gram, linear, free)
         else:
             new = int(rng.choice(pinned))
             system.add(new)
@@ -338,23 +280,6 @@ def test_kept_system_follows_a_chain_of_appends_and_deletes():
         assert top <= 1e-9 * np.abs(linear).max() and bottom <= 1e-12
 
 
-def test_remove_deletes_the_variables_column_wherever_it_sits():
-    # free is not sorted, so a variable's index is not its column's position.
-    rng = np.random.default_rng(22)
-    entries = rng.random((30, 12))
-    gram = entries.T @ entries
-    linear = entries.T @ rng.random(30)
-    free = np.array([7, 2, 11, 0, 5])
-    for variable in free:
-        system = _kept(gram, free, linear)
-        system.remove(variable)
-        reduced = free[free != variable]
-        np.testing.assert_array_equal(system.free, reduced)
-        system.solve(1.0)
-        _assert_factors_block(system, gram, reduced)
-        _assert_forward_solves(system, gram, linear, reduced)
-
-
 def test_an_added_column_joins_the_factor_at_the_next_solve():
     rng = np.random.default_rng(23)
     entries = rng.random((30, 12))
@@ -368,13 +293,13 @@ def test_an_added_column_joins_the_factor_at_the_next_solve():
     system.solve(0.5)
     _assert_factors_block(system, gram, [4, 9, 1])
     _assert_forward_solves(system, gram, linear, [4, 9, 1])
-    # A remove between an add and the next solve keeps the added column.
+    # Columns added between two solves join in the order they were added.
     system.add(6)
-    system.remove(9)
-    np.testing.assert_array_equal(system.free, [4, 1, 6])
+    system.add(0)
+    np.testing.assert_array_equal(system.free, [4, 9, 1, 6, 0])
     system.solve(0.5)
-    _assert_factors_block(system, gram, [4, 1, 6])
-    _assert_forward_solves(system, gram, linear, [4, 1, 6])
+    _assert_factors_block(system, gram, [4, 9, 1, 6, 0])
+    _assert_forward_solves(system, gram, linear, [4, 9, 1, 6, 0])
 
 
 def test_stacked_solves_match_the_kept_system_and_not_the_stack():

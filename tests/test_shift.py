@@ -130,19 +130,17 @@ def test_library_whose_gram_overflows_is_rejected(entry):
     # Finite entries whose Gram overflows: at 1e200 in the product A^T A; at
     # 0.8e154 the product (1.28e308) is finite and the symmetrizing sum is not.
     # The shared Gram is checked once, after it is symmetrized.
+    # The overflow is reported as NonFiniteInput, not as a RuntimeWarning.
     problem = UnmixingProblem(np.full((2, 2), entry), np.ones(2))
-    with np.errstate(over="ignore"), \
-            pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
+    with pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
         shift_problem(problem)
-    with np.errstate(over="ignore"), \
-            pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
+    with pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
         unmix(problem)
 
 
 def test_hand_built_gram_that_overflows_when_symmetrized_is_rejected():
     gram = np.full((2, 2), 1.5e308)
-    with np.errstate(over="ignore"), \
-            pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
+    with pytest.raises(NonFiniteInput, match="gram contains NaN or infinite values"):
         ShiftedProblem(gram, np.zeros(2), 1.0)
 
 
