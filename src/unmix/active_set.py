@@ -56,7 +56,8 @@ rounds, which also run the refinement solves:
   refactorization. A pin in step 2 and each refinement of the start drop
   the system, and a solve that has none builds one on its mask, sorted,
   which factorizes at that solve, as the vertex's does after its first
-  release;
+  release. A failed append drops the system too, and the solve is made
+  again on the sorted mask: the block the stacked back end judges;
 - below it a solve keeps no factor, and a round solves the subproblems of
   all its problems with :func:`unmix.kkt.solve_stacked` on the rows of the
   free mask: one LAPACK call per padded ``P x P`` block over a stack, and
@@ -116,11 +117,11 @@ _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
 # problems in stacked calls (kkt.solve_stacked), at and above it each on its
 # own KeptSystem. Measured on the batch-p30 recipe (224 bands, seed 2024,
 # 1,000 pixels, slices of _SLICE_FACTOR_BYTES, best of 5), unmix_batch ran
-# 2.76, 3.97, 1.89, 2.01, 1.51, 1.61, 1.26, 1.08, 1.07 and 0.73 times as fast
+# 2.57, 2.78, 2.41, 1.85, 1.54, 1.72, 1.54, 0.91, 1.07 and 0.90 times as fast
 # stacked as kept at P = 10, 20, ..., 100, and one-pixel unmix() (200 pixels)
-# 0.94, 1.02, 0.92, 0.78, 0.86, 1.06, 0.65, 0.76, 0.81 and 0.74 times: the
-# batch gain reaches about 90, but from 50 on a one-pixel solve loses about
-# as much, and no benchmark workload lies between, so the crossover stays.
+# 0.93, 0.81, 0.87, 0.86, 0.80, 0.98, 0.79, 0.68, 0.87 and 0.77 times: the
+# batch gain reaches about 70, but from 40 on a one-pixel solve loses up to
+# 32%, and no benchmark workload lies between, so the crossover stays.
 _STACKED_BELOW = 55
 
 
@@ -285,9 +286,9 @@ class _Slice:
     ``trace``, empty while the row refines its start, the tie-break
     ``rngs`` and, at and above :data:`_STACKED_BELOW` endmembers, the
     :class:`KeptSystem` in ``systems`` that caches the factor of its row of
-    ``free``, or None where a pin or a refinement dropped it.
-    ``bands`` is the number of spectral bands when it is below P, the most
-    free variables a full-rank block can have, and None otherwise.
+    ``free``, or None where a pin, a refinement or a failed append dropped
+    it. ``bands`` is the rows' number of spectral bands when it is below P,
+    the most free variables a full-rank block can have, and None otherwise.
     ``results`` receives each row's :class:`Solution` or error.
     """
 
@@ -300,7 +301,8 @@ class _Slice:
         self.linear, self.budget, self.const = rows.linear, rows.budget, rows.const_term
         self.iteration = [0] * k
         self.trace = [[] for _ in range(k)]
-        self.bands = rows.bands
+        n = rows.n_bands
+        self.bands = n if n is not None and n < p else None
         self.rngs = [np.random.default_rng(config.tie_seed) if config.tie_break == "random"
                      else None for _ in range(k)]
         self.systems, self.results = [None] * k, [None] * k
@@ -404,13 +406,9 @@ class _Slice:
 
     def _traced(self, rows: list, iterates):
         """``G x`` and the objective at row ``k`` of ``iterates``, the
-        iterate of row ``rows[k]``. The stacked calls give every row the bits
-        of ``gram @ x`` and :func:`~unmix.model.objective_value`; one row
-        takes those calls themselves, which are fewer."""
-        if len(rows) == 1:
-            x, r = iterates[0], rows[0]
-            gx = self.gram @ x
-            return gx[None], [objective_from_product(x, gx, self.linear[r], self.const.item(r))]
+        iterate of row ``rows[k]``, in stacked calls that give every row,
+        one alone included, the bits of ``gram @ x`` and
+        :func:`~unmix.model.objective_value`."""
         products = np.matmul(self.gram, iterates[..., None])[..., 0]
         objectives = objective_rows(iterates, products, self.linear.take(rows, axis=0),
                                     self.const.take(rows))
@@ -508,18 +506,25 @@ class _Slice:
         """A round on the kept back end: each row solves its subproblem on
         its own :class:`KeptSystem`, built on its mask if it has none, and
         prices a feasible candidate at once; the rows whose candidate is
-        infeasible take the blocking step together."""
-        blocked, candidates = [], []
+        infeasible take the blocking step together. A row whose append fails
+        solves again in this round on its sorted mask; only a fresh system's
+        failure is the row's error."""
+        blocked, candidates, retried = [], [], []
         for r in rows:
             system, linear = self.systems[r], self.linear[r]
-            if system is None:
+            fresh = system is None
+            if fresh:
                 system = self.systems[r] = KeptSystem(self.gram, linear,
                                                       np.flatnonzero(self.free[r]))
             try:
                 sub = solve_subproblem(self.gram, linear, self.budget[r], system.free,
                                        factor=system)
             except UnmixError as exc:
-                self.results[r] = exc
+                if fresh:
+                    self.results[r] = exc
+                else:
+                    self.systems[r] = None
+                    retried.append(r)
                 continue
             x = np.zeros(linear.size)
             if sub.free_values.min() >= -self.config.primal_tol:
@@ -536,6 +541,8 @@ class _Slice:
                 candidates.append(x)
         if blocked:
             self.block(blocked, np.array(candidates))
+        if retried:
+            self.solve_kept(retried)
 
     def solve_stacked(self, rows: list) -> None:
         """A round on the stacked back end: the subproblems of all the rows

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -99,7 +100,12 @@ def _parse_tie_break(text):
 
 
 def _load_matrix(path, header):
-    return np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    with warnings.catch_warnings():  # an empty file is reported below, as a parse failure
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        matrix = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    if matrix.size == 0:
+        raise ValueError(f"{path} holds no data")
+    return matrix
 
 
 def _write_abundances(path, abundances, header):

@@ -45,7 +45,6 @@ updates, which are bound by per-problem Python calls there.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -270,7 +269,8 @@ def solve_stacked(gram, free, linear, budget):
         free block.
     """
     k, p = free.shape
-    padded = np.where(free[:, :, None] & free[:, None, :], gram, _identity(p))
+    padded = np.where(free[:, :, None] & free[:, None, :], gram, 0.0)
+    padded.reshape(k, p * p)[:, ::p + 1] += ~free
     solved = np.zeros((k, 2, p))  # rows g * m and m, which dposv overwrites with u and v
     np.copyto(solved[:, 0], linear, where=free)
     solved[:, 1] = free
@@ -311,13 +311,6 @@ def _rank_failures(gram, free, pivots, info) -> dict:
         else:
             failures[item] = _rank_error(indices.size, squared[item], floors[item])
     return failures
-
-
-@functools.cache
-def _identity(order) -> np.ndarray:
-    identity = np.eye(order)
-    identity.setflags(write=False)
-    return identity
 
 
 def uniform_start(gram) -> tuple | str:

@@ -296,13 +296,6 @@ class ShiftedRows:
         return ShiftedRows(self.gram, self.linear.take(rows, axis=0), self.budget.take(rows),
                            self.n_bands, self.const_term.take(rows), self.library)
 
-    @property
-    def bands(self) -> int | None:
-        """The number of spectral bands when it is below P, the most free
-        variables a full-rank block can have; None otherwise."""
-        n = self.n_bands
-        return n if n is not None and n < self.gram.shape[0] else None
-
     def uniform_start(self) -> tuple | str:
         """:func:`unmix.kkt.uniform_start` of this Gram: the library's own,
         made once, when the shift built these rows on the library's Gram."""

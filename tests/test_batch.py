@@ -165,6 +165,13 @@ def test_batch_rejects_mismatched_pixel_rows():
         BatchJob(problem.library, np.ones((7, 2)), problem.lower_bounds)
 
 
+@pytest.mark.parametrize("pixels", [np.ones(10), np.ones((10, 0))])
+def test_batch_rejects_pixels_that_are_not_a_matrix_of_columns(pixels):
+    problem = random_problem(np.random.default_rng(58), n_bands=10)
+    with pytest.raises(DimensionMismatch):
+        BatchJob(problem.library, pixels, problem.lower_bounds)
+
+
 def test_batch_rejects_infeasible_bounds():
     problem = random_problem(np.random.default_rng(59), n_endmembers=2)
     job = BatchJob(problem.library, problem.measurement[:, None],

@@ -105,6 +105,16 @@ def test_mismatched_dimensions_exit_code(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--output", "--diagnostics"])
+def test_unwritable_output_exit_code(workspace, capsys, flag):
+    # The last --output given wins, so either flag names a path whose directory is missing.
+    code = main(["--library", str(workspace["lib"]), "--input", str(workspace["pix"]),
+                 "--output", str(workspace["out"]),
+                 flag, str(workspace["dir"] / "missing" / "file")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_required_flags(capsys):
     assert main([]) == 2
     assert "--library" in capsys.readouterr().err
@@ -208,6 +218,25 @@ def test_overflowing_library_fails_every_pixel_when_warnings_are_errors(workspac
     assert records == [{"pixel": j, "status": "failed",
                         "error": "NonFiniteInput: gram contains NaN or infinite values"}
                        for j in range(PIXELS.shape[1])]
+
+
+@pytest.mark.parametrize("emptied, header", [
+    ("pix", False), ("lib", False), ("bounds", False), ("pix", True)])
+def test_a_file_with_no_data_is_an_input_error_when_warnings_are_errors(workspace, emptied,
+                                                                        header):
+    # Empty, or only a header row under --header: exit 2 with one error line
+    # naming the file, and no warning or traceback.
+    workspace["bounds"] = workspace["dir"] / "bounds.csv"
+    _write(workspace["bounds"], np.zeros(3))
+    argv = ["--lower-bounds", str(workspace["bounds"])]
+    if header:
+        argv.append("--header")
+        for name in ("lib", "pix", "bounds"):
+            workspace[name].write_text("header\n" + workspace[name].read_text())
+    workspace[emptied].write_text("header\n" if header else "")
+    result = _console(workspace, *argv, PYTHONWARNINGS="error")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: {workspace[emptied]} holds no data\n"
 
 
 def test_diagnostics_stream(workspace):

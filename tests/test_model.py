@@ -50,6 +50,20 @@ def test_validate_rejects_nan_measurement():
         validate_problem(problem)
 
 
+@pytest.mark.parametrize("bounds, error", [
+    (np.zeros(3), DimensionMismatch), (np.array([np.nan, 0.5]), NonFiniteInput)])
+def test_validate_rejects_bounds_of_the_wrong_length_or_not_finite(bounds, error):
+    problem = UnmixingProblem(np.ones((3, 2)), np.ones(3), bounds)
+    with pytest.raises(error):
+        validate_problem(problem)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+def test_library_rejects_an_empty_dimension(shape):
+    with pytest.raises(DimensionMismatch, match="at least 1x1"):
+        SpectralLibrary(np.ones(shape))
+
+
 def test_library_rejects_non_finite_entries():
     with pytest.raises(NonFiniteInput):
         SpectralLibrary(np.array([[1.0, np.inf], [0.0, 1.0]]))
@@ -127,6 +141,17 @@ def test_shifted_problem_rejects_asymmetric_gram():
     gram = np.array([[2.0, 1.5], [1.0, 3.0]])
     with pytest.raises(ValueError):
         ShiftedProblem(gram=gram, linear=np.zeros(2), budget=1.0)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"gram": np.ones((2, 3))}, DimensionMismatch),
+    ({"linear": np.zeros(3)}, DimensionMismatch),
+    ({"const_term": -0.5}, ValueError),
+])
+def test_shifted_problem_rejects_malformed_terms(kwargs, error):
+    terms = {"gram": np.eye(2), "linear": np.zeros(2), "budget": 1.0, **kwargs}
+    with pytest.raises(error):
+        ShiftedProblem(**terms)
 
 
 def test_shifted_problem_rejects_negative_budget():
