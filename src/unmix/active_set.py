@@ -11,8 +11,11 @@ The solver repeats three moves until optimality:
    global minimizer and the solve stops.
 
 Every iterate stays primal feasible, pinned variables are exactly zero, and
-the objective never increases, so the loop terminates on nondegenerate data
-long before the ``10 * P`` default iteration cap.
+no move raises the objective by more than the roundoff of evaluating it, so
+the loop terminates on nondegenerate data long before the ``10 * P``
+default iteration cap. (On libraries with near-collinear columns, a release
+can lower the objective by less than that roundoff, and the recorded trace
+then rises by up to about 1e-15; the acceptance tests allow 1e-12.)
 
 The uniform start frees every variable at ``s / P``, and its first solve
 doubles as a probe, which decides where the solve goes on:
@@ -76,17 +79,17 @@ blocking step and in the release; ``tie_break="random"`` draws among tied
 blocking coordinates only.
 
 There is one loop, :func:`_solve_lockstep`. It takes problems that share a
-Gram matrix through the moves together, one round at a time:
+Gram matrix and a budget through the moves together, one round at a time:
 :func:`active_set_solve` runs it on one problem and :mod:`unmix.batch` on
 slices of pixels, so a pixel gets the same answer either way. A
 :class:`_Slice` holds their state in rows: a ``(k, P)`` free mask and
-iterate, and the problems' linear terms, budgets and constants, as the
-shift stacked them (:class:`unmix.model.ShiftedRows`). Every problem
-chooses its start before the first round, and the rounds only solve, then
-accept, refine or block. The ratio test, the tie-break and the iterate
-update of the problems whose candidate is infeasible are numpy calls over
-their rows on both back ends; the stacked back end also solves and prices
-in such calls.
+iterate, and the problems' linear terms and constants, as the shift
+stacked them (:class:`unmix.model.ShiftedRows`); a row that failed its
+checks keeps its place and is not solved. Every problem chooses its start
+before the first round, and the rounds only solve, then accept, refine or
+block. The ratio test, the tie-break and the iterate update of the
+problems whose candidate is infeasible are numpy calls over their rows on
+both back ends; the stacked back end also solves and prices in such calls.
 A problem's bits do not depend on the others: every stacked LAPACK call
 runs once per row, a ``dtrsm`` column is solved as a one-column ``dtrsm``
 solves it, a broadcast ``matmul`` computes each row as ``gram @ x`` does,
@@ -269,7 +272,7 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
         library columns inside the free set or more free variables than
         spectral bands.
     """
-    result = _solve_lockstep(ShiftedRows.of(shifted), config or SolverConfig())[0]
+    result = _solve_lockstep(ShiftedRows.of(shifted), config or SolverConfig(), {})[0]
     if isinstance(result, UnmixError):
         raise result
     return result
@@ -280,19 +283,20 @@ class _Slice:
     ``r`` of its :class:`~unmix.model.ShiftedRows`.
 
     ``free`` is the ``(k, P)`` mask of the free sets and ``iterate`` the
-    current feasible points, zero off them; ``linear``, ``budget`` and
-    ``const`` are the rows' terms. Per row the slice keeps the number of
-    subproblems solved since the start (``iteration``), the objective
-    ``trace``, empty while the row refines its start, the tie-break
-    ``rngs`` and, at and above :data:`_STACKED_BELOW` endmembers, the
-    :class:`KeptSystem` in ``systems`` that caches the factor of its row of
-    ``free``, or None where a pin, a refinement or a failed append dropped
-    it. ``bands`` is the rows' number of spectral bands when it is below P,
-    the most free variables a full-rank block can have, and None otherwise.
-    ``results`` receives each row's :class:`Solution` or error.
+    current feasible points, zero off them; ``linear`` and ``const`` are the
+    rows' terms, and ``budget`` the one float they share. Per row the slice
+    keeps the number of subproblems solved since the start (``iteration``),
+    the objective ``trace``, empty while the row refines its start, the
+    tie-break ``rngs`` and, at and above :data:`_STACKED_BELOW` endmembers,
+    the :class:`KeptSystem` in ``systems`` that caches the factor of its row
+    of ``free``, or None where a pin, a refinement or a failed append
+    dropped it. ``bands`` is the rows' number of spectral bands when it is
+    below P, the most free variables a full-rank block can have, and None
+    otherwise. ``results`` receives each row's :class:`Solution` or error;
+    a row in ``failures`` holds its error from the start and is not solved.
     """
 
-    def __init__(self, rows: ShiftedRows, config: SolverConfig):
+    def __init__(self, rows: ShiftedRows, config: SolverConfig, failures: dict):
         k, p = rows.linear.shape
         self.rows, self.config, self.gram = rows, config, rows.gram
         self.kept = p >= _STACKED_BELOW
@@ -305,33 +309,34 @@ class _Slice:
         self.bands = n if n is not None and n < p else None
         self.rngs = [np.random.default_rng(config.tie_seed) if config.tie_break == "random"
                      else None for _ in range(k)]
-        self.systems, self.results = [None] * k, [None] * k
+        self.systems, self.results = [None] * k, [failures.get(r) for r in range(k)]
 
     def start(self) -> None:
-        """Choose every row's start and write it: the whole start policy, in
-        calls over the rows.
+        """Choose the start of every row without an error and write it: the
+        whole start policy, in calls over the rows.
 
-        A row with a zero budget starts at the origin, and one of a library
-        wider than its bands at the best vertex. Every other row solves its
-        probe, all in the stacked calls of :func:`unmix.kkt.solve_uniform`
-        on the library's start factor: a feasible probe is accepted as
-        iteration 1, and any other refines its start from the probe's
-        strictly positive support (:meth:`refine`). The feasible candidates
-        of the starts, the accepted probes, the vertices and the origins,
-        are priced in one accept step per kind. A singular start factor
-        fails every probing row with a fresh :class:`RankDeficientLibrary`.
+        The rows share one budget, and so one kind of start: a zero budget
+        starts every row at the origin, and a library wider than its bands
+        at its best vertex. Otherwise every row solves its probe, all in the
+        stacked calls of :func:`unmix.kkt.solve_uniform` on the library's
+        start factor: a feasible probe is accepted as iteration 1, and any
+        other refines its start from the probe's strictly positive support
+        (:meth:`refine`). The origins, the vertices or the accepted probes
+        are priced in one accept step. A singular start factor fails every
+        probing row with a fresh :class:`RankDeficientLibrary`.
         """
-        budgets = self.budget.tolist()
-        positive = [r for r, s in enumerate(budgets) if s]
-        origin = [r for r, s in enumerate(budgets) if not s]
-        if positive:  # a library wider than its bands has no full-rank uniform block
-            (self._probe if self.bands is None else self._vertex)(positive)
-        if origin:
+        rows = [r for r, result in enumerate(self.results) if result is None]
+        if not rows:
+            return
+        if not self.budget:
             # The origin is the only feasible point of a zero budget; lam =
             # max(g) is the smallest multiplier that certifies it.
-            lams = self.linear.take(origin, axis=0).max(axis=1).tolist()
-            self.accept(origin, np.zeros((len(origin), self.free.shape[1])),
-                        [SubproblemSolution(None, lam) for lam in lams])
+            self.accept(rows, np.zeros((len(rows), self.free.shape[1])),
+                        self.linear.take(rows, axis=0).max(axis=1))
+        elif self.bands is None:
+            self._probe(rows)
+        else:  # a library wider than its bands has no full-rank uniform block
+            self._vertex(rows)
 
     def _probe(self, rows: list) -> None:
         """Solve the probes of ``rows`` and write the starts they choose."""
@@ -340,8 +345,7 @@ class _Slice:
             for r in rows:
                 self.results[r] = RankDeficientLibrary(start)
             return
-        s = self.budget.take(rows)
-        probes, multipliers = solve_uniform(start, self.linear.take(rows, axis=0), s)
+        probes, multipliers = solve_uniform(start, self.linear.take(rows, axis=0), self.budget)
         infeasible = (probes < -self.config.primal_tol).any(axis=1).tolist()
         refining = [k for k, n in enumerate(infeasible) if n]
         accepted = [k for k, n in enumerate(infeasible) if not n]
@@ -350,14 +354,12 @@ class _Slice:
         if accepted:  # all free at s / P, where the trace begins
             taken = [rows[k] for k in accepted]
             self.free[taken] = True
-            self.iterate[taken] = (s.take(accepted) / probes.shape[1])[:, None]
+            self.iterate[taken] = self.budget / probes.shape[1]
             _, objectives = self._traced(taken, self.iterate.take(taken, axis=0))
             for r, objective in zip(taken, objectives):
                 self.iteration[r] = 1
                 self.trace[r].append(objective)
-            self.accept(taken, probes.take(accepted, axis=0),
-                        [SubproblemSolution(None, lam)
-                         for lam in multipliers.take(accepted).tolist()])
+            self.accept(taken, probes.take(accepted, axis=0), multipliers.take(accepted))
 
     def refine(self, rows: list, candidates) -> None:
         """Free, for each row ``rows[k]``, only the strictly positive entries
@@ -376,15 +378,12 @@ class _Slice:
         """Start ``rows`` at their best vertices ``s e_i``, which minimize
         ``0.5 s^2 G_ii - s g_i`` (ties to the smallest index), and price
         them: ``lam = g_i - s G_ii`` solves the subproblem on ``[i]``."""
-        s = self.budget.take(rows)[:, None]
-        diagonal = self.gram.diagonal()
+        s, diagonal = self.budget, self.gram.diagonal()
         best = np.argmin(0.5 * s * s * diagonal - s * self.linear.take(rows, axis=0), axis=1)
-        candidates, subs = np.zeros((len(rows), diagonal.size)), []
-        for k, (r, i, sk) in enumerate(zip(rows, best.tolist(), s[:, 0].tolist())):
-            self.free[r, i] = True
-            candidates[k, i] = sk
-            subs.append(SubproblemSolution(None, self.linear.item(r, i) - sk * diagonal.item(i)))
-        self.accept(rows, candidates, subs)
+        self.free[rows, best] = True
+        candidates = np.zeros((len(rows), diagonal.size))
+        candidates[np.arange(len(rows)), best] = s
+        self.accept(rows, candidates, self.linear[rows, best] - s * diagonal[best])
 
     def capped(self, r: int, cap: int) -> Solution:
         """The ``MAX_ITERATIONS`` answer of row ``r``."""
@@ -414,17 +413,18 @@ class _Slice:
                                     self.const.take(rows))
         return products, objectives.tolist()
 
-    def accept(self, rows: list, candidates, subs: list) -> None:
+    def accept(self, rows: list, candidates, multipliers) -> None:
         """:meth:`price` each row ``rows[k]`` at its feasible candidate, row
-        ``k`` of ``candidates`` and ``subs[k]``, with boundary roundoff and
-        the prices on the masks zeroed in single calls."""
+        ``k`` of ``candidates``, with the multiplier ``multipliers[k]``, with
+        boundary roundoff and the prices on the masks zeroed in single calls."""
         iterates = np.maximum(candidates, 0.0)
         products, objectives = self._traced(rows, iterates)
         prices = products - self.linear.take(rows, axis=0)
-        prices += np.array([sub.multiplier for sub in subs])[:, None]
+        prices += multipliers[:, None]
         prices[self.free.take(rows, axis=0)] = 0.0
-        for k, sub in enumerate(subs):
-            self.price(rows[k], iterates[k], prices[k], objectives[k], sub)
+        for k, lam in enumerate(multipliers.tolist()):
+            self.price(rows[k], iterates[k], prices[k], objectives[k],
+                       SubproblemSolution(None, lam))
 
     def price(self, r: int, x, mu, objective, sub: SubproblemSolution) -> None:
         """Accept the feasible iterate ``x`` of row ``r``, the candidate
@@ -517,7 +517,7 @@ class _Slice:
                 system = self.systems[r] = KeptSystem(self.gram, linear,
                                                       np.flatnonzero(self.free[r]))
             try:
-                sub = solve_subproblem(self.gram, linear, self.budget[r], system.free,
+                sub = solve_subproblem(self.gram, linear, self.budget, system.free,
                                        factor=system)
             except UnmixError as exc:
                 if fresh:
@@ -550,8 +550,7 @@ class _Slice:
         pricing of the feasible candidates and the blocking step towards the
         others, each stacked."""
         candidates, multipliers, failures = solve_stacked(
-            self.gram, self.free.take(rows, axis=0), self.linear.take(rows, axis=0),
-            self.budget.take(rows))
+            self.gram, self.free.take(rows, axis=0), self.linear.take(rows, axis=0), self.budget)
         if failures:
             for item, exc in failures.items():
                 self.results[rows[item]] = exc
@@ -559,26 +558,26 @@ class _Slice:
         feasible = candidates.min(axis=1) >= -self.config.primal_tol
         accepted, blocked = np.flatnonzero(feasible).tolist(), np.flatnonzero(~feasible).tolist()
         if accepted:
-            lams = multipliers.tolist()
             self.accept([rows[k] for k in accepted],
                         candidates.take(accepted, axis=0) if blocked else candidates,
-                        [SubproblemSolution(None, lams[k]) for k in accepted])
+                        multipliers.take(accepted))
         if blocked:
             self.block([rows[k] for k in blocked], candidates.take(blocked, axis=0))
 
 
-def _solve_lockstep(problems: ShiftedRows, config: SolverConfig) -> list:
+def _solve_lockstep(problems: ShiftedRows, config: SolverConfig, failures: dict) -> list:
     """Solve the rows of ``problems`` together, one round at a time.
 
     The ``i``-th entry is the :class:`Solution` for row ``i``, or the
-    :class:`UnmixError` its solve raised; no row's answer depends on the
-    others. Every row chooses its start before the first round, in calls
-    over the rows. In a round every live row below the iteration cap, and
+    :class:`UnmixError` its solve raised, or ``failures[i]``, unsolved, for
+    a row that failed its checks; no row's answer depends on the others.
+    Every row chooses its start before the first round, in calls over the
+    rows. In a round every live row below the iteration cap, and
     every row refining its start, solves its subproblem, then prices a
     feasible candidate, refines its start or takes the blocking step: on
     the back end that P selects, with each row's arithmetic kept.
     """
-    state = _Slice(problems, config)
+    state = _Slice(problems, config, failures)
     state.start()
     results = state.results
     cap = config.iteration_cap(state.free.shape[1])

@@ -34,7 +34,8 @@ _SLICE_FACTOR_BYTES = 1 << 19
 @dataclass(frozen=True)
 class BatchJob:
     """A library, an N x M matrix of measured spectra (one per column),
-    shared lower bounds, and the solver configuration."""
+    shared lower bounds of shape ``(P,)``, ``(1, P)`` or ``(P, 1)``, and the
+    solver configuration."""
 
     library: SpectralLibrary
     pixels: np.ndarray
@@ -61,7 +62,12 @@ class BatchJob:
         bounds = self.lower_bounds
         if bounds is None:
             bounds = np.zeros(lib.n_endmembers)
-        bounds = np.array(bounds, dtype=float).ravel()
+        bounds = np.array(bounds, dtype=float)
+        if bounds.ndim == 2 and 1 in bounds.shape:
+            bounds = bounds.ravel()
+        if bounds.ndim != 1:
+            raise DimensionMismatch(f"lower_bounds must be a vector, or a matrix of one row "
+                                    f"or one column, got shape {bounds.shape}")
         bounds.setflags(write=False)
         object.__setattr__(self, "lower_bounds", bounds)
         if self.config is None:
@@ -106,11 +112,11 @@ def _solve_pixels(job: BatchJob):
     """Yield ``(shifted, solutions)`` per slice of pixel columns, in input order.
 
     ``shifted`` is the :class:`~unmix.model.ShiftedRows` of the slice's
-    columns, row ``j`` that of the slice's ``j``-th column, and
-    ``solutions[j]`` its :class:`Solution`. A column that fails its checks
-    has a row that nothing reads. Pixels are shifted and solved in lockstep
-    one slice at a time, so only one slice's shifted rows and Cholesky
-    factors are alive at once.
+    columns, or None when the library's Gram overflows, row ``j`` that of
+    the slice's ``j``-th column, and ``solutions[j]`` its :class:`Solution`.
+    A column that fails its checks keeps a row that the solve passes over.
+    Pixels are shifted and solved in lockstep one slice at a time, so only
+    one slice's shifted rows and Cholesky factors are alive at once.
     """
     config = job.config
     lib = job.library
@@ -120,22 +126,17 @@ def _solve_pixels(job: BatchJob):
     for begin in range(0, job.pixels.shape[1], width):
         measurements = job.pixels[:, begin:begin + width]
         k = measurements.shape[1]
-        try:
-            linear, const, failures = _shift_measurements(lib, measurements, offset)[1:]
-        except UnmixError as exc:  # the library's Gram overflows: every pixel fails
-            shifted, failures = None, {j: type(exc)(str(exc)) for j in range(k)}
-        else:
-            shifted = ShiftedRows(lib.gram, linear, np.full(k, budget), lib.n_bands, const, lib)
         # A measurement's length is the job's; a non-finite one reports that first.
-        failures.update(_nonfinite_rows(measurements.T, "measurement"))
-        live = [j for j in range(k) if j not in failures]
-        solved = iter(())
-        if live:  # then the Gram is finite
-            solved = iter(_solve_lockstep(shifted if len(live) == k else shifted.take(live),
-                                          config))
+        failures = _nonfinite_rows(measurements.T, "measurement")
+        try:
+            linear, const, shift_failures = _shift_measurements(lib, measurements, offset)[1:]
+        except UnmixError as exc:  # the library's Gram overflows: every pixel fails
+            shifted, solved = None, [failures.get(j, exc) for j in range(k)]
+        else:
+            shifted = ShiftedRows(lib.gram, linear, budget, lib.n_bands, const, lib)
+            solved = _solve_lockstep(shifted, config, shift_failures | failures)
         solutions = []
-        for j in range(k):
-            result = failures[j] if j in failures else next(solved)
+        for result in solved:
             if isinstance(result, UnmixError):
                 solutions.append(_failed_pixel(lib.n_endmembers, result))
             else:

@@ -127,7 +127,7 @@ def _diagnostics_records(first, shifted, solutions):
     if optimal:
         certified = [solutions[j] for j in optimal]
         reports = dict(zip(optimal, _verify_kkt_rows(
-            shifted.gram, shifted.linear.take(optimal, axis=0), shifted.budget.take(optimal),
+            shifted.gram, shifted.linear.take(optimal, axis=0), shifted.budget,
             np.array([solution.shifted_abundances for solution in certified]),
             np.array([solution.eq_multiplier for solution in certified]),
             np.array([solution.ineq_multipliers for solution in certified]))))
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
         pixels = _load_matrix(args.input, args.header)
         bounds = None
         if args.lower_bounds is not None:
-            bounds = _load_matrix(args.lower_bounds, args.header).ravel()
+            bounds = _load_matrix(args.lower_bounds, args.header)
         job = BatchJob(library=library, pixels=pixels, lower_bounds=bounds, config=config)
         solutions, records = [], []
         for shifted, solved in _solve_pixels(job):

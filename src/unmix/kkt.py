@@ -61,8 +61,8 @@ _EPS = np.finfo(float).eps
 class SubproblemSolution:
     """Free-set abundances and the sum-constraint multiplier of one solve.
 
-    The active-set loop's stacked rounds keep each candidate as a full row
-    and leave ``free_values`` None, since they read only the multiplier.
+    The active-set loop's accept step builds these for the full-row
+    candidates it prices, with ``free_values`` None: it reads only ``lam``.
     """
 
     free_values: np.ndarray
@@ -257,7 +257,7 @@ def solve_stacked(gram, free, linear, budget):
     gram : ndarray, shape (P, P)
     free : ndarray of bool, shape (k, P)
     linear : ndarray, shape (k, P)
-    budget : ndarray, shape (k,)
+    budget : float
 
     Returns
     -------
@@ -287,7 +287,7 @@ def solve_stacked(gram, free, linear, budget):
         if failures:
             kept = np.ones(k, dtype=bool)
             kept[list(failures)] = False
-            solved, free, budget = solved[kept], free[kept], budget[kept]
+            solved, free = solved[kept], free[kept]
     sums = solved.sum(axis=2)
     multipliers = (sums[:, 0] - budget) / sums[:, 1]
     candidates = np.where(free, solved[:, 0] - multipliers[:, None] * solved[:, 1], 0.0)
@@ -343,7 +343,7 @@ def solve_uniform(start, linear, budget):
     ----------
     start : tuple
     linear : ndarray, shape (k, P), C-contiguous; overwritten
-    budget : ndarray, shape (k,)
+    budget : float
 
     Returns
     -------

@@ -265,17 +265,18 @@ class ShiftedProblem:
 class ShiftedRows:
     """The shifted problems of a slice of measurements, stacked: row ``r``
     holds the terms of the ``r``-th problem, as a :class:`ShiftedProblem`
-    would, and every row shares ``gram`` and ``library``.
+    would, and every row shares ``gram``, the float ``budget`` and
+    ``library``, as all measurements under one set of lower bounds do.
 
-    ``linear`` is ``(k, P)``, ``budget`` and ``const_term`` are ``(k,)`` and
-    ``n_bands`` is the length N of the targets, or None for problems stated
-    without one. Nothing is checked: :func:`unmix.shift._shift_measurements`
+    ``linear`` is ``(k, P)``, ``const_term`` is ``(k,)`` and ``n_bands``
+    is the length N of the targets, or None for problems stated without
+    one. Nothing is checked: :func:`unmix.shift._shift_measurements`
     reports the rows that are not finite, and only the others are solved.
     """
 
     gram: np.ndarray
     linear: np.ndarray
-    budget: np.ndarray
+    budget: float
     n_bands: int | None
     const_term: np.ndarray
     library: SpectralLibrary | None
@@ -284,17 +285,12 @@ class ShiftedRows:
     def of(cls, shifted: ShiftedProblem) -> ShiftedRows:
         """The one row of ``shifted``."""
         target = shifted.shifted_target
-        return cls(shifted.gram, shifted.linear[None], np.array([shifted.budget]),
+        return cls(shifted.gram, shifted.linear[None], shifted.budget,
                    None if target is None else target.size, np.array([shifted.const_term]),
                    shifted.library)
 
     def __len__(self) -> int:
         return self.linear.shape[0]
-
-    def take(self, rows) -> ShiftedRows:
-        """The rows ``rows``, in that order."""
-        return ShiftedRows(self.gram, self.linear.take(rows, axis=0), self.budget.take(rows),
-                           self.n_bands, self.const_term.take(rows), self.library)
 
     def uniform_start(self) -> tuple | str:
         """:func:`unmix.kkt.uniform_start` of this Gram: the library's own,

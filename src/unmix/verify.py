@@ -60,18 +60,18 @@ def verify_kkt(shifted: ShiftedProblem, shifted_abundances, eq_multiplier,
             f"expected abundance and multiplier vectors of length {p}, "
             f"got shapes {x.shape} and {mu.shape}"
         )
-    return _verify_kkt_rows(shifted.gram, shifted.linear[None], np.array([shifted.budget]),
+    return _verify_kkt_rows(shifted.gram, shifted.linear[None], shifted.budget,
                             x[None], np.array([float(eq_multiplier)]), mu[None], tol)[0]
 
 
 def _verify_kkt_rows(gram, linear, budget, x, eq_multiplier, mu, tol=1e-8) -> list[KktReport]:
     """:func:`verify_kkt` of the rows of stacked problems and triples, in one check.
 
-    Row ``k`` of ``linear``, ``x`` and ``mu``, all ``(m, P)``, and entry
-    ``k`` of ``budget`` and ``eq_multiplier`` make up the ``k``-th. The
-    check forms its own ``G x`` with a broadcast ``matmul``, which gives
-    each row the bits of ``gram @ x``, and reduces along rows, so a row's
-    report does not depend on the others.
+    Row ``k`` of ``linear``, ``x`` and ``mu``, all ``(m, P)``, entry ``k``
+    of ``eq_multiplier`` and the one ``budget`` of every row make up the
+    ``k``-th. The check forms its own ``G x`` with a broadcast ``matmul``,
+    which gives each row the bits of ``gram @ x``, and reduces along rows,
+    so a row's report does not depend on the others.
     """
     grad = np.matmul(gram, x[..., None])[..., 0] - linear + eq_multiplier[:, None] - mu
     residuals = np.column_stack((

@@ -55,7 +55,7 @@ def uniform_probe(shifted):
     """The uniform start's probe, the candidate on every variable, solved
     as the solver solves it: from the factor of the full Gram matrix."""
     values, _ = solve_uniform(uniform_start(shifted.gram), shifted.linear[None].copy(),
-                              np.array([shifted.budget]))
+                              shifted.budget)
     return values[0]
 
 
@@ -78,7 +78,7 @@ def refined_start(shifted, primal_tol=SolverConfig().primal_tol):
         supports.append(np.flatnonzero(free))
         if shifted.size < _STACKED_BELOW:
             candidate = solve_stacked(shifted.gram, free[None], shifted.linear[None],
-                                      np.array([shifted.budget]))[0][0]
+                                      shifted.budget)[0][0]
         else:
             candidate = np.zeros(shifted.size)
             candidate[free] = solve_subproblem(shifted.gram, shifted.linear, shifted.budget,

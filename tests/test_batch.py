@@ -1,4 +1,5 @@
 import importlib
+import re
 import traceback
 from unittest import mock
 
@@ -170,6 +171,27 @@ def test_batch_rejects_pixels_that_are_not_a_matrix_of_columns(pixels):
     problem = random_problem(np.random.default_rng(58), n_bands=10)
     with pytest.raises(DimensionMismatch):
         BatchJob(problem.library, pixels, problem.lower_bounds)
+
+
+@pytest.mark.parametrize("shape", [(1, 10), (10, 1)], ids=["one-row", "one-column"])
+def test_batch_takes_bounds_as_one_row_or_one_column(shape):
+    rng = np.random.default_rng(60)
+    library = SpectralLibrary(rng.random((12, 10)))
+    pixels = library.entries @ rng.dirichlet(np.ones(10), size=3).T
+    bounds = np.full(10, 0.01)
+    solutions = unmix_batch(BatchJob(library, pixels, bounds.reshape(shape)))
+    for column, solution in enumerate(solutions):
+        single = unmix(UnmixingProblem(library, pixels[:, column], bounds))
+        assert solution.abundances.tobytes() == single.abundances.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (1, 10, 1), ()], ids=["2x5", "1x10x1", "scalar"])
+def test_batch_rejects_bounds_that_are_not_one_row_or_one_column(shape):
+    # At P = 10 a 2 x 5 matrix holds ten bounds, but no row or column of
+    # it is the bounds vector, so it is not flattened into one.
+    library = SpectralLibrary(np.random.default_rng(61).random((12, 10)))
+    with pytest.raises(DimensionMismatch, match=f"got shape {re.escape(str(shape))}"):
+        BatchJob(library, np.ones((12, 3)), np.full(shape, 0.01))
 
 
 def test_batch_rejects_infeasible_bounds():

@@ -82,6 +82,31 @@ def test_lower_bounds_file_is_honored(workspace):
     assert (abundances >= bounds[:, None] - 1e-10).all()
 
 
+@pytest.mark.parametrize("shape, code", [((1, 10), 0), ((10, 1), 0), ((2, 5), 2)],
+                         ids=["one-row", "one-column", "two-rows-of-five"])
+def test_a_bounds_file_holds_one_row_or_one_column(workspace, shape, code):
+    # At P = 10 a 2 x 5 file holds ten numbers but no bounds vector: an
+    # input error with one error line, no traceback and no warning.
+    rng = np.random.default_rng(10)
+    library = rng.random((12, 10))
+    pixels = library @ rng.dirichlet(np.ones(10), size=3).T
+    bounds = np.full(10, 0.01)
+    _write(workspace["lib"], library)
+    _write(workspace["pix"], pixels)
+    bounds_path = workspace["dir"] / "bounds.csv"
+    _write(bounds_path, bounds.reshape(shape))
+    result = _console(workspace, "--lower-bounds", str(bounds_path), PYTHONWARNINGS="error")
+    assert result.returncode == code, result.stderr
+    if code:
+        assert result.stderr == ("error: lower_bounds must be a vector, or a matrix of one row "
+                                 "or one column, got shape (2, 5)\n")
+        return
+    abundances = np.loadtxt(workspace["out"], delimiter=",", ndmin=2)
+    for column in range(3):
+        expected = unmix(UnmixingProblem(library, pixels[:, column], bounds)).abundances
+        np.testing.assert_array_equal(abundances[:, column], expected)
+
+
 def test_infeasible_bounds_exit_code(workspace, capsys):
     bounds_path = workspace["dir"] / "bounds.csv"
     _write(bounds_path, np.array([0.6, 0.6, 0.2]))

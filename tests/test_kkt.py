@@ -166,7 +166,7 @@ def test_near_dependent_pair_is_rank_deficient_on_both_paths():
     mask = np.array([True, False, True])
     with pytest.raises(RankDeficientLibrary) as kept:
         KeptSystem(gram, np.zeros(3), np.flatnonzero(mask)).solve(1.0)
-    _, _, failures = solve_stacked(gram, mask[None], np.zeros((1, 3)), np.ones(1))
+    _, _, failures = solve_stacked(gram, mask[None], np.zeros((1, 3)), 1.0)
     assert list(failures) == [0]
     with pytest.raises(RankDeficientLibrary) as fresh:
         factorize(gram, [0, 2])
@@ -311,14 +311,14 @@ def test_stacked_solves_match_the_kept_system_and_not_the_stack():
     free[:, 0] = True
     free[4] = np.arange(12) == 7  # one free variable
     linear = rng.standard_normal((9, 12))
-    budget = rng.uniform(0.1, 1.5, 9)
+    budget = float(rng.uniform(0.1, 1.5))
     candidates, multipliers, failures = solve_stacked(gram, free, linear, budget)
     assert failures == {} and candidates.shape == (9, 12)
     for k in range(9):
-        alone, lam, _ = solve_stacked(gram, free[k:k + 1], linear[k:k + 1], budget[k:k + 1])
+        alone, lam, _ = solve_stacked(gram, free[k:k + 1], linear[k:k + 1], budget)
         assert alone.tobytes() == candidates[k].tobytes() and lam[0] == multipliers[k]
         assert not candidates[k][~free[k]].any()
-        sub = solve_subproblem(gram, linear[k], budget[k], np.flatnonzero(free[k]))
+        sub = solve_subproblem(gram, linear[k], budget, np.flatnonzero(free[k]))
         np.testing.assert_allclose(candidates[k][free[k]], sub.free_values, rtol=0, atol=1e-10)
         assert multipliers[k] == pytest.approx(sub.multiplier, rel=1e-10, abs=1e-10)
 
@@ -332,7 +332,7 @@ def test_a_stacked_item_that_fails_the_rank_test_carries_the_factorize_error():
     gram = entries.T @ entries
     free = np.zeros((3, 5), dtype=bool)
     free[0, [0, 1, 2]] = free[1, [1, 3, 4]] = free[2, [0, 3]] = True
-    candidates, _, failures = solve_stacked(gram, free, rng.random((3, 5)), np.ones(3))
+    candidates, _, failures = solve_stacked(gram, free, rng.random((3, 5)), 1.0)
     assert list(failures) == [1] and candidates.shape == (2, 5)
     with pytest.raises(RankDeficientLibrary) as raised:
         factorize(gram, [1, 3, 4])

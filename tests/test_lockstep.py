@@ -33,8 +33,9 @@ from instances import assert_matches_unmix, counted_starts, field_bytes, refined
 
 
 batch_module = importlib.import_module("unmix.batch")
+active_set_module = importlib.import_module("unmix.active_set")
 # Libraries with fewer endmembers solve each round in stacked calls.
-CROSSOVER = importlib.import_module("unmix.active_set")._STACKED_BELOW
+CROSSOVER = active_set_module._STACKED_BELOW
 
 
 @st.composite
@@ -288,9 +289,9 @@ def test_every_slice_is_solved_in_lockstep(monkeypatch, n_endmembers, n_pixels, 
     calls = []
     lockstep = batch_module._solve_lockstep
 
-    def counted(problems, config):
+    def counted(problems, config, failures):
         calls.append(len(problems))
-        return lockstep(problems, config)
+        return lockstep(problems, config, failures)
 
     monkeypatch.setattr(batch_module, "_solve_lockstep", counted)
     rng = np.random.default_rng(n_pixels)
@@ -342,6 +343,45 @@ def test_a_pixel_answer_does_not_depend_on_its_slice(monkeypatch, n_endmembers, 
         assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
         starts = counted_starts(library, pixels, bounds, solutions)
         assert starts == {"uniform": 4, "refined": 9}, starts
+
+
+_NAN_MEASUREMENT = "NonFiniteInput: measurement contains NaN or infinite values"
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["stacked", "kept"])
+@pytest.mark.parametrize("n_endmembers", [12, 60])
+def test_a_slice_in_which_every_pixel_fails_its_checks_fails_every_pixel(
+        monkeypatch, n_endmembers, kept):
+    monkeypatch.setattr(active_set_module, "_STACKED_BELOW", 0 if kept else n_endmembers + 1)
+    library = SpectralLibrary(np.random.default_rng(n_endmembers).random((70, n_endmembers)))
+    pixels = np.full((70, 5), np.nan)
+    solutions = unmix_batch(BatchJob(library, pixels))
+    assert [s.status for s in solutions] == [SolveStatus.FAILED] * 5
+    assert [s.message for s in solutions] == [_NAN_MEASUREMENT] * 5
+    assert_matches_unmix(solutions, library, pixels, None, SolverConfig())
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["stacked", "kept"])
+@pytest.mark.parametrize("n_endmembers", [12, 60])
+def test_a_zero_budget_slice_solves_its_finite_pixels_at_the_bounds(
+        monkeypatch, n_endmembers, kept):
+    # Bounds that sum to exactly 1 leave no budget: every finite pixel is
+    # certified at the origin of the shifted problem, while the NaN pixel
+    # in the middle of the slice fails alone.
+    monkeypatch.setattr(active_set_module, "_STACKED_BELOW", 0 if kept else n_endmembers + 1)
+    rng = np.random.default_rng(n_endmembers + 1)
+    library = SpectralLibrary(rng.random((70, n_endmembers)))
+    bounds = np.zeros(n_endmembers)
+    bounds[[1, 4, 7]] = 0.5, 0.25, 0.25
+    pixels = library.entries @ rng.dirichlet(np.ones(n_endmembers), size=5).T
+    pixels[:, 2] = np.nan
+    solutions = unmix_batch(BatchJob(library, pixels, bounds))
+    assert_matches_unmix(solutions, library, pixels, bounds, SolverConfig())
+    assert solutions[2].message == _NAN_MEASUREMENT
+    for column in (0, 1, 3, 4):
+        solution = solutions[column]
+        assert solution.status is SolveStatus.OPTIMAL and solution.outer_iterations == 0
+        np.testing.assert_array_equal(solution.abundances, bounds)
 
 
 def test_bad_pixels_in_the_middle_of_a_slice_fail_alone():

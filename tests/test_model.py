@@ -64,6 +64,15 @@ def test_library_rejects_an_empty_dimension(shape):
         SpectralLibrary(np.ones(shape))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SpectralLibrary(np.ones(3)),
+    lambda: UnmixingProblem(SpectralLibrary(np.ones((2, 2))), np.ones((2, 1))),
+], ids=["library-vector", "measurement-matrix"])
+def test_arrays_of_the_wrong_dimension_are_rejected(make):
+    with pytest.raises(DimensionMismatch, match="dimensional, got shape"):
+        make()
+
+
 def test_library_rejects_non_finite_entries():
     with pytest.raises(NonFiniteInput):
         SpectralLibrary(np.array([[1.0, np.inf], [0.0, 1.0]]))
@@ -152,6 +161,13 @@ def test_shifted_problem_rejects_malformed_terms(kwargs, error):
     terms = {"gram": np.eye(2), "linear": np.zeros(2), "budget": 1.0, **kwargs}
     with pytest.raises(error):
         ShiftedProblem(**terms)
+
+
+def test_shifted_problem_coerces_a_raw_library():
+    shifted = ShiftedProblem(gram=np.eye(2), linear=np.zeros(2), budget=1.0,
+                             library=np.eye(2))
+    assert isinstance(shifted.library, SpectralLibrary)
+    np.testing.assert_array_equal(shifted.library.entries, np.eye(2))
 
 
 def test_shifted_problem_rejects_negative_budget():

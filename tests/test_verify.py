@@ -107,6 +107,14 @@ def test_all_rank_deficient_subsets_is_reported():
         brute_force_solve(shifted)
 
 
+def test_feasible_candidates_without_a_certificate_are_reported():
+    # Column 1 is zero, so only the free set [0] can be solved, and its
+    # candidate e_0 prices variable 1 at -1: no free set certifies.
+    shifted = ShiftedProblem(gram=np.diag([1.0, 0.0]), linear=np.zeros(2), budget=1.0)
+    with pytest.raises(RuntimeError, match="none with nonnegative multipliers"):
+        brute_force_solve(shifted)
+
+
 def test_zero_budget_certificate():
     shifted = ShiftedProblem(gram=np.eye(2), linear=np.array([0.4, -0.2]), budget=0.0)
     oracle = brute_force_solve(shifted)
