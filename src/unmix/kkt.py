@@ -41,18 +41,58 @@ same rank test, and everything else is one numpy call over the stack, each
 keeping every block's arithmetic: a block's bits do not depend on the
 others. Below about 55 endmembers that costs less than the kept system's
 updates, which are bound by per-problem Python calls there.
+
+The six BLAS and LAPACK routines are bound from scipy's two compiled f2py
+modules, ``scipy.linalg._fblas`` and ``_flapack``, loaded by
+:func:`_linalg_extension` without running ``scipy.linalg``'s package
+``__init__``. That init costs about 0.17 s and 20 MB, mostly in numpy
+modules the solver never uses, against a few milliseconds for the two
+modules. The routines are the very objects ``scipy.linalg.blas`` and
+``scipy.linalg.lapack`` export, so every answer is the same either way.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot, dtrsm, dtrsv
-from scipy.linalg.lapack import dposv, dpotrf
+import scipy
 
 from .errors import EmptyFreeSet, RankDeficientLibrary
+
+
+def _linalg_extension(name: str):
+    """The compiled module ``scipy.linalg.<name>``, without importing ``scipy.linalg``.
+
+    Once ``scipy.linalg`` is imported its own module is reused. Otherwise the
+    module is loaded from scipy's ``linalg`` directory and its entry is
+    taken out of ``sys.modules`` again, so that a later ``import
+    scipy.linalg`` still binds it on the package.
+    """
+    qualified = f"scipy.linalg.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(qualified, [directory])
+    if spec is None:
+        raise ImportError(f"no module {qualified} in {directory}", name=qualified)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.modules.pop(qualified, None)
+
+
+_fblas = _linalg_extension("_fblas")
+_flapack = _linalg_extension("_flapack")
+daxpy, ddot, dtrsm, dtrsv = _fblas.daxpy, _fblas.ddot, _fblas.dtrsm, _fblas.dtrsv
+dposv, dpotrf = _flapack.dposv, _flapack.dpotrf
 
 _EPS = np.finfo(float).eps
 
