@@ -89,7 +89,13 @@ checks keeps its place and is not solved. Every problem chooses its start
 before the first round, and the rounds only solve, then accept, refine or
 block. The ratio test, the tie-break and the iterate update of the
 problems whose candidate is infeasible are numpy calls over their rows on
-both back ends; the stacked back end also solves and prices in such calls.
+both back ends. The starts and the stacked back end's rounds price in such
+calls too (:meth:`_Slice.accept`), which decide the rows that finish, the
+variable each other row frees and their new iterates and masks; only a
+finished row builds its :class:`Solution` alone. The kept back end prices
+each row as it solves it (:meth:`_Slice.price`): stacked, one kept row's
+pricing slowed a one-pixel solve. :meth:`_Slice.finish` builds every
+``OPTIMAL`` answer of either back end.
 A problem's bits do not depend on the others: every stacked LAPACK call
 runs once per row, a ``dtrsm`` column is solved as a one-column ``dtrsm``
 solves it, a broadcast ``matmul`` computes each row as ``gram @ x`` does,
@@ -119,12 +125,12 @@ _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
 # Below this many endmembers a round solves the subproblems of all its
 # problems in stacked calls (kkt.solve_stacked), at and above it each on its
 # own KeptSystem. Measured on the batch-p30 recipe (224 bands, seed 2024,
-# 1,000 pixels, slices of _SLICE_FACTOR_BYTES, best of 5), unmix_batch ran
-# 2.57, 2.78, 2.41, 1.85, 1.54, 1.72, 1.54, 0.91, 1.07 and 0.90 times as fast
-# stacked as kept at P = 10, 20, ..., 100, and one-pixel unmix() (200 pixels)
-# 0.93, 0.81, 0.87, 0.86, 0.80, 0.98, 0.79, 0.68, 0.87 and 0.77 times: the
-# batch gain reaches about 70, but from 40 on a one-pixel solve loses up to
-# 32%, and no benchmark workload lies between, so the crossover stays.
+# 1,000 pixels, slices of _SLICE_FACTOR_BYTES = 2 MiB, best of 5), unmix_batch
+# ran 2.81, 3.46, 2.78, 2.31, 1.83, 1.51, 1.21, 1.16, 0.99 and 0.85 times as
+# fast stacked as kept at P = 10, 20, ..., 100, and one-pixel unmix() (200
+# pixels) 0.92, 0.95, 0.93, 0.85, 0.88, 0.85, 0.81, 0.71, 0.66 and 0.58 times:
+# the batch gain reaches about 80, but from 40 on a one-pixel solve loses up
+# to 42%, and no benchmark workload lies between, so the crossover stays.
 _STACKED_BELOW = 55
 
 
@@ -397,7 +403,7 @@ class _Slice:
             ineq_multipliers=np.full(x.size, np.nan),
             objective=trace[-1],
             outer_iterations=cap,
-            final_free=np.flatnonzero(self.free[r]),
+            final_free=self.free[r].nonzero()[0],
             status=SolveStatus.MAX_ITERATIONS,
             objective_trace=tuple(trace),
             message=f"iteration cap {cap} reached without dual feasibility",
@@ -414,45 +420,65 @@ class _Slice:
         return products, objectives.tolist()
 
     def accept(self, rows: list, candidates, multipliers) -> None:
-        """:meth:`price` each row ``rows[k]`` at its feasible candidate, row
-        ``k`` of ``candidates``, with the multiplier ``multipliers[k]``, with
-        boundary roundoff and the prices on the masks zeroed in single calls."""
+        """Accept each row ``rows[k]`` at its feasible candidate, row ``k`` of
+        ``candidates`` clipped at zero, and price its pinned variables from
+        ``mu = G x - g + lam``, ``lam = multipliers[k]``, zeroed on its mask,
+        where it is the stationarity residual, all in calls over the rows: a
+        row whose smallest price is at least ``-dual_tol`` is finished
+        (:meth:`finish`), the others free their most negative price's
+        variable (ties to the smallest index). The starts and the stacked
+        back end accept here, on rows that keep no :class:`KeptSystem`."""
         iterates = np.maximum(candidates, 0.0)
         products, objectives = self._traced(rows, iterates)
         prices = products - self.linear.take(rows, axis=0)
         prices += multipliers[:, None]
         prices[self.free.take(rows, axis=0)] = 0.0
-        for k, lam in enumerate(multipliers.tolist()):
-            self.price(rows[k], iterates[k], prices[k], objectives[k],
-                       SubproblemSolution(None, lam))
+        finished = prices.min(axis=1) >= -self.config.dual_tol
+        for r, objective in zip(rows, objectives):
+            self.trace[r].append(objective)
+        done, lams = finished.nonzero()[0].tolist(), multipliers.tolist()
+        for k in done:
+            self.finish(rows[k], iterates[k], prices[k], objectives[k],
+                        SubproblemSolution(None, lams[k]))
+        if len(done) < len(rows):
+            walking = (~finished).nonzero()[0]
+            moved = [rows[k] for k in walking.tolist()]
+            self.iterate[moved] = iterates[walking]
+            self.free[moved, prices[walking].argmin(axis=1)] = True
+
+    def finish(self, r: int, x, mu, objective, sub: SubproblemSolution) -> None:
+        """Write the ``OPTIMAL`` :class:`Solution` of row ``r`` at its
+        accepted iterate ``x``, whose objective is ``objective``, with the
+        prices ``mu`` and the multiplier of ``sub``."""
+        # benchmarks/tests mutates this call: every OPTIMAL answer of both back ends must pass here.
+        self.results[r] = Solution(
+            abundances=x.copy(),
+            shifted_abundances=x,
+            eq_multiplier=sub.multiplier,
+            ineq_multipliers=mu,
+            objective=objective,
+            outer_iterations=self.iteration[r],
+            final_free=self.free[r].nonzero()[0],
+            status=SolveStatus.OPTIMAL,
+            objective_trace=tuple(self.trace[r]),
+        )
 
     def price(self, r: int, x, mu, objective, sub: SubproblemSolution) -> None:
-        """Accept the feasible iterate ``x`` of row ``r``, the candidate
-        ``sub`` clipped at zero, whose objective is ``objective``, and price
-        the pinned variables from ``mu = G x - g + lam``, ``lam`` that of
-        ``sub``, which the caller zeroed on the free set, where it is the
-        stationarity residual, not a multiplier: the ``OPTIMAL``
-        :class:`Solution` when no multiplier is below ``-dual_tol``, else
-        free the most negative one's variable (ties to the smallest index)."""
+        """The kept back end's pricing of one row: accept the feasible iterate
+        ``x`` of row ``r``, the candidate ``sub`` clipped at zero, whose
+        objective is ``objective``, and price the pinned variables from
+        ``mu = G x - g + lam``, ``lam`` that of ``sub``, which the caller
+        zeroed on the free set: :meth:`finish` the row when no price is below
+        ``-dual_tol``, else free the most negative one's variable (ties to
+        the smallest index) and append it to the row's :class:`KeptSystem`."""
         self.trace[r].append(objective)
         released = int(mu.argmin())
         if mu[released] >= -self.config.dual_tol:
-            self.results[r] = Solution(
-                abundances=x.copy(),
-                shifted_abundances=x.copy(),
-                eq_multiplier=sub.multiplier,
-                ineq_multipliers=mu,
-                objective=objective,
-                outer_iterations=self.iteration[r],
-                final_free=np.flatnonzero(self.free[r]),
-                status=SolveStatus.OPTIMAL,
-                objective_trace=tuple(self.trace[r]),
-            )
+            self.finish(r, x, mu, objective, sub)
             return
         self.iterate[r] = x
         self.free[r, released] = True
-        if self.systems[r] is not None:
-            self.systems[r].add(released)
+        self.systems[r].add(released)
 
     def block(self, rows: list, candidates) -> None:
         """Take the blocking step of each row ``rows[k]`` towards its
@@ -556,7 +582,7 @@ class _Slice:
                 self.results[rows[item]] = exc
             rows = [r for item, r in enumerate(rows) if item not in failures]
         feasible = candidates.min(axis=1) >= -self.config.primal_tol
-        accepted, blocked = np.flatnonzero(feasible).tolist(), np.flatnonzero(~feasible).tolist()
+        accepted, blocked = feasible.nonzero()[0].tolist(), (~feasible).nonzero()[0].tolist()
         if accepted:
             self.accept([rows[k] for k in accepted],
                         candidates.take(accepted, axis=0) if blocked else candidates,

@@ -4,7 +4,8 @@ Both shift through one core, which runs over a slice of one pixel for
 :func:`unmix`, and run the one active-set loop, so a pixel gets the same
 answer either way. A batch validates its bounds and computes their offset
 and budget once; per slice it checks the measurements and forms their
-targets, linear terms and constants in calls over the slice."""
+targets, linear terms and constants in calls over the slice, and unshifts
+the solved pixels in one add, as :func:`unmix` does its one pixel."""
 
 from __future__ import annotations
 
@@ -27,8 +28,12 @@ from .shift import _shift_measurements, _shift_terms, shift_problem, unshift_sol
 # themselves, of the supports their starts refine on and the free sets
 # grown from there. The probes of the whole slice are solved in two dtrsm
 # calls on the library's uniform start factor, shared by every pixel. A
-# slice holds as many pixels as fit in this many bytes of blocks.
-_SLICE_FACTOR_BYTES = 1 << 19
+# slice holds as many pixels as fit in this many bytes of blocks: 2 MiB,
+# half of a 4 MiB per-core L2 cache, holds 291 pixels at P = 30 (a 250-pixel
+# chunk in one slice), 89 at P = 54, 26 at P = 100 and 1 from P = 363 on.
+# Each round's numpy calls are paid once per slice, so wider slices make
+# fewer of them for the same LAPACK work.
+_SLICE_FACTOR_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -74,12 +79,15 @@ class BatchJob:
             object.__setattr__(self, "config", SolverConfig())
 
 
-def _unshifted(solution: Solution, lower_bounds) -> Solution:
-    # The loop made ``solution`` for this pixel alone, so its abundances are
+def _unshift(solutions: list, lower_bounds) -> None:
+    """Set the abundances of ``solutions`` to their shifted abundances plus
+    the bounds, in one add over their stacked rows."""
+    # The loop made each solution for its pixel alone, so its abundances are
     # set in place rather than copied with every other field by ``replace``.
-    abundances = unshift_solution(solution.shifted_abundances, lower_bounds)
-    object.__setattr__(solution, "abundances", abundances)
-    return solution
+    if solutions:
+        rows = unshift_solution([s.shifted_abundances for s in solutions], lower_bounds)
+        for solution, abundances in zip(solutions, rows):
+            object.__setattr__(solution, "abundances", abundances)
 
 
 def unmix(problem: UnmixingProblem, config: SolverConfig | None = None) -> Solution:
@@ -90,7 +98,9 @@ def unmix(problem: UnmixingProblem, config: SolverConfig | None = None) -> Solut
     """
     config = config or SolverConfig()
     shifted = shift_problem(problem, primal_tol=config.primal_tol)
-    return _unshifted(active_set_solve(shifted, config), problem.lower_bounds)
+    solution = active_set_solve(shifted, config)
+    _unshift([solution], problem.lower_bounds)
+    return solution
 
 
 def _failed_pixel(n_endmembers, error) -> Solution:
@@ -135,13 +145,9 @@ def _solve_pixels(job: BatchJob):
         else:
             shifted = ShiftedRows(lib.gram, linear, budget, lib.n_bands, const, lib)
             solved = _solve_lockstep(shifted, config, shift_failures | failures)
-        solutions = []
-        for result in solved:
-            if isinstance(result, UnmixError):
-                solutions.append(_failed_pixel(lib.n_endmembers, result))
-            else:
-                solutions.append(_unshifted(result, job.lower_bounds))
-        yield shifted, solutions
+        _unshift([r for r in solved if not isinstance(r, UnmixError)], job.lower_bounds)
+        yield shifted, [_failed_pixel(lib.n_endmembers, r) if isinstance(r, UnmixError) else r
+                        for r in solved]
 
 
 def unmix_batch(job: BatchJob) -> list[Solution]:

@@ -67,10 +67,12 @@ def _shift_measurements(library, measurements, offset) -> tuple:
 
 
 def unshift_solution(shifted_abundances, lower_bounds) -> np.ndarray:
-    """Map abundances of the shifted problem back to the original variables."""
+    """Map abundances of the shifted problem back to the original variables:
+    one ``(P,)`` vector, or ``(k, P)`` rows of them, against ``(P,)`` bounds.
+    The last axis must match the bounds."""
     shifted_abundances = np.asarray(shifted_abundances, dtype=float)
     lower_bounds = np.asarray(lower_bounds, dtype=float)
-    if shifted_abundances.shape != lower_bounds.shape:
+    if shifted_abundances.shape[-1:] != lower_bounds.shape:
         raise DimensionMismatch(
             f"shifted abundances have shape {shifted_abundances.shape}, "
             f"lower_bounds have shape {lower_bounds.shape}"

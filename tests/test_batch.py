@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import re
 import traceback
 from unittest import mock
@@ -158,6 +159,34 @@ def test_a_singular_start_raises_a_fresh_error_on_every_call():
         assert str(caught.value) == str(first.value)
     assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised}) == 1
     assert len({id(exc) for exc in raised}) == 200
+
+
+@pytest.mark.parametrize("n_endmembers", [10, 60], ids=["stacked", "kept"])
+def test_no_two_returned_arrays_share_memory(n_endmembers):
+    # A slice's pricing and unshift hand out rows of arrays over the slice.
+    # No array field of a pixel's Solution may share memory with another of
+    # its fields or with any field of another pixel. In one slice, four
+    # noiseless pixels inside the simplex finish at their accepted probe
+    # (iteration 1), while some noisy pixels on a library of P + 2 bands
+    # release a variable after their first accept and take two or more.
+    rng = np.random.default_rng(62)
+    n_bands = n_endmembers + 2
+    library = SpectralLibrary(rng.random((n_bands, n_endmembers)))
+    inside = library.entries @ rng.dirichlet(np.full(n_endmembers, 20.0), size=4).T
+    noisy = library.entries @ rng.dirichlet(np.full(n_endmembers, 0.3), size=12).T
+    noisy += 0.05 * rng.standard_normal(noisy.shape)
+    pixels = np.column_stack([inside, noisy])
+    bounds = np.full(n_endmembers, 0.1 / n_endmembers)
+    solutions = unmix_batch(BatchJob(library, pixels, bounds))
+    assert batch._SLICE_FACTOR_BYTES // (8 * n_endmembers**2) >= 16  # one slice
+    assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
+    iterations = [s.outer_iterations for s in solutions]
+    assert iterations[:4] == [1] * 4 and max(iterations[4:]) >= 2, iterations
+    arrays = [(column, name, value) for column, solution in enumerate(solutions)
+              for name, value in vars(solution).items() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 16 * 4
+    for (j, first, a), (k, second, b) in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b), (j, first, k, second)
 
 
 def test_batch_rejects_mismatched_pixel_rows():

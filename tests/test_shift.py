@@ -77,6 +77,15 @@ def test_unshift_rejects_mismatched_lengths():
         unshift_solution(np.zeros(3), np.zeros(2))
 
 
+def test_unshift_adds_bounds_to_every_row():
+    rows = np.array([[0.6, 0.0], [0.1, 0.5]])
+    bounds = np.array([0.0, 0.4])
+    np.testing.assert_array_equal(unshift_solution(rows, bounds), [[0.6, 0.4], [0.1, 0.9]])
+    for shifted, wrong in ((rows, np.zeros(3)), (rows.T[:1], bounds[:, None])):
+        with pytest.raises(DimensionMismatch):
+            unshift_solution(shifted, wrong)
+
+
 def test_shift_unshift_round_trip_is_exact():
     rng = np.random.default_rng(3)
     for _ in range(20):
