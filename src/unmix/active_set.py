@@ -56,11 +56,13 @@ rounds, which also run the refinement solves:
   costs two dot products and one back-substitution. Only growth is an
   update: step 3 adds the released variable last, and the next solve
   appends its column in ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a
-  refactorization. A pin in step 2 and each refinement of the start drop
-  the system, and a solve that has none builds one on its mask, sorted,
-  which factorizes at that solve, as the vertex's does after its first
-  release. A failed append drops the system too, and the solve is made
-  again on the sorted mask: the block the stacked back end judges;
+  refactorization. A pin in step 2 drops the system, and a solve that has
+  none builds one on its mask, sorted, which factorizes at that solve, as
+  the vertex's does after its first release. A row refining its start
+  shrinks its mask and solves again within the same round, on a system
+  built on the shrunken mask, until its candidate is feasible. A failed
+  append drops the system too, and the solve is made again on the sorted
+  mask: the block the stacked back end judges;
 - below it a solve keeps no factor, and a round solves the subproblems of
   all its problems with :func:`unmix.kkt.solve_stacked` on the rows of the
   free mask: one LAPACK call per padded ``P x P`` block over a stack, and
@@ -132,6 +134,7 @@ _NO_BLOCKING = "candidate has a negative entry but no free coordinate decreases"
 # the batch gain reaches about 80, but from 40 on a one-pixel solve loses up
 # to 42%, and no benchmark workload lies between, so the crossover stays.
 _STACKED_BELOW = 55
+_DEFAULT_CONFIG = SolverConfig()  # frozen, so every call without a config can share it
 
 
 class SolveStatus(enum.Enum):
@@ -278,7 +281,7 @@ def active_set_solve(shifted: ShiftedProblem, config: SolverConfig | None = None
         library columns inside the free set or more free variables than
         spectral bands.
     """
-    result = _solve_lockstep(ShiftedRows.of(shifted), config or SolverConfig(), {})[0]
+    result = _solve_lockstep(ShiftedRows.of(shifted), config or _DEFAULT_CONFIG, {})[0]
     if isinstance(result, UnmixError):
         raise result
     return result
@@ -295,7 +298,7 @@ class _Slice:
     the objective ``trace``, empty while the row refines its start, the
     tie-break ``rngs`` and, at and above :data:`_STACKED_BELOW` endmembers,
     the :class:`KeptSystem` in ``systems`` that caches the factor of its row
-    of ``free``, or None where a pin, a refinement or a failed append
+    of ``free``, or None before the row's first kept solve and where a pin
     dropped it. ``bands`` is the rows' number of spectral bands when it is
     below P, the most free variables a full-rank block can have, and None
     otherwise. ``results`` receives each row's :class:`Solution` or error;
@@ -313,9 +316,10 @@ class _Slice:
         self.trace = [[] for _ in range(k)]
         n = rows.n_bands
         self.bands = n if n is not None and n < p else None
-        self.rngs = [np.random.default_rng(config.tie_seed) if config.tie_break == "random"
-                     else None for _ in range(k)]
-        self.systems, self.results = [None] * k, [failures.get(r) for r in range(k)]
+        self.rngs = ([np.random.default_rng(config.tie_seed) for _ in range(k)]
+                     if config.tie_break == "random" else [None] * k)
+        self.systems = [None] * k
+        self.results = [failures.get(r) for r in range(k)] if failures else [None] * k
 
     def start(self) -> None:
         """Choose the start of every row without an error and write it: the
@@ -367,18 +371,18 @@ class _Slice:
                 self.trace[r].append(objective)
             self.accept(taken, probes.take(accepted, axis=0), multipliers.take(accepted))
 
-    def refine(self, rows: list, candidates) -> None:
+    def refine(self, rows, candidates) -> None:
         """Free, for each row ``rows[k]``, only the strictly positive entries
-        of its infeasible probe or candidate, row ``k`` of ``candidates``, and
-        drop its :class:`KeptSystem`, if any.
+        of its infeasible probe or candidate, row ``k`` of ``candidates``; or,
+        for one row ``rows``, those of its candidate ``candidates``.
 
         Each such free set is a strict subset of the last, and never empty,
         since the candidate sums to the positive budget, so a row refines at
         most P times before its candidate is feasible and accepted as
-        iteration 0. Until then its trace is empty."""
+        iteration 0. Until then its trace is empty. A refining row keeps no
+        :class:`KeptSystem`: the kept back end refines within its round
+        (:meth:`solve_kept`), which builds the next system at once."""
         self.free[rows] = candidates > 0.0
-        for r in rows:
-            self.systems[r] = None
 
     def _vertex(self, rows: list) -> None:
         """Start ``rows`` at their best vertices ``s e_i``, which minimize
@@ -439,7 +443,7 @@ class _Slice:
         done, lams = finished.nonzero()[0].tolist(), multipliers.tolist()
         for k in done:
             self.finish(rows[k], iterates[k], prices[k], objectives[k],
-                        SubproblemSolution(None, lams[k]))
+                        SubproblemSolution._of(None, lams[k]))
         if len(done) < len(rows):
             walking = (~finished).nonzero()[0]
             moved = [rows[k] for k in walking.tolist()]
@@ -451,7 +455,9 @@ class _Slice:
         accepted iterate ``x``, whose objective is ``objective``, with the
         prices ``mu`` and the multiplier of ``sub``."""
         # benchmarks/tests mutates this call: every OPTIMAL answer of both back ends must pass here.
-        self.results[r] = Solution(
+        # Every field is made here, so the frozen dataclass's per-field set-up is skipped.
+        self.results[r] = solution = object.__new__(Solution)
+        vars(solution).update(
             abundances=x.copy(),
             shifted_abundances=x,
             eq_multiplier=sub.multiplier,
@@ -461,6 +467,7 @@ class _Slice:
             final_free=self.free[r].nonzero()[0],
             status=SolveStatus.OPTIMAL,
             objective_trace=tuple(self.trace[r]),
+            message="",
         )
 
     def price(self, r: int, x, mu, objective, sub: SubproblemSolution) -> None:
@@ -487,8 +494,9 @@ class _Slice:
         stacked. Pinned coordinates hold 0 in both the candidate and the
         iterate, so they never move or block. A row that cannot take the
         step gets its error; one that takes it drops its :class:`KeptSystem`,
-        if any. A row still refining its start has no iterate to step from,
-        and :meth:`refine` shrinks its free set instead."""
+        if any. A row still refining its start, which only the stacked back
+        end passes here, has no iterate to step from, and :meth:`refine`
+        shrinks its free set instead."""
         refining = [k for k, r in enumerate(rows) if not self.trace[r]]
         if refining:
             self.refine([rows[k] for k in refining], candidates.take(refining, axis=0))
@@ -532,43 +540,45 @@ class _Slice:
         """A round on the kept back end: each row solves its subproblem on
         its own :class:`KeptSystem`, built on its mask if it has none, and
         prices a feasible candidate at once; the rows whose candidate is
-        infeasible take the blocking step together. A row whose append fails
-        solves again in this round on its sorted mask; only a fresh system's
-        failure is the row's error."""
-        blocked, candidates, retried = [], [], []
+        infeasible take the blocking step together. A row still refining its
+        start refines on its infeasible candidate and solves again within the
+        round, and so does a row whose append fails, on its sorted mask; only
+        a fresh system's failure is the row's error."""
+        blocked, candidates = [], []
+        tol, gram, budget = self.config.primal_tol, self.gram, self.budget
         for r in rows:
             system, linear = self.systems[r], self.linear[r]
-            fresh = system is None
-            if fresh:
-                system = self.systems[r] = KeptSystem(self.gram, linear,
-                                                      np.flatnonzero(self.free[r]))
-            try:
-                sub = solve_subproblem(self.gram, linear, self.budget, system.free,
-                                       factor=system)
-            except UnmixError as exc:
+            while True:
+                fresh = system is None
                 if fresh:
-                    self.results[r] = exc
-                else:
-                    self.systems[r] = None
-                    retried.append(r)
-                continue
-            x = np.zeros(linear.size)
-            if sub.free_values.min() >= -self.config.primal_tol:
-                x[system.free] = np.maximum(sub.free_values, 0.0)
-                gx = self.gram @ x
-                mu = gx - linear
-                mu += sub.multiplier
-                mu[system.free] = 0.0
-                self.price(r, x, mu, objective_from_product(x, gx, linear, self.const.item(r)),
-                           sub)
-            else:
-                x[system.free] = sub.free_values
-                blocked.append(r)
-                candidates.append(x)
+                    system = self.systems[r] = KeptSystem(gram, linear, self.free[r].nonzero()[0])
+                try:
+                    sub = solve_subproblem(gram, linear, budget, system.free, factor=system)
+                except UnmixError as exc:
+                    if fresh:
+                        self.results[r] = exc
+                        break
+                    system = None
+                    continue
+                x, values = np.zeros(linear.size), sub.free_values
+                if values[values.argmin()] >= -tol:  # min(), at a third of its cost
+                    x[system.free] = np.maximum(values, 0.0)
+                    gx = gram @ x
+                    mu = gx - linear
+                    mu += sub.multiplier
+                    mu[system.free] = 0.0
+                    self.price(r, x, mu, objective_from_product(x, gx, linear, self.const.item(r)),
+                               sub)
+                    break
+                x[system.free] = values
+                if self.trace[r]:
+                    blocked.append(r)
+                    candidates.append(x)
+                    break
+                self.refine(r, x)
+                system = None
         if blocked:
             self.block(blocked, np.array(candidates))
-        if retried:
-            self.solve_kept(retried)
 
     def solve_stacked(self, rows: list) -> None:
         """A round on the stacked back end: the subproblems of all the rows

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import Solution, SolveStatus, _solve_lockstep, active_set_solve
+from .active_set import _DEFAULT_CONFIG, Solution, SolveStatus, _solve_lockstep
+from .active_set import active_set_solve
 from .errors import DimensionMismatch, UnmixError
 from .model import ShiftedRows, SolverConfig, SpectralLibrary, UnmixingProblem, _nonfinite_rows
 from .model import validate_lower_bounds
@@ -96,7 +97,7 @@ def unmix(problem: UnmixingProblem, config: SolverConfig | None = None) -> Solut
     Validates, shifts out the lower bounds, runs the active-set solver, and
     shifts the abundances back so they satisfy the original constraints.
     """
-    config = config or SolverConfig()
+    config = config or _DEFAULT_CONFIG
     shifted = shift_problem(problem, primal_tol=config.primal_tol)
     solution = active_set_solve(shifted, config)
     _unshift([solution], problem.lower_bounds)

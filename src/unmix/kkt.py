@@ -108,9 +108,19 @@ class SubproblemSolution:
     free_values: np.ndarray
     multiplier: float
 
+    @classmethod
+    def _of(cls, free_values, multiplier) -> SubproblemSolution:
+        """The solution of these fields, without the frozen dataclass's
+        per-field set-up: the loop makes every field itself."""
+        solution = object.__new__(cls)
+        vars(solution).update(free_values=free_values, multiplier=multiplier)
+        return solution
+
 
 def _integer_indices(free) -> np.ndarray:
     """``free`` as an index array: integers, not floats or a boolean mask, unless empty."""
+    if type(free) is np.ndarray and free.dtype == np.intp:
+        return free
     free = np.asarray(free)
     if free.size and free.dtype.kind not in "iu":
         raise IndexError(f"free indices must be integers, got dtype {free.dtype}")
@@ -118,12 +128,17 @@ def _integer_indices(free) -> np.ndarray:
 
 
 def _checked_indices(free, n):
-    free = _integer_indices(free).ravel()
+    free = _integer_indices(free)
+    if free.ndim != 1:
+        free = free.ravel()
     if free.size == 0:
         raise EmptyFreeSet("subproblem requested on an empty free set")
-    if free.min() < 0 or free.max() >= n:
+    # A negative index reads as a huge unsigned one, so the largest checks both ends.
+    unsigned = free.view(np.uintp)
+    if unsigned[unsigned.argmax()] >= n:
         raise IndexError(f"free indices must lie in [0, {n}), got {free}")
     return free
+
 
 def factorize(gram, free) -> np.ndarray:
     """Cholesky-factorize the Gram matrix restricted to the free columns.
@@ -165,8 +180,12 @@ def factorize(gram, free) -> np.ndarray:
             f"(leading minor of order {info} is not positive); the free columns "
             f"of the library are linearly dependent"
         )
-    pivot_floor = n * _EPS * max(block.diagonal().max(), 0.0)
-    pivot = (lower.diagonal() ** 2).min()
+    # An entry found by argmax or argmin is that of max() or min(), NaN included,
+    # at a fraction of their cost on arrays this small.
+    diagonal = block.diagonal()
+    pivot_floor = n * _EPS * max(diagonal[diagonal.argmax()], 0.0)
+    diagonal = lower.diagonal()
+    pivot = diagonal[diagonal.argmin()] ** 2  # rounding keeps the order of positive squares
     if pivot <= pivot_floor:
         raise _rank_error(free.size, pivot, pivot_floor)
     return lower
@@ -192,9 +211,11 @@ class KeptSystem:
 
     ``lower`` is None until a solve factorizes, and is replaced on each
     append, never written in place. ``forward`` is
-    ``Z = L^{-1} [g_F, 1]``, of shape ``(|F|, 2)``, and ``top`` is the
-    largest diagonal entry of the factorized block, which sets the pivot
-    floor ``P * eps * top`` of the rank test.
+    ``Z = L^{-1} [g_F, 1]``, one ``(|F|, 2)`` Fortran-order array whose
+    columns the forward solves write in place. ``top`` is the largest
+    diagonal entry of the factorized block, which sets the pivot floor
+    ``P * eps * top`` of the rank test; it is None until the first append,
+    since only an append reads it.
     """
 
     __slots__ = ("gram", "linear", "order", "free", "lower", "forward", "top")
@@ -204,16 +225,18 @@ class KeptSystem:
         self.linear = np.asarray(linear, dtype=float)
         self.order = self.gram.shape[0]
         self.free = _integer_indices(free)
-        self.lower = None
+        self.lower = self.top = None
 
     def _catch_up(self) -> None:
         """Factorize ``free`` if there is no factor, then append the columns added since."""
         if self.lower is None:
-            self.lower = lower = factorize(self.gram, self.free)
-            self.top = self.gram.diagonal().take(self.free).max()
-            self.forward = np.empty((self.free.size, 2), order="F")
-            self.forward[:, 0] = dtrsv(lower, self.linear.take(self.free), lower=1)
-            self.forward[:, 1] = dtrsv(lower, np.ones(self.free.size), lower=1)
+            free = self.free
+            self.lower = lower = factorize(self.gram, free)
+            self.forward = forward = np.empty((free.size, 2), order="F")
+            self.linear.take(free, out=forward[:, 0])
+            forward[:, 1] = 1.0
+            dtrsv(lower, forward[:, 0], lower=1, overwrite_x=1)
+            dtrsv(lower, forward[:, 1], lower=1, overwrite_x=1)
         while self.lower.shape[0] < self.free.size:
             self._append(self.free[self.lower.shape[0]])
 
@@ -233,6 +256,8 @@ class KeptSystem:
         report; the factor is then left as it was.
         """
         size = self.lower.shape[0]
+        if self.top is None:
+            self.top = self.gram.diagonal().take(self.free[:size]).max()
         row = self.gram[new]
         cross = dtrsv(self.lower, row.take(self.free[:size]), lower=1, overwrite_x=1)
         corner = row.item(new)
@@ -273,8 +298,7 @@ class KeptSystem:
         lam = ((ddot(forward_ones, forward_linear) - float(budget))
                / ddot(forward_ones, forward_ones))
         rhs = daxpy(forward_ones, forward_linear.copy(), a=-lam)
-        free_values = dtrsv(self.lower, rhs, lower=1, trans=1, overwrite_x=1)
-        return SubproblemSolution(free_values=free_values, multiplier=lam)
+        return SubproblemSolution._of(dtrsv(self.lower, rhs, lower=1, trans=1, overwrite_x=1), lam)
 
 
 def solve_stacked(gram, free, linear, budget):
@@ -396,7 +420,7 @@ def solve_uniform(start, linear, budget):
     forward = dtrsm(1.0, lower, linear.T, lower=1, overwrite_b=1).T
     dots = np.matmul(forward[:, None], forward_ones[:, None])[:, 0, 0]
     multipliers = (dots - budget) / squares
-    forward -= np.multiply.outer(multipliers, forward_ones)
+    forward -= multipliers[:, None] * forward_ones
     return dtrsm(1.0, lower, forward.T, lower=1, trans_a=1, overwrite_b=1).T, multipliers
 
 

@@ -283,11 +283,13 @@ class ShiftedRows:
 
     @classmethod
     def of(cls, shifted: ShiftedProblem) -> ShiftedRows:
-        """The one row of ``shifted``."""
+        """The one row of ``shifted``, whose fields construction has checked."""
         target = shifted.shifted_target
-        return cls(shifted.gram, shifted.linear[None], shifted.budget,
-                   None if target is None else target.size, np.array([shifted.const_term]),
-                   shifted.library)
+        rows = object.__new__(cls)
+        vars(rows).update(gram=shifted.gram, linear=shifted.linear[None], budget=shifted.budget,
+                          n_bands=None if target is None else target.size,
+                          const_term=np.array([shifted.const_term]), library=shifted.library)
+        return rows
 
     def __len__(self) -> int:
         return self.linear.shape[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import re
@@ -161,11 +162,12 @@ def test_a_singular_start_raises_a_fresh_error_on_every_call():
     assert len({id(exc) for exc in raised}) == 200
 
 
-@pytest.mark.parametrize("n_endmembers", [10, 60], ids=["stacked", "kept"])
+@pytest.mark.parametrize("n_endmembers", [12, 60], ids=["stacked", "kept"])
 def test_no_two_returned_arrays_share_memory(n_endmembers):
     # A slice's pricing and unshift hand out rows of arrays over the slice.
     # No array field of a pixel's Solution may share memory with another of
-    # its fields or with any field of another pixel. In one slice, four
+    # its fields or with any field of another pixel, whether the pixels are
+    # solved as one batch or one unmix() call each. In one slice, four
     # noiseless pixels inside the simplex finish at their accepted probe
     # (iteration 1), while some noisy pixels on a library of P + 2 bands
     # release a variable after their first accept and take two or more.
@@ -177,16 +179,44 @@ def test_no_two_returned_arrays_share_memory(n_endmembers):
     noisy += 0.05 * rng.standard_normal(noisy.shape)
     pixels = np.column_stack([inside, noisy])
     bounds = np.full(n_endmembers, 0.1 / n_endmembers)
-    solutions = unmix_batch(BatchJob(library, pixels, bounds))
     assert batch._SLICE_FACTOR_BYTES // (8 * n_endmembers**2) >= 16  # one slice
-    assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
-    iterations = [s.outer_iterations for s in solutions]
-    assert iterations[:4] == [1] * 4 and max(iterations[4:]) >= 2, iterations
-    arrays = [(column, name, value) for column, solution in enumerate(solutions)
-              for name, value in vars(solution).items() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 16 * 4
-    for (j, first, a), (k, second, b) in itertools.combinations(arrays, 2):
-        assert not np.shares_memory(a, b), (j, first, k, second)
+    for solutions in (unmix_batch(BatchJob(library, pixels, bounds)),
+                      [unmix(UnmixingProblem(library, pixel, bounds)) for pixel in pixels.T]):
+        assert all(s.status is SolveStatus.OPTIMAL for s in solutions)
+        iterations = [s.outer_iterations for s in solutions]
+        assert iterations[:4] == [1] * 4 and max(iterations[4:]) >= 2, iterations
+        arrays = [(column, name, value) for column, solution in enumerate(solutions)
+                  for name, value in vars(solution).items() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 16 * 4
+        for (j, first, a), (k, second, b) in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b), (j, first, k, second)
+
+
+@pytest.mark.parametrize("n_endmembers", [12, 60], ids=["stacked", "kept"])
+def test_a_returned_solution_behaves_as_its_frozen_dataclass(n_endmembers):
+    # The loop builds its answers without the dataclass's constructor; they
+    # must still be frozen, carry every field with its default message, and
+    # work with replace, fields and repr.
+    rng = np.random.default_rng(63)
+    library = SpectralLibrary(rng.random((n_endmembers + 5, n_endmembers)))
+    pixel = library.entries @ rng.dirichlet(np.full(n_endmembers, 0.3))
+    solution = unmix(UnmixingProblem(library, pixel))
+    assert solution.status is SolveStatus.OPTIMAL and solution.message == ""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        solution.objective = 0.0
+    names = [field.name for field in dataclasses.fields(solution)]
+    assert names == list(vars(solution))
+    replaced = dataclasses.replace(solution, message="replaced")
+    assert replaced.message == "replaced" and replaced.objective == solution.objective
+    assert repr(solution).startswith("Solution(abundances=array(")
+    assert "message=''" in repr(solution)
+    free = solution.final_free
+    sub = kkt.KeptSystem(library.gram, np.zeros(n_endmembers), free).solve(1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sub.multiplier = 0.0
+    assert [field.name for field in dataclasses.fields(sub)] == list(vars(sub))
+    assert dataclasses.replace(sub, multiplier=2.0).free_values is sub.free_values
+    assert repr(sub).startswith("SubproblemSolution(free_values=array(")
 
 
 def test_batch_rejects_mismatched_pixel_rows():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,21 @@ def test_schur_denominator_is_positive_on_every_solve():
 def test_free_indices_out_of_range_are_rejected():
     with pytest.raises(IndexError):
         factorize(np.eye(2), [0, 2])
+
+
+@pytest.mark.parametrize("free", [[-1], [0, -1], np.array([1, -2], dtype=np.intp),
+                                  np.array([-1, 0], dtype=np.int32)])
+def test_negative_free_indices_are_rejected(free):
+    # take() would wrap -1 to the last column and solve a different block;
+    # the one-reduction range check must catch a negative index as well.
+    gram = np.diag([1.0, 2.0, 3.0])
+    message = re.escape("free indices must lie in [0, 3)")
+    with pytest.raises(IndexError, match=message):
+        factorize(gram, free)
+    with pytest.raises(IndexError, match=message):
+        solve_subproblem(gram, np.zeros(3), 1.0, free)
+    with pytest.raises(IndexError, match=message):
+        KeptSystem(gram, np.zeros(3), free).solve(1.0)
 
 
 def test_free_indices_must_be_integers():

@@ -121,13 +121,15 @@ def test_a_refined_start_frees_strictly_shrinking_positive_supports(monkeypatch)
     # the one before, at most P of them end at a feasible candidate, and
     # the trace begins at that candidate. P = 30 refines in stacked calls,
     # 100 and 150 on kept systems; the batch refines a slice's pixels
-    # together, unmix() each alone.
+    # together, unmix() each alone. A kept row refines alone, within its
+    # round, so ``rows`` is then one row.
     refined = []
     refine = active_set._Slice.refine
 
     def recorded(state, rows, candidates):
         refine(state, rows, candidates)
-        refined.extend((state.linear[r].tobytes(), np.flatnonzero(state.free[r])) for r in rows)
+        refined.extend((state.linear[r].tobytes(), np.flatnonzero(state.free[r]))
+                       for r in np.atleast_1d(rows).tolist())
 
     monkeypatch.setattr(active_set._Slice, "refine", recorded)
     rng = np.random.default_rng(610)
