@@ -81,17 +81,15 @@ for step_number in range(1, 30):
 
 # The walk above refactorizes every free set. The solver instead keeps, per
 # solve, a cache of the factor of its free set: a system holding the factor
-# L with the forward solves L^-1 [g_F, 1]. Its first solve factorizes the
-# free set, and only growth is an update: a release adds the freed column
-# last, joining the factor at the next solve, so the factor's columns follow
-# the order in which the variables were freed. A pin, like a refinement
-# step, drops the system, and the next solve builds a fresh one on the
-# sorted free set, which factorizes it. Each solve on a system is two dot
-# products and one back-substitution.
+# L with the forward solves L^-1 [g_F, 1]. Building it factorizes the free
+# set, and only growth is an update: a release appends the freed column
+# last at once, so the factor's columns follow the order in which the
+# variables were freed. A pin, like a refinement step or an append that
+# fails the rank test, drops the system, and the next solve builds a fresh
+# one on the sorted free set. Each solve on a system is two dot products
+# and one back-substitution.
 kept = KeptSystem(shifted.gram, shifted.linear, [2, 0])
-kept.solve(shifted.budget)
 kept.add(4)
-kept.solve(shifted.budget)
 print("\nfree set [2, 0] plus a released 4: appended factor == factorize([2, 0, 4]):",
       np.allclose(kept.lower, factorize(shifted.gram, [2, 0, 4]), rtol=0, atol=1e-12))
 kept = KeptSystem(shifted.gram, shifted.linear, [0, 4])

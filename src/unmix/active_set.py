@@ -26,10 +26,11 @@ doubles as a probe, which decides where the solve goes on:
   there, and while the candidate is infeasible it frees that candidate's
   strictly positive support and solves again. Each free set is a strict
   subset of the last and never empty, so at most P such solves reach a
-  feasible candidate, which step 3 accepts and prices as iteration 0. The
-  exact loop then runs from it, as Lawson & Hanson (1974) and FNNLS (Bro &
-  De Jong 1997) do, and needs few moves: the refined support is most of the
-  optimal one. The refinement solves are neither counted nor capped.
+  feasible candidate, which step 3 accepts and prices as iteration 0, all
+  within the start: these solves are neither counted nor capped. The exact
+  loop then runs from it, as Lawson & Hanson (1974) and FNNLS (Bro & De
+  Jong 1997) do, and needs few moves: the refined support is most of the
+  optimal one.
 
 A library with more endmembers than bands starts at the best vertex
 ``s e_i``, because the uniform start's block cannot be full rank there. The
@@ -45,31 +46,27 @@ back end, by two ``dtrsm`` calls (:func:`unmix.kkt.solve_uniform`) with
 the factor of the full Gram matrix, which the library factorizes once, at
 the first solve that needs it; a problem stated without its library's Gram
 gets one of its own. The multipliers, the choice of start and the
-vertices are array operations over the problems. After the start, the
-number of endmembers P selects one of two linear-algebra back ends for the
-rounds, which also run the refinement solves:
+vertices are array operations over the problems. The number of endmembers
+P selects one of two linear-algebra back ends for the refinement solves and
+the rounds:
 
-- at ``P >= _STACKED_BELOW`` a solve keeps a
-  :class:`unmix.kkt.KeptSystem`, a cache of the factor of its row of the
-  mask, which makes every factor event: the Cholesky factor of ``G_FF``
-  with the forward solves ``L^{-1} [g_F, 1]``, so that each subproblem
-  costs two dot products and one back-substitution. Only growth is an
-  update: step 3 adds the released variable last, and the next solve
-  appends its column in ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a
-  refactorization. A pin in step 2 drops the system, and a solve that has
-  none builds one on its mask, sorted, which factorizes at that solve, as
-  the vertex's does after its first release. A row refining its start
-  shrinks its mask and solves again within the same round, on a system
-  built on the shrunken mask, until its candidate is feasible. A failed
-  append drops the system too, and the solve is made again on the sorted
-  mask: the block the stacked back end judges;
-- below it a solve keeps no factor, and a round solves the subproblems of
-  all its problems with :func:`unmix.kkt.solve_stacked` on the rows of the
-  free mask: one LAPACK call per padded ``P x P`` block over a stack, and
-  single numpy calls over the stack for the rest. At small P the kept back
-  end is bound by its per-problem Python calls, which the stacked one
-  shares; at large P the stacked one pays for whole blocks where the kept
-  one updates in ``O(|F|^2)``. The crossover comes from the sweep quoted at
+- at ``P >= _STACKED_BELOW`` a solve keeps a :class:`unmix.kkt.KeptSystem`,
+  a cache of the factor of its row of the mask, factorized when it is built,
+  with the forward solves ``L^{-1} [g_F, 1]``, so that each subproblem costs
+  two dot products and one back-substitution. Only growth is an update:
+  step 3 appends the released variable's column at once, in ``O(|F|^2)``
+  instead of the ``O(|F|^3)`` of a refactorization. A pin in step 2 drops
+  the system, and so does an append that fails the rank test; a solve that
+  has none builds one on its mask, sorted, the block the stacked back end
+  judges, as does each refinement solve on its shrunken mask;
+- below it a solve keeps no factor, and a round, like a refinement step,
+  solves the subproblems of all its problems with
+  :func:`unmix.kkt.solve_stacked` on the rows of the free mask: one LAPACK
+  call per padded ``P x P`` block over a stack, and single numpy calls over
+  the stack for the rest. At small P the kept back end is bound by its
+  per-problem Python calls, which the stacked one shares; at large P the
+  stacked one pays for whole blocks where the kept one updates in
+  ``O(|F|^2)``. The crossover comes from the sweep quoted at
   :data:`_STACKED_BELOW`.
 
 Step 3, the one accept step of every feasible candidate and every start,
@@ -85,19 +82,19 @@ Gram matrix and a budget through the moves together, one round at a time:
 :func:`active_set_solve` runs it on one problem and :mod:`unmix.batch` on
 slices of pixels, so a pixel gets the same answer either way. A
 :class:`_Slice` holds their state in rows: a ``(k, P)`` free mask and
-iterate, and the problems' linear terms and constants, as the shift
-stacked them (:class:`unmix.model.ShiftedRows`); a row that failed its
-checks keeps its place and is not solved. Every problem chooses its start
-before the first round, and the rounds only solve, then accept, refine or
-block. The ratio test, the tie-break and the iterate update of the
-problems whose candidate is infeasible are numpy calls over their rows on
-both back ends. The starts and the stacked back end's rounds price in such
-calls too (:meth:`_Slice.accept`), which decide the rows that finish, the
-variable each other row frees and their new iterates and masks; only a
-finished row builds its :class:`Solution` alone. The kept back end prices
-each row as it solves it (:meth:`_Slice.price`): stacked, one kept row's
-pricing slowed a one-pixel solve. :meth:`_Slice.finish` builds every
-``OPTIMAL`` answer of either back end.
+iterate, and the problems' linear terms and constants, as the shift stacked
+them (:class:`unmix.model.ShiftedRows`); a row that failed its checks keeps
+its place and is not solved. Every problem ends its start, refinement
+included, at a priced, feasible iterate before the first round, and the
+rounds only solve, then accept or block. The ratio test, the tie-break and
+the iterate update of the problems whose candidate is infeasible are numpy
+calls over their rows on both back ends. The starts and the stacked back
+end's rounds price in such calls too (:meth:`_Slice.accept`), which decide
+the rows that finish, the variable each other row frees and their new
+iterates and masks; only a finished row builds its :class:`Solution` alone.
+The kept back end prices each row as it solves it (:meth:`_Slice.price`):
+stacked, one kept row's pricing slowed a one-pixel solve.
+:meth:`_Slice.finish` builds every answer a row returns, on either back end.
 A problem's bits do not depend on the others: every stacked LAPACK call
 runs once per row, a ``dtrsm`` column is solved as a one-column ``dtrsm``
 solves it, a broadcast ``matmul`` computes each row as ``gram @ x`` does,
@@ -294,15 +291,15 @@ class _Slice:
     ``free`` is the ``(k, P)`` mask of the free sets and ``iterate`` the
     current feasible points, zero off them; ``linear`` and ``const`` are the
     rows' terms, and ``budget`` the one float they share. Per row the slice
-    keeps the number of subproblems solved since the start (``iteration``),
-    the objective ``trace``, empty while the row refines its start, the
-    tie-break ``rngs`` and, at and above :data:`_STACKED_BELOW` endmembers,
-    the :class:`KeptSystem` in ``systems`` that caches the factor of its row
-    of ``free``, or None before the row's first kept solve and where a pin
+    keeps the objective ``trace``, one entry more than the row's iterations,
+    which the start leaves nonempty; the tie-break ``rngs``; and, at and
+    above :data:`_STACKED_BELOW` endmembers, the :class:`KeptSystem` in
+    ``systems`` that caches the factor of its row of ``free``, or None
+    before the row's first kept solve and where a pin or a failed append
     dropped it. ``bands`` is the rows' number of spectral bands when it is
     below P, the most free variables a full-rank block can have, and None
-    otherwise. ``results`` receives each row's :class:`Solution` or error;
-    a row in ``failures`` holds its error from the start and is not solved.
+    otherwise. ``results`` receives each row's :class:`Solution` or error; a
+    row in ``failures`` holds its error from the start and is not solved.
     """
 
     def __init__(self, rows: ShiftedRows, config: SolverConfig, failures: dict):
@@ -312,7 +309,6 @@ class _Slice:
         self.free = np.zeros((k, p), dtype=bool)
         self.iterate = np.zeros((k, p))
         self.linear, self.budget, self.const = rows.linear, rows.budget, rows.const_term
-        self.iteration = [0] * k
         self.trace = [[] for _ in range(k)]
         n = rows.n_bands
         self.bands = n if n is not None and n < p else None
@@ -330,8 +326,8 @@ class _Slice:
         at its best vertex. Otherwise every row solves its probe, all in the
         stacked calls of :func:`unmix.kkt.solve_uniform` on the library's
         start factor: a feasible probe is accepted as iteration 1, and any
-        other refines its start from the probe's strictly positive support
-        (:meth:`refine`). The origins, the vertices or the accepted probes
+        other refines its start (:meth:`refine`) until its candidate is
+        feasible and priced. The origins, the vertices or the accepted probes
         are priced in one accept step. A singular start factor fails every
         probing row with a fresh :class:`RankDeficientLibrary`.
         """
@@ -360,14 +356,15 @@ class _Slice:
         refining = [k for k, n in enumerate(infeasible) if n]
         accepted = [k for k, n in enumerate(infeasible) if not n]
         if refining:
-            self.refine([rows[k] for k in refining], probes.take(refining, axis=0))
+            refined = [rows[k] for k in refining]
+            self.refine(refined, probes.take(refining, axis=0))
+            (self.solve_kept if self.kept else self.solve_stacked)(refined)
         if accepted:  # all free at s / P, where the trace begins
             taken = [rows[k] for k in accepted]
             self.free[taken] = True
             self.iterate[taken] = self.budget / probes.shape[1]
             _, objectives = self._traced(taken, self.iterate.take(taken, axis=0))
             for r, objective in zip(taken, objectives):
-                self.iteration[r] = 1
                 self.trace[r].append(objective)
             self.accept(taken, probes.take(accepted, axis=0), multipliers.take(accepted))
 
@@ -379,9 +376,9 @@ class _Slice:
         Each such free set is a strict subset of the last, and never empty,
         since the candidate sums to the positive budget, so a row refines at
         most P times before its candidate is feasible and accepted as
-        iteration 0. Until then its trace is empty. A refining row keeps no
-        :class:`KeptSystem`: the kept back end refines within its round
-        (:meth:`solve_kept`), which builds the next system at once."""
+        iteration 0. The start solves a refined row again at once, on the
+        back end that P selects, so no row enters a round with an empty
+        trace."""
         self.free[rows] = candidates > 0.0
 
     def _vertex(self, rows: list) -> None:
@@ -394,24 +391,6 @@ class _Slice:
         candidates = np.zeros((len(rows), diagonal.size))
         candidates[np.arange(len(rows)), best] = s
         self.accept(rows, candidates, self.linear[rows, best] - s * diagonal[best])
-
-    def capped(self, r: int, cap: int) -> Solution:
-        """The ``MAX_ITERATIONS`` answer of row ``r``."""
-        # No multipliers were computed at the returned iterate: when the last
-        # move was a pin, the last priced candidate is not the iterate.
-        x, trace = self.iterate[r], self.trace[r]
-        return Solution(
-            abundances=x.copy(),
-            shifted_abundances=x.copy(),
-            eq_multiplier=float("nan"),
-            ineq_multipliers=np.full(x.size, np.nan),
-            objective=trace[-1],
-            outer_iterations=cap,
-            final_free=self.free[r].nonzero()[0],
-            status=SolveStatus.MAX_ITERATIONS,
-            objective_trace=tuple(trace),
-            message=f"iteration cap {cap} reached without dual feasibility",
-        )
 
     def _traced(self, rows: list, iterates):
         """``G x`` and the objective at row ``k`` of ``iterates``, the
@@ -450,24 +429,27 @@ class _Slice:
             self.iterate[moved] = iterates[walking]
             self.free[moved, prices[walking].argmin(axis=1)] = True
 
-    def finish(self, r: int, x, mu, objective, sub: SubproblemSolution) -> None:
-        """Write the ``OPTIMAL`` :class:`Solution` of row ``r`` at its
-        accepted iterate ``x``, whose objective is ``objective``, with the
-        prices ``mu`` and the multiplier of ``sub``."""
-        # benchmarks/tests mutates this call: every OPTIMAL answer of both back ends must pass here.
+    def finish(self, r: int, x, mu, objective, sub: SubproblemSolution,
+               status=SolveStatus.OPTIMAL, message="") -> None:
+        """Write the :class:`Solution` of row ``r`` at its iterate ``x``,
+        whose objective is ``objective``, with the prices ``mu`` and the
+        multiplier of ``sub``: every answer a row returns. Its iterations
+        are those its trace records."""
+        # benchmarks/tests mutates this call: every answer of both back ends must pass here.
         # Every field is made here, so the frozen dataclass's per-field set-up is skipped.
         self.results[r] = solution = object.__new__(Solution)
+        trace = self.trace[r]
         vars(solution).update(
             abundances=x.copy(),
             shifted_abundances=x,
             eq_multiplier=sub.multiplier,
             ineq_multipliers=mu,
             objective=objective,
-            outer_iterations=self.iteration[r],
+            outer_iterations=len(trace) - 1,
             final_free=self.free[r].nonzero()[0],
-            status=SolveStatus.OPTIMAL,
-            objective_trace=tuple(self.trace[r]),
-            message="",
+            status=status,
+            objective_trace=tuple(trace),
+            message=message,
         )
 
     def price(self, r: int, x, mu, objective, sub: SubproblemSolution) -> None:
@@ -477,7 +459,8 @@ class _Slice:
         ``mu = G x - g + lam``, ``lam`` that of ``sub``, which the caller
         zeroed on the free set: :meth:`finish` the row when no price is below
         ``-dual_tol``, else free the most negative one's variable (ties to
-        the smallest index) and append it to the row's :class:`KeptSystem`."""
+        the smallest index) and append it to the row's :class:`KeptSystem`,
+        or drop the system when the append fails the rank test."""
         self.trace[r].append(objective)
         released = int(mu.argmin())
         if mu[released] >= -self.config.dual_tol:
@@ -485,7 +468,10 @@ class _Slice:
             return
         self.iterate[r] = x
         self.free[r, released] = True
-        self.systems[r].add(released)
+        try:
+            self.systems[r].add(released)
+        except RankDeficientLibrary:  # the next solve factorizes the sorted mask, as after a pin
+            self.systems[r] = None
 
     def block(self, rows: list, candidates) -> None:
         """Take the blocking step of each row ``rows[k]`` towards its
@@ -494,16 +480,7 @@ class _Slice:
         stacked. Pinned coordinates hold 0 in both the candidate and the
         iterate, so they never move or block. A row that cannot take the
         step gets its error; one that takes it drops its :class:`KeptSystem`,
-        if any. A row still refining its start, which only the stacked back
-        end passes here, has no iterate to step from, and :meth:`refine`
-        shrinks its free set instead."""
-        refining = [k for k, r in enumerate(rows) if not self.trace[r]]
-        if refining:
-            self.refine([rows[k] for k in refining], candidates.take(refining, axis=0))
-            walking = [k for k, r in enumerate(rows) if self.trace[r]]
-            if not walking:
-                return
-            rows, candidates = [rows[k] for k in walking], candidates.take(walking, axis=0)
+        if any."""
         current = self.iterate.take(rows, axis=0)
         # ``gap`` is the iterate minus the candidate, positive where a coordinate
         # falls; it is exactly the negated step direction.
@@ -537,29 +514,25 @@ class _Slice:
                 self.trace[r].append(objective)
 
     def solve_kept(self, rows: list) -> None:
-        """A round on the kept back end: each row solves its subproblem on
-        its own :class:`KeptSystem`, built on its mask if it has none, and
-        prices a feasible candidate at once; the rows whose candidate is
-        infeasible take the blocking step together. A row still refining its
-        start refines on its infeasible candidate and solves again within the
-        round, and so does a row whose append fails, on its sorted mask; only
-        a fresh system's failure is the row's error."""
+        """A round on the kept back end, or the start's refinement: each row
+        solves its subproblem on its own :class:`KeptSystem`, built on its
+        mask if it has none, and prices a feasible candidate at once. In a
+        round the rows whose candidate is infeasible take the blocking step
+        together; in the start such a row refines on its candidate and
+        solves again. A system that cannot be built is the row's error."""
         blocked, candidates = [], []
         tol, gram, budget = self.config.primal_tol, self.gram, self.budget
         for r in rows:
             system, linear = self.systems[r], self.linear[r]
             while True:
-                fresh = system is None
-                if fresh:
-                    system = self.systems[r] = KeptSystem(gram, linear, self.free[r].nonzero()[0])
-                try:
-                    sub = solve_subproblem(gram, linear, budget, system.free, factor=system)
-                except UnmixError as exc:
-                    if fresh:
+                if system is None:
+                    try:
+                        system = self.systems[r] = KeptSystem(gram, linear,
+                                                              self.free[r].nonzero()[0])
+                    except UnmixError as exc:
                         self.results[r] = exc
                         break
-                    system = None
-                    continue
+                sub = solve_subproblem(gram, linear, budget, system.free, factor=system)
                 x, values = np.zeros(linear.size), sub.free_values
                 if values[values.argmin()] >= -tol:  # min(), at a third of its cost
                     x[system.free] = np.maximum(values, 0.0)
@@ -581,24 +554,32 @@ class _Slice:
             self.block(blocked, np.array(candidates))
 
     def solve_stacked(self, rows: list) -> None:
-        """A round on the stacked back end: the subproblems of all the rows
-        in the stacked calls of :func:`unmix.kkt.solve_stacked`, then the
-        pricing of the feasible candidates and the blocking step towards the
-        others, each stacked."""
-        candidates, multipliers, failures = solve_stacked(
-            self.gram, self.free.take(rows, axis=0), self.linear.take(rows, axis=0), self.budget)
-        if failures:
-            for item, exc in failures.items():
-                self.results[rows[item]] = exc
-            rows = [r for item, r in enumerate(rows) if item not in failures]
-        feasible = candidates.min(axis=1) >= -self.config.primal_tol
-        accepted, blocked = feasible.nonzero()[0].tolist(), (~feasible).nonzero()[0].tolist()
-        if accepted:
-            self.accept([rows[k] for k in accepted],
-                        candidates.take(accepted, axis=0) if blocked else candidates,
-                        multipliers.take(accepted))
-        if blocked:
-            self.block([rows[k] for k in blocked], candidates.take(blocked, axis=0))
+        """A round on the stacked back end, or the start's refinement: the
+        subproblems of all the rows in the stacked calls of
+        :func:`unmix.kkt.solve_stacked`, then the pricing of the feasible
+        candidates and, in a round, the blocking step towards the others,
+        each stacked. In the start the others refine and are solved again."""
+        while True:
+            candidates, multipliers, failures = solve_stacked(
+                self.gram, self.free.take(rows, axis=0), self.linear.take(rows, axis=0),
+                self.budget)
+            if failures:
+                for item, exc in failures.items():
+                    self.results[rows[item]] = exc
+                rows = [r for item, r in enumerate(rows) if item not in failures]
+            feasible = candidates.min(axis=1) >= -self.config.primal_tol
+            accepted, blocked = feasible.nonzero()[0].tolist(), (~feasible).nonzero()[0].tolist()
+            if accepted:
+                self.accept([rows[k] for k in accepted],
+                            candidates.take(accepted, axis=0) if blocked else candidates,
+                            multipliers.take(accepted))
+            if not blocked:
+                return
+            rows, candidates = [rows[k] for k in blocked], candidates.take(blocked, axis=0)
+            if self.trace[rows[0]]:  # a round's rows; the start's rows all refine
+                self.block(rows, candidates)
+                return
+            self.refine(rows, candidates)
 
 
 def _solve_lockstep(problems: ShiftedRows, config: SolverConfig, failures: dict) -> list:
@@ -607,11 +588,12 @@ def _solve_lockstep(problems: ShiftedRows, config: SolverConfig, failures: dict)
     The ``i``-th entry is the :class:`Solution` for row ``i``, or the
     :class:`UnmixError` its solve raised, or ``failures[i]``, unsolved, for
     a row that failed its checks; no row's answer depends on the others.
-    Every row chooses its start before the first round, in calls over the
-    rows. In a round every live row below the iteration cap, and
-    every row refining its start, solves its subproblem, then prices a
-    feasible candidate, refines its start or takes the blocking step: on
-    the back end that P selects, with each row's arithmetic kept.
+    Every row ends its start, refinement included, before the first round,
+    in calls over the rows. In a round every live row whose trace holds at
+    most ``cap`` entries solves its subproblem, then prices a feasible
+    candidate or takes the blocking step: on the back end that P selects,
+    with each row's arithmetic kept. A row whose trace outgrows the cap
+    returns its iterate as ``MAX_ITERATIONS``, without multipliers.
     """
     state = _Slice(problems, config, failures)
     state.start()
@@ -624,16 +606,16 @@ def _solve_lockstep(problems: ShiftedRows, config: SolverConfig, failures: dict)
             return results
         solving = []
         for r in live:
-            if not state.trace[r]:  # refining its start: neither counted nor capped
-                solving.append(r)
-            elif state.iteration[r] == cap:
-                results[r] = state.capped(r, cap)
+            if len(state.trace[r]) > cap:  # a pin may follow the last pricing: no multipliers
+                state.finish(r, state.iterate[r].copy(), np.full(state.free.shape[1], np.nan),
+                             state.trace[r][-1], SubproblemSolution._of(None, np.nan),
+                             SolveStatus.MAX_ITERATIONS,
+                             f"iteration cap {cap} reached without dual feasibility")
             elif state.bands is not None and (n := np.count_nonzero(state.free[r])) > state.bands:
                 results[r] = RankDeficientLibrary(
                     f"restricted Gram block of size {n} is singular ({n} free variables "
                     f"exceed the {state.bands} spectral bands, so the block cannot be full rank)")
             else:
-                state.iteration[r] += 1
                 solving.append(r)
         if solving:
             (state.solve_kept if state.kept else state.solve_stacked)(solving)

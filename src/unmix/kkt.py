@@ -20,14 +20,15 @@ The active-set loop keeps at most one such system per solve, a
 ``L`` and ``Z``: a cache of the factor, since the loop's mask holds the
 free set. Every factor event of a solve happens here. Only growth is an
 update (Gill, Golub, Murray & Saunders, *Methods for modifying matrix
-factorizations*, Math. Comp. 1974): when a variable is released,
-:meth:`KeptSystem.add` puts it last, and the next solve appends its column
-with one triangular solve, which also gives the new row of ``Z``, in
-``O(|F|^2)`` instead of the ``O(|F|^3)`` of a fresh :func:`factorize`. The
-factor's columns therefore follow the order of the moves. A pin, like a
-refinement step of the start, drops the system, and the next solve builds
-a fresh one on the sorted free set, whose first solve factorizes it. Both
-routes apply the same rank test. The uniform start needs no system: every
+factorizations*, Math. Comp. 1974): a system is factorized when it is
+built, and when a variable is released :meth:`KeptSystem.add` appends its
+column last at once, with one triangular solve, which also gives the new
+row of ``Z``, in ``O(|F|^2)`` instead of the ``O(|F|^3)`` of a fresh
+:func:`factorize`. The factor's columns therefore follow the order of the
+moves. A pin, like a refinement step of the start, drops the system, and so
+does an append that fails the rank test, which leaves the system as it was;
+the next solve builds a fresh one on the sorted free set. Both routes apply
+the same rank test. The uniform start needs no system: every
 probe of a library, the candidate on every variable, is solved with
 :func:`solve_uniform` from the one factor of the full Gram matrix that
 :func:`uniform_start` makes.
@@ -203,69 +204,63 @@ class KeptSystem:
     """One solve's free set ``F``, the factor ``L`` of ``G_FF`` and its forward solves.
 
     ``free`` lists the free variables in the column order of ``L``: it is
-    the order given, then :meth:`add` puts a variable last. The first
-    :meth:`solve` factorizes ``free``. A column added since the last solve
-    joins ``L`` and ``Z`` at the next one, so a solve that is never made
-    never pays for it. Nothing takes a variable out: the active-set loop
-    drops the system on a pin and builds a fresh one on the smaller set.
+    the order given, then :meth:`add` puts a variable last. Building a
+    system factorizes ``free``, raising as :func:`factorize` does, and
+    :meth:`add` appends a column at once, so a system is always whole and
+    :meth:`solve` only solves. Nothing takes a variable out: the active-set
+    loop drops the system on a pin, or when an append fails, and builds a
+    fresh one on the sorted free set.
 
-    ``lower`` is None until a solve factorizes, and is replaced on each
-    append, never written in place. ``forward`` is
-    ``Z = L^{-1} [g_F, 1]``, one ``(|F|, 2)`` Fortran-order array whose
-    columns the forward solves write in place. ``top`` is the largest
-    diagonal entry of the factorized block, which sets the pivot floor
-    ``P * eps * top`` of the rank test; it is None until the first append,
-    since only an append reads it.
+    ``lower`` is replaced on each append, never written in place.
+    ``forward`` is ``Z = L^{-1} [g_F, 1]``, one ``(|F|, 2)`` Fortran-order
+    array whose columns the forward solves write in place. ``top`` is the
+    largest diagonal entry of the factorized block, which sets the pivot
+    floor ``P * eps * top`` of the rank test; it is None until the first
+    append, since only an append reads it.
     """
 
     __slots__ = ("gram", "linear", "order", "free", "lower", "forward", "top")
 
     def __init__(self, gram, linear, free):
-        self.gram = np.asarray(gram, dtype=float)
+        self.gram = gram = np.asarray(gram, dtype=float)
         self.linear = np.asarray(linear, dtype=float)
-        self.order = self.gram.shape[0]
-        self.free = _integer_indices(free)
-        self.lower = self.top = None
-
-    def _catch_up(self) -> None:
-        """Factorize ``free`` if there is no factor, then append the columns added since."""
-        if self.lower is None:
-            free = self.free
-            self.lower = lower = factorize(self.gram, free)
-            self.forward = forward = np.empty((free.size, 2), order="F")
-            self.linear.take(free, out=forward[:, 0])
-            forward[:, 1] = 1.0
-            dtrsv(lower, forward[:, 0], lower=1, overwrite_x=1)
-            dtrsv(lower, forward[:, 1], lower=1, overwrite_x=1)
-        while self.lower.shape[0] < self.free.size:
-            self._append(self.free[self.lower.shape[0]])
+        self.order = gram.shape[0]
+        self.free = free = _integer_indices(free)
+        self.lower = lower = factorize(gram, free)
+        self.forward = forward = np.empty((free.size, 2), order="F")
+        self.linear.take(free, out=forward[:, 0])
+        forward[:, 1] = 1.0
+        dtrsv(lower, forward[:, 0], lower=1, overwrite_x=1)
+        dtrsv(lower, forward[:, 1], lower=1, overwrite_x=1)
+        self.top = None
 
     def add(self, index) -> None:
-        """Free variable ``index``: it becomes the last column at the next solve."""
-        self.free = np.concatenate((self.free, [index]))
-
-    def _append(self, new) -> None:
-        """Add the column of variable ``new`` last, without refactorizing.
+        """Free variable ``index``: append its column last, without refactorizing.
 
         The old rows of ``L`` and ``Z`` stay; the new row of ``L`` is
         ``l = L^{-1} G[F, new]`` with pivot ``sqrt(G[new, new] - l.l)``, and
-        the new row of ``Z`` is ``([g_new, 1] - l Z) / pivot``. The rank test
-        fails when the new pivot is nonpositive or falls at or below the
+        the new row of ``Z`` is ``([g_new, 1] - l Z) / pivot``. The rank
+        test fails when the new pivot is nonpositive or falls at or below the
         pivot floor of the grown block, or a larger ``G[new, new]`` raises
         that floor above an old pivot, exactly as :func:`factorize` would
-        report; the factor is then left as it was.
+        report; the system is then left as it was. An ``index`` that is no
+        integer in ``[0, P)`` raises the :class:`IndexError` of
+        :func:`factorize`.
         """
-        size = self.lower.shape[0]
-        if self.top is None:
-            self.top = self.gram.diagonal().take(self.free[:size]).max()
+        new = index
+        if type(new) is not int or not 0 <= new < self.order:  # the loop's own ints pass here
+            new = _checked_indices([new], self.order).item()
+        free, size, top = self.free, self.free.size, self.top
+        if top is None:
+            top = self.gram.diagonal().take(free).max()
         row = self.gram[new]
-        cross = dtrsv(self.lower, row.take(self.free[:size]), lower=1, overwrite_x=1)
+        cross = dtrsv(self.lower, row.take(free), lower=1, overwrite_x=1)
         corner = row.item(new)
         pivot = corner - ddot(cross, cross)
-        pivot_floor = self.order * _EPS * max(self.top, corner, 0.0)
+        pivot_floor = self.order * _EPS * max(top, corner, 0.0)
         # The old pivots passed the old floor; only a larger corner raises it.
         smallest = pivot
-        if corner > self.top:
+        if corner > top:
             smallest = min(pivot, float((self.lower.diagonal() ** 2).min()))
         if smallest <= pivot_floor:
             raise _rank_error(size + 1, smallest, pivot_floor)
@@ -278,22 +273,15 @@ class KeptSystem:
         forward[:size] = self.forward
         forward[size, 0] = (self.linear.item(new) - ddot(cross, self.forward[:, 0])) / root
         forward[size, 1] = (1.0 - ddot(cross, self.forward[:, 1])) / root
-        self.lower, self.forward = lower, forward
-        self.top = max(self.top, corner)
+        self.free = np.concatenate((free, [new]))
+        self.lower, self.forward, self.top = lower, forward, max(top, corner)
 
     def solve(self, budget) -> SubproblemSolution:
         """The subproblem on this free set with sum ``budget``.
 
         ``1^T G_FF^{-1} 1`` is the sum of squares ``z_1 . z_1``, positive
         for any factor that passed the rank test.
-
-        Raises
-        ------
-        RankDeficientLibrary
-            If factorizing ``free``, or appending a column added since the
-            last solve, fails the rank test.
         """
-        self._catch_up()
         forward_linear, forward_ones = self.forward[:, 0], self.forward[:, 1]
         lam = ((ddot(forward_ones, forward_linear) - float(budget))
                / ddot(forward_ones, forward_ones))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unmix import (
+    BatchJob,
     RankDeficientLibrary,
     ShiftedProblem,
     SolverConfig,
@@ -14,6 +15,8 @@ from unmix import (
     objective_value,
     shift_problem,
     solve_subproblem,
+    unmix,
+    unmix_batch,
     verify_kkt,
 )
 from unmix.active_set import (
@@ -27,7 +30,7 @@ from unmix.active_set import (
 )
 from unmix.errors import NoBlockingIndex
 import unmix.kkt as kkt_module
-from instances import random_problem, refined_start
+from instances import assert_matches_unmix, random_problem, refined_start
 
 
 def _state(free, active, iterate):
@@ -574,3 +577,65 @@ def test_the_kept_loop_factorizes_the_sorted_mask_after_every_pin_and_refinement
     counts = {kind: sum(event[0] == kind for event in events)
               for kind in ("refine", "block", "price", "factorize")}
     assert min(counts.values()) > 0, counts
+
+
+# ------------------------------------------------------------ a row's life cycle
+
+def _walking_scene(p, seed):
+    # Noisy pixels over a library of P + 3 bands: the probes are infeasible
+    # and refine, and the solves walk far enough for caps 1 and 2 to bite.
+    rng = np.random.default_rng(seed)
+    library = SpectralLibrary(rng.random((p + 3, p)))
+    pixels = np.column_stack([library.entries @ rng.dirichlet(np.full(p, 0.3))
+                              + 0.2 * rng.standard_normal(p + 3) for _ in range(20)])
+    return library, pixels
+
+
+@pytest.mark.parametrize("p", [12, 60])  # the stacked and the kept back end
+def test_the_trace_counts_the_iterations_of_every_answer(p):
+    # Capped or optimal, batch or unmix(), an answer's trace holds one entry
+    # more than its iterations, and a capped answer stops at the cap.
+    library, pixels = _walking_scene(p, 37)
+    capped = 0
+    for cap in (None, 1, 2):
+        config = SolverConfig(max_outer_iterations=cap)
+        solutions = unmix_batch(BatchJob(library, pixels, None, config))
+        assert_matches_unmix(solutions, library, pixels, None, config)
+        for solution in solutions:
+            assert len(solution.objective_trace) == solution.outer_iterations + 1
+            assert solution.objective == solution.objective_trace[-1]
+            if solution.status is SolveStatus.MAX_ITERATIONS:
+                capped += 1
+                assert solution.outer_iterations == cap
+                assert solution.message == f"iteration cap {cap} reached without dual feasibility"
+                assert np.isnan(solution.eq_multiplier)
+                assert np.isnan(solution.ineq_multipliers).all()
+            else:
+                assert solution.status is SolveStatus.OPTIMAL and solution.message == ""
+                assert cap is None or solution.outer_iterations <= cap
+    assert capped > 0
+
+
+@pytest.mark.parametrize("p", [12, 60])  # the stacked and the kept back end
+def test_the_start_ends_every_refinement_before_a_blocking_step(monkeypatch, p):
+    # A row leaves its start at a priced, feasible iterate, so every row that
+    # reaches the blocking step has a trace to step from.
+    calls = {"block": 0, "refine": 0}
+    block, refine = _Slice.block, _Slice.refine
+
+    def spied_block(self, rows, candidates):
+        assert all(self.trace[r] for r in rows), rows
+        calls["block"] += 1
+        block(self, rows, candidates)
+
+    def spied_refine(self, rows, candidates):
+        calls["refine"] += 1
+        refine(self, rows, candidates)
+
+    monkeypatch.setattr(_Slice, "block", spied_block)
+    monkeypatch.setattr(_Slice, "refine", spied_refine)
+    library, pixels = _walking_scene(p, 38)
+    unmix_batch(BatchJob(library, pixels))
+    for pixel in pixels.T:
+        unmix(UnmixingProblem(library, pixel))
+    assert calls["block"] > 0 and calls["refine"] > 0, calls

@@ -16,11 +16,21 @@ from instances import random_spd_system
 
 
 def _kept(gram, free, linear=None):
-    # A system that has factorized its free set at its first solve.
+    # A system is factorized when it is built.
     linear = np.zeros(gram.shape[0]) if linear is None else linear
-    system = KeptSystem(gram, linear, free)
-    system.solve(1.0)
-    return system
+    return KeptSystem(gram, linear, free)
+
+
+def _assert_add_fails_and_leaves_the_system(system, index):
+    # A failed append raises and leaves every part of the system as it was.
+    free, lower, forward, top = system.free, system.lower, system.forward, system.top
+    copies = free.copy(), lower.copy(), forward.copy()
+    with pytest.raises(RankDeficientLibrary):
+        system.add(index)
+    assert system.free is free and system.lower is lower and system.forward is forward
+    for array, copy in zip((free, lower, forward), copies):
+        np.testing.assert_array_equal(array, copy)
+    assert system.top == top
 
 
 def _assert_forward_solves(system, gram, linear, free):
@@ -139,6 +149,18 @@ def test_schur_denominator_is_positive_on_every_solve():
 def test_free_indices_out_of_range_are_rejected():
     with pytest.raises(IndexError):
         factorize(np.eye(2), [0, 2])
+    # add() checks its index as factorize checks free indices: 7 must not
+    # surface as numpy's bare out-of-bounds error, nor 2.0 be cast.
+    system = KeptSystem(np.eye(4), np.zeros(4), [0, 1])
+    for index in (4, 7, np.intp(7), np.int32(4)):
+        with pytest.raises(IndexError, match=re.escape("free indices must lie in [0, 4)")):
+            system.add(index)
+    for index in (2.0, True):
+        with pytest.raises(IndexError, match="free indices must be integers"):
+            system.add(index)
+    np.testing.assert_array_equal(system.free, [0, 1])
+    system.add(np.int32(3))
+    np.testing.assert_array_equal(system.free, [0, 1, 3])
 
 
 @pytest.mark.parametrize("free", [[-1], [0, -1], np.array([1, -2], dtype=np.intp),
@@ -153,7 +175,13 @@ def test_negative_free_indices_are_rejected(free):
     with pytest.raises(IndexError, match=message):
         solve_subproblem(gram, np.zeros(3), 1.0, free)
     with pytest.raises(IndexError, match=message):
-        KeptSystem(gram, np.zeros(3), free).solve(1.0)
+        KeptSystem(gram, np.zeros(3), free)
+    # add() would append the last column under index -1 and solve another block.
+    system = KeptSystem(gram, np.zeros(3), [1])
+    for index in [i for i in np.asarray(free) if i < 0] + [-1]:
+        with pytest.raises(IndexError, match=message):
+            system.add(index)
+    np.testing.assert_array_equal(system.free, [1])
 
 
 def test_free_indices_must_be_integers():
@@ -176,13 +204,13 @@ def test_free_indices_must_be_integers():
 def test_near_dependent_pair_is_rank_deficient_on_both_paths():
     # Library columns a0 = (1, 0, 0) and a2 = (1, 0, 1e-9) are near-dependent;
     # a1 sits between them. Pinning a1 leaves the pair: the kept system that
-    # the next solve builds on the mask rejects it at its first solve, as the
+    # the next solve builds on the mask rejects it when it is built, as the
     # stacked solve rejects the mask.
     lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1e-9]])
     gram = lower @ lower.T
     mask = np.array([True, False, True])
     with pytest.raises(RankDeficientLibrary) as kept:
-        KeptSystem(gram, np.zeros(3), np.flatnonzero(mask)).solve(1.0)
+        KeptSystem(gram, np.zeros(3), np.flatnonzero(mask))
     _, _, failures = solve_stacked(gram, mask[None], np.zeros((1, 3)), 1.0)
     assert list(failures) == [0]
     with pytest.raises(RankDeficientLibrary) as fresh:
@@ -228,27 +256,26 @@ def test_appended_factor_gives_the_fresh_subproblem_solution():
 
 
 def test_appending_a_duplicate_or_an_excess_column_is_rank_deficient():
+    # The append fails at add(), and the system still solves its old block.
     rng = np.random.default_rng(20)
     for n_bands in (2, 5, 12):
         entries = rng.random((n_bands, n_bands + 2))
         entries[:, -1] = entries[:, 0]
         gram = entries.T @ entries
         full = _kept(gram, np.arange(n_bands))
-        full.add(n_bands)
-        with pytest.raises(RankDeficientLibrary):  # the (N+1)-th column
-            full.solve(1.0)
-        assert full.lower.shape == (n_bands, n_bands)  # the factor is left as it was
-        assert full.top == gram.diagonal()[:n_bands].max()
+        _assert_add_fails_and_leaves_the_system(full, n_bands)  # the (N+1)-th column
+        assert full.top is None  # nothing was appended, so nothing read it
+        assert full.solve(1.0).free_values.size == n_bands
         duplicate = _kept(gram, [0])
-        duplicate.add(n_bands + 1)
-        with pytest.raises(RankDeficientLibrary):  # a duplicate of column 0
-            duplicate.solve(1.0)
+        duplicate.add(1)
+        assert duplicate.top == gram.diagonal()[:2].max()
+        _assert_add_fails_and_leaves_the_system(duplicate, n_bands + 1)  # column 0 again
+        _assert_forward_solves(duplicate, gram, np.zeros(n_bands + 2), [0, 1])
     # Exact arithmetic: a2 = a0 + a1 leaves a pivot of exactly 0.
     gram = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
     dependent = _kept(gram, [1, 0])
-    dependent.add(2)
-    with pytest.raises(RankDeficientLibrary):
-        dependent.solve(1.0)
+    _assert_add_fails_and_leaves_the_system(dependent, 2)
+    _assert_factors_block(dependent, gram, [1, 0])
 
 
 def test_a_larger_diagonal_raises_the_floor_above_an_old_pivot():
@@ -256,9 +283,8 @@ def test_a_larger_diagonal_raises_the_floor_above_an_old_pivot():
     # floor 3 eps; the third lifts it to 3 eps 1e4, above the pivot 1e-14.
     gram = np.diag([1.0, 1e-14, 1e4])
     system = _kept(gram, [0, 1])
-    system.add(2)
-    with pytest.raises(RankDeficientLibrary):
-        system.solve(1.0)
+    _assert_add_fails_and_leaves_the_system(system, 2)
+    _assert_factors_block(system, gram, [0, 1])
     with pytest.raises(RankDeficientLibrary):
         factorize(gram, [0, 1, 2])
 
@@ -297,26 +323,28 @@ def test_kept_system_follows_a_chain_of_appends_and_deletes():
         assert top <= 1e-9 * np.abs(linear).max() and bottom <= 1e-12
 
 
-def test_an_added_column_joins_the_factor_at_the_next_solve():
+def test_a_system_is_whole_when_built_and_after_each_add():
+    # No solve is needed for the factor: building factorizes the free set,
+    # and add() appends at once, into new arrays, so a factor or forward
+    # solve handed out earlier keeps its values.
     rng = np.random.default_rng(23)
     entries = rng.random((30, 12))
     gram = entries.T @ entries
     linear = entries.T @ rng.random(30)
-    system = _kept(gram, [4, 9], linear)
+    system = KeptSystem(gram, linear, [4, 9])
+    _assert_factors_block(system, gram, [4, 9])
+    _assert_forward_solves(system, gram, linear, [4, 9])
+    assert system.top is None
     lower, forward = system.lower, system.forward
+    copies = lower.copy(), forward.copy()
     system.add(1)
     np.testing.assert_array_equal(system.free, [4, 9, 1])
-    assert system.lower is lower and system.forward is forward
-    system.solve(0.5)
+    assert system.lower is not lower and system.forward is not forward
+    np.testing.assert_array_equal(lower, copies[0])
+    np.testing.assert_array_equal(forward, copies[1])
     _assert_factors_block(system, gram, [4, 9, 1])
     _assert_forward_solves(system, gram, linear, [4, 9, 1])
-    # Columns added between two solves join in the order they were added.
-    system.add(6)
-    system.add(0)
-    np.testing.assert_array_equal(system.free, [4, 9, 1, 6, 0])
-    system.solve(0.5)
-    _assert_factors_block(system, gram, [4, 9, 1, 6, 0])
-    _assert_forward_solves(system, gram, linear, [4, 9, 1, 6, 0])
+    assert system.top == gram.diagonal()[[4, 9, 1]].max()
 
 
 def test_stacked_solves_match_the_kept_system_and_not_the_stack():

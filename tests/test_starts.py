@@ -261,7 +261,7 @@ def test_a_capped_solve_never_pays_for_its_last_release():
     # Column 2 is twice column 0 and P = 3 > N = 2, so the solve starts at the
     # vertex e_1 and frees [1, 2]. Iteration 1 accepts that candidate and
     # releases 0, whose column would fail the rank test; the cap stops the
-    # solve before the column joins the factor.
+    # solve before a subproblem on that free set is solved.
     library = SpectralLibrary(np.array([[2.0, 0.5, 4.0], [1.0, 1.5, 2.0]]))
     pixel = np.array([1.0, 1.5])
     capped = SolverConfig(max_outer_iterations=1)
